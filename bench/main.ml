@@ -828,18 +828,6 @@ let print_engine ?(emit_json = false) ?bmc ?sym () =
          | Some (_, _, _, pruned, _) -> pruned > 0
          | None -> false)
        [ "promising"; "pushpull" ]);
-  (* state-key microbenchmark: legacy string keys vs interned hashes *)
-  let keyprog =
-    (List.hd kernel_corpus).Sekvm.Kernel_progs.prog
-  in
-  let legacy_s, interned_s, sample =
-    Memmodel.Promising.key_microbench ~iters:200 keyprog
-  in
-  Format.printf
-    "  state keys (%d states x 200): string %.4f s, interned %.4f s         (%.1fx)@."
-    sample legacy_s interned_s
-    (legacy_s /. interned_s);
-  expect "key microbench sampled states" (sample > 0);
   if emit_json then begin
     let j =
       Cache.Json.Obj
@@ -887,14 +875,7 @@ let print_engine ?(emit_json = false) ?bmc ?sym () =
                          ("visited_exact", Cache.Json.Int off);
                          ("pruned", Cache.Json.Int pruned);
                          ("results_equal", Cache.Json.Bool equal) ] ))
-                 por) );
-          ( "key_microbench",
-            Cache.Json.Obj
-              [ ("sample_states", Cache.Json.Int sample);
-                ("legacy_s", Cache.Json.Float legacy_s);
-                ("interned_s", Cache.Json.Float interned_s);
-                ( "speedup",
-                  Cache.Json.Float (legacy_s /. interned_s) ) ] ) ]
+                 por) ) ]
         @ (match sym with Some s -> [ ("symmetry", s) ] | None -> [])
         @ match bmc with Some b -> [ ("bmc", b) ] | None -> [])
     in
@@ -1226,11 +1207,11 @@ let print_lint () =
   expect "some corpus entries are static-served" (served > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Analyzer engines: bounded path enumeration vs dataflow fixpoint     *)
+(* Analyzer throughput: the dataflow fixpoint on branchy programs      *)
 (* ------------------------------------------------------------------ *)
 
-(* A family of b independent branch diamonds: the bounded engine
-   enumerates 2^b paths, the fixpoint engine visits O(b) CFG nodes. *)
+(* A family of b independent branch diamonds: 2^b control-flow paths,
+   but only O(b) CFG nodes for the fixpoint solver to visit. *)
 let branchy b =
   let open Memmodel in
   let code =
@@ -1250,7 +1231,7 @@ let branchy b =
     [ Prog.thread 1 code; Prog.thread 2 [ Instr.Nop ] ]
 
 let print_absint () =
-  section "Analyzer throughput: bounded path enumeration vs fixpoint";
+  section "Analyzer throughput: fixpoint lint on branch diamonds";
   let time_n n f =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to n do
@@ -1264,64 +1245,15 @@ let print_absint () =
       (fun b ->
         let prog = branchy b in
         let name = Printf.sprintf "branchy-%d" b in
-        let run engine () =
-          Analysis.Driver.analyze_prog ~engine ~name prog
-        in
-        let tf = time_n 20 (run Analysis.Driver.Fixpoint) in
-        let tb =
-          time_n (if b <= 8 then 5 else 1) (run Analysis.Driver.Bounded)
-        in
-        Format.printf
-          "  %-12s bounded %9.3f ms (%8.1f prog/s)   fixpoint %7.3f ms \
-           (%8.1f prog/s)   speedup %7.1fx@."
-          name (tb *. 1e3) (1. /. tb) (tf *. 1e3) (1. /. tf) (tb /. tf);
-        (b, tb, tf))
+        let tf = time_n 20 (fun () -> Analysis.Driver.analyze_prog ~name prog) in
+        Format.printf "  %-12s fixpoint %7.3f ms (%8.1f prog/s)@." name
+          (tf *. 1e3) (1. /. tf);
+        (b, tf))
       sizes
   in
-  let assoc b = List.find (fun (b', _, _) -> b' = b) rows in
-  let _, tb_lo, tf_lo = assoc 4 and _, tb_hi, tf_hi = assoc 12 in
-  expect "fixpoint is at least 10x faster than bounded at the top size"
-    (tb_hi /. tf_hi >= 10.);
-  expect "bounded time grows super-linearly in the diamond count"
-    (tb_hi /. tb_lo > 50.);
+  let tf_lo = List.assoc 4 rows and tf_hi = List.assoc 12 rows in
   expect "fixpoint time stays near-linear in the diamond count"
-    (tf_hi /. tf_lo < 30.);
-  (* engine agreement across all four corpora, modulo the pinned
-     bounded blind spots *)
-  let entries =
-    Sekvm.Kernel_progs.corpus @ Sekvm.Kernel_progs.buggy_corpus
-    @ Sekvm.Kernel_progs.boundary_corpus @ Sekvm.Kernel_progs.lint_corpus
-  in
-  let divergent =
-    List.concat_map
-      (fun (e : Sekvm.Kernel_progs.entry) ->
-        let fx =
-          Analysis.Driver.analyze ~engine:Analysis.Driver.Fixpoint e
-        in
-        let bd = Analysis.Driver.analyze ~engine:Analysis.Driver.Bounded e in
-        let pinned =
-          Option.value ~default:[]
-            (List.assoc_opt e.Sekvm.Kernel_progs.name
-               Sekvm.Kernel_progs.lint_divergences)
-        in
-        List.filter_map
-          (fun (p : Analysis.Driver.pass) ->
-            let vb =
-              Analysis.Driver.pass_verdict bd p.Analysis.Driver.p_name
-            in
-            if
-              vb <> p.Analysis.Driver.p_verdict
-              && not (List.mem p.Analysis.Driver.p_name pinned)
-            then
-              Some
-                (e.Sekvm.Kernel_progs.name ^ "/" ^ p.Analysis.Driver.p_name)
-            else None)
-          fx.Analysis.Driver.a_passes)
-      entries
-  in
-  List.iter (Format.printf "  UNPINNED divergence: %s@.") divergent;
-  expect "zero unpinned engine divergences across all four corpora"
-    (divergent = [])
+    (tf_hi /. tf_lo < 30.)
 
 (* ------------------------------------------------------------------ *)
 (* §5: the certification summary                                       *)

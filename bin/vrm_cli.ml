@@ -847,22 +847,6 @@ let lint_cmd =
             "lint every corpus entry (certified, buggy, boundary, lint) \
              and cross-validate each verdict against the dynamic checkers")
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("bounded", `Bounded); ("fixpoint", `Fixpoint);
-               ("both", `Both) ])
-          `Fixpoint
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "analysis engine: $(b,bounded) (exhaustive path enumeration, \
-             loops unrolled 0/1), $(b,fixpoint) (abstract-interpretation \
-             dataflow, the default), or $(b,both) (run both and report \
-             any per-pass verdict divergence; unpinned divergences fail \
-             the run)")
-  in
   let stats_flag =
     Arg.(
       value & flag
@@ -871,7 +855,7 @@ let lint_cmd =
             "print per-pass wall time, CFG size and dataflow solver \
              iteration counts")
   in
-  let run name json corpus engine stats =
+  let run name json corpus stats =
     let entries =
       Sekvm.Kernel_progs.corpus @ Sekvm.Kernel_progs.buggy_corpus
       @ Sekvm.Kernel_progs.boundary_corpus @ Sekvm.Kernel_progs.lint_corpus
@@ -897,56 +881,14 @@ let lint_cmd =
     in
     let failed = ref false in
     let definite = ref 0 in
-    let pinned_div = ref 0 and unpinned_div = ref 0 in
     List.iter
       (fun (e : Sekvm.Kernel_progs.entry) ->
-        let a =
-          Analysis.Driver.analyze
-            ~engine:
-              (match engine with
-              | `Bounded -> Analysis.Driver.Bounded
-              | `Fixpoint | `Both -> Analysis.Driver.Fixpoint)
-            e
-        in
+        let a = Analysis.Driver.analyze e in
         definite := !definite + List.length (Analysis.Driver.definite_codes a);
         if json then
           print_endline (Cache.Json.to_string (Analysis.Driver.to_json a))
         else Format.printf "%a@." Analysis.Driver.pp a;
         if stats then Format.printf "%a@." Analysis.Driver.pp_stats a;
-        (if engine = `Both then begin
-           let b = Analysis.Driver.analyze ~engine:Analysis.Driver.Bounded e in
-           if stats then Format.printf "%a@." Analysis.Driver.pp_stats b;
-           let pinned =
-             Option.value ~default:[]
-               (List.assoc_opt e.Sekvm.Kernel_progs.name
-                  Sekvm.Kernel_progs.lint_divergences)
-           in
-           List.iter
-             (fun (p : Analysis.Driver.pass) ->
-               let vb =
-                 Analysis.Driver.pass_verdict b p.Analysis.Driver.p_name
-               in
-               if vb <> p.Analysis.Driver.p_verdict then
-                 if List.mem p.Analysis.Driver.p_name pinned then begin
-                   incr pinned_div;
-                   Format.printf
-                     "  divergence (pinned) %s/%s: bounded %s, fixpoint %s@."
-                     e.Sekvm.Kernel_progs.name p.Analysis.Driver.p_name
-                     (Analysis.Diag.verdict_name vb)
-                     (Analysis.Diag.verdict_name p.Analysis.Driver.p_verdict)
-                 end
-                 else begin
-                   incr unpinned_div;
-                   failed := true;
-                   Format.eprintf
-                     "  DIVERGENCE %s/%s: bounded %s, fixpoint %s \
-                      (not pinned in Kernel_progs.lint_divergences)@."
-                     e.Sekvm.Kernel_progs.name p.Analysis.Driver.p_name
-                     (Analysis.Diag.verdict_name vb)
-                     (Analysis.Diag.verdict_name p.Analysis.Driver.p_verdict)
-                 end)
-             a.Analysis.Driver.a_passes
-         end);
         let r = Analysis.Validate.entry e in
         if not (Analysis.Validate.ok r) then begin
           failed := true;
@@ -957,11 +899,7 @@ let lint_cmd =
       Format.printf "%d entries linted, %d definite finding(s), \
                      cross-validation %s@."
         (List.length selected) !definite
-        (if !failed then "FAILED" else "ok");
-      if engine = `Both then
-        Format.printf "engine agreement: %d pinned divergence(s), %d \
-                       unpinned@."
-          !pinned_div !unpinned_div
+        (if !failed then "FAILED" else "ok")
     end;
     if !failed then exit 1
   in
@@ -970,7 +908,7 @@ let lint_cmd =
        ~doc:
          "run the static wDRF analyzer (and its dynamic cross-validation) \
           over kernel programs")
-    Term.(const run $ name_arg $ json $ corpus_flag $ engine_arg $ stats_flag)
+    Term.(const run $ name_arg $ json $ corpus_flag $ stats_flag)
 
 let status_cmd =
   let run socket =

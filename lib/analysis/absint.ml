@@ -193,7 +193,7 @@ module Consts = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Shared must-memory lattice (fixpoint counterpart of Cfg.Amem).      *)
+(* Shared must-memory lattice over Cfg.Amem values.                    *)
 (* ------------------------------------------------------------------ *)
 
 module Mem = struct

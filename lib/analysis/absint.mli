@@ -1,20 +1,17 @@
 (** Generic forward-dataflow fixpoint engine over {!Cfg.graph}.
 
-    The bounded-path passes decide wDRF conditions by enumerating
-    control-flow paths — exponential in branch count and unsound for
-    loop-carried defects (loops are unrolled 0/1 times). This module
-    replaces enumeration with abstract interpretation: a pass supplies a
-    join-semilattice {!DOMAIN} and the worklist solver computes one
-    invariant per program point in time linear in the CFG (times lattice
-    height, bounded by widening at residual loop heads).
+    Every lint pass decides its wDRF condition by abstract
+    interpretation: the pass supplies a join-semilattice {!DOMAIN} and
+    the worklist solver computes one invariant per program point in time
+    linear in the CFG (times lattice height, bounded by widening at
+    residual loop heads). Loops are covered soundly, including defects
+    that only appear on a later iteration.
 
     The engine also computes the {e reachability} layer every pass
     shares: a must-constants analysis over registers ({!flow}) that
     decides which guard edges are live, which nodes are reachable, and —
     via the per-node gate stacks — which nodes are {e definitely
-    reached} (executed on every run). Definite reachedness is the graph
-    engine's replacement for the bounded engine's "present on every
-    enumerated path" rule: a must-level abstract defect at a
+    reached} (executed on every run). A must-level abstract defect at a
     definitely-reached node is promoted to [Definite] and is guaranteed
     a dynamic witness. *)
 
@@ -67,11 +64,10 @@ end
 
 (** {2 Shared must-memory lattice}
 
-    Fixpoint counterpart of {!Cfg.Amem}: per-cell constants with a
-    default (program-init) value for untouched cells, per-base smudging
-    for non-constant offsets, and pointwise join ([Known n] values that
-    disagree degrade to [Unknown_val]). Used by the Write-Once and TLBI
-    domains. *)
+    Per-cell constants ({!Cfg.Amem.aval}) with a default (program-init)
+    value for untouched cells, per-base smudging for non-constant
+    offsets, and pointwise join ([Known n] values that disagree degrade
+    to [Unknown_val]). Used by the Write-Once and TLBI domains. *)
 
 module Mem : sig
   type t

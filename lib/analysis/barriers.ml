@@ -29,81 +29,6 @@ let is_dmb_st = function
   | Instr.Barrier (Instr.Dmb_full | Instr.Dmb_st) -> true
   | _ -> false
 
-let touches bases (s : Cfg.step) =
-  match Cfg.access_base s.Cfg.ins with
-  | Some b -> List.mem b bases
-  | None -> false
-
-let scan_until pred bases steps =
-  let rec go = function
-    | [] -> false
-    | (s : Cfg.step) :: rest ->
-        if pred s.Cfg.ins then true
-        else if touches bases s then false
-        else go rest
-  in
-  go steps
-
-let pull_fulfilled before after bases =
-  scan_until is_acquireish bases before || scan_until is_dmb_ld bases after
-
-let push_fulfilled before after bases =
-  scan_until is_releaseish bases after || scan_until is_dmb_st bases before
-
-let w002 (prog : Prog.t) : Diag.t list =
-  List.concat_map
-    (fun (th : Prog.thread) ->
-      let bad = ref [] in
-      List.iter
-        (fun path ->
-          let rec walk before = function
-            | [] -> ()
-            | (s : Cfg.step) :: rest ->
-                (match s.Cfg.ins with
-                | Instr.Pull bases
-                  when not (pull_fulfilled before rest bases) ->
-                    bad :=
-                      { Diag.d_code = Diag.W002;
-                        d_tid = th.Prog.tid;
-                        d_path = s.Cfg.pt;
-                        d_certainty = Diag.Definite;
-                        d_message =
-                          Printf.sprintf
-                            "pull of {%s} not fulfilled by an acquire \
-                             access or DMB(LD) on this path"
-                            (String.concat ", " bases);
-                        d_fix =
-                          "make the lock-acquiring access \
-                           acquire-flavored (LDAR / acquire RMW), or \
-                           insert `dmb ld` between the pull and the \
-                           first protected access" }
-                      :: !bad
-                | Instr.Push bases
-                  when not (push_fulfilled before rest bases) ->
-                    bad :=
-                      { Diag.d_code = Diag.W002;
-                        d_tid = th.Prog.tid;
-                        d_path = s.Cfg.pt;
-                        d_certainty = Diag.Definite;
-                        d_message =
-                          Printf.sprintf
-                            "push of {%s} not fulfilled by a release \
-                             access or DMB(ST) on this path"
-                            (String.concat ", " bases);
-                        d_fix =
-                          "make the lock-releasing store \
-                           release-flavored (STLR / release RMW), or \
-                           insert `dmb st` between the last protected \
-                           access and the push" }
-                      :: !bad
-                | _ -> ());
-                walk (s :: before) rest
-          in
-          walk [] path)
-        (Cfg.paths th.Prog.code);
-      !bad)
-    prog.Prog.threads
-
 (* W007: ISB after control-dependent page-table reads. Registers loaded
    from a PT base are tainted; a branch on a tainted register whose body
    loads again, with no ISB in between, is advisory-flagged. *)
@@ -169,12 +94,6 @@ let w007 (prog : Prog.t) : Diag.t list =
       !out)
     prog.Prog.threads
 
-let run (prog : Prog.t) : Diag.t list = Diag.sort (w002 prog @ w007 prog)
-
-(* ------------------------------------------------------------------ *)
-(* Fixpoint engine.                                                    *)
-(* ------------------------------------------------------------------ *)
-
 let pull_msg bases =
   Printf.sprintf
     "pull of {%s} not fulfilled by an acquire access or DMB(LD) on this \
@@ -208,7 +127,7 @@ end)
    [dirty] the may-set of bases accessed since it. The two forward
    scans become pending obligations, killed by the fulfilling barrier
    and reported when an annotated base is accessed (or the thread
-   exits) first — exactly when the bounded scan fails. *)
+   exits) first — exactly when Check_barrier's scans fail. *)
 type bstate = {
   acq_seen : bool;
   acq_dirty : SS.t;
@@ -218,7 +137,7 @@ type bstate = {
   pushes : Ob.t;
 }
 
-let w002_fix (prog : Prog.t) : Diag.t list * Absint.stats list =
+let w002 (prog : Prog.t) : Diag.t list * Absint.stats list =
   let stats = ref [] in
   let diags =
     List.concat_map
@@ -259,7 +178,7 @@ let w002_fix (prog : Prog.t) : Diag.t list * Absint.stats list =
                 let ins = step.Cfg.ins in
                 (* A DMB(LD)/DMB both fulfills prior pull obligations
                    (forward) and counts as acquireish for later pulls
-                   (the bounded engine's backward before-scan). *)
+                   (Check_barrier's backward before-scan). *)
                 let s =
                   if is_dmb_ld ins then
                     { s with
@@ -379,8 +298,6 @@ let w002_fix (prog : Prog.t) : Diag.t list * Absint.stats list =
   in
   (diags, !stats)
 
-(* W007 is already a single structural scan (no path enumeration), so
-   both engines share it verbatim. *)
-let run_fix (prog : Prog.t) : Diag.t list * Absint.stats list =
-  let d2, stats = w002_fix prog in
+let run (prog : Prog.t) : Diag.t list * Absint.stats list =
+  let d2, stats = w002 prog in
   (Diag.sort (d2 @ w007 prog), stats)

@@ -1,11 +1,14 @@
 (** W002/W007 — barrier-placement lint.
 
-    W002 mirrors {!Vrm.Check_barrier} exactly (same path enumeration,
-    same acquire/release adequacy rules), but reports structured
-    diagnostics with positions and fixes. A W002 finding is [Definite]
-    even when confined to one control-flow path, because the dynamic
-    referee for this condition is itself path-based: a statically
-    unfulfilled pull/push on some path is precisely a
+    W002 decides {!Vrm.Check_barrier}'s acquire/release adequacy rules
+    as a dataflow problem, and reports structured diagnostics with
+    positions and fixes: the backward adequacy scans become a must-flag
+    plus a may-dirty-set lattice, and the forward scans become pending
+    obligations, resolved by the fulfilling barrier or reported at the
+    first annotated-base access or at thread exit. A W002 finding is
+    [Definite] even when confined to one control-flow path, because the
+    dynamic referee for this condition is itself path-based: a
+    statically unfulfilled pull/push on some path is precisely a
     [Check_barrier] violation on that path. Consequently
 
     - W002 absent  ⟺  [Check_barrier.check] holds,
@@ -20,12 +23,6 @@
 
 open Memmodel
 
-val run : Prog.t -> Diag.t list
-(** Bounded-path engine. *)
-
-val run_fix : Prog.t -> Diag.t list * Absint.stats list
-(** Fixpoint engine: the backward adequacy scans become a must-flag +
-    may-dirty-set lattice, the forward scans become pending obligations
-    resolved by the fulfilling barrier or reported at the first
-    annotated-base access / thread exit. W007 (a linear structural
-    scan) is shared verbatim with the bounded engine. *)
+val run : Prog.t -> Diag.t list * Absint.stats list
+(** Diagnostics plus the solver statistics of every thread fixpoint
+    (W007 is a linear structural scan and adds none). *)

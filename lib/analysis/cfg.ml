@@ -2,28 +2,6 @@ open Memmodel
 
 type step = { pt : int list; ins : Instr.t }
 
-(* Mirrors Check_barrier.paths (If -> both branches, While -> 0/1
-   unrollings) with structural positions attached. The instruction count
-   of corpus programs is small enough that the product stays tiny. *)
-let paths (code : Instr.t list) : step list list =
-  let cross heads tails =
-    List.concat_map (fun h -> List.map (fun t -> h @ t) tails) heads
-  in
-  let rec go prefix k = function
-    | [] -> [ [] ]
-    | Instr.If (_, a, b) :: rest ->
-        let heads = go (prefix @ [ k; 0 ]) 0 a @ go (prefix @ [ k; 1 ]) 0 b in
-        cross heads (go prefix (k + 1) rest)
-    | Instr.While (_, body) :: rest ->
-        let heads = [] :: go (prefix @ [ k; 0 ]) 0 body in
-        cross heads (go prefix (k + 1) rest)
-    | i :: rest ->
-        List.map
-          (fun t -> { pt = prefix @ [ k ]; ins = i } :: t)
-          (go prefix (k + 1) rest)
-  in
-  go [] 0 code
-
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
@@ -86,9 +64,7 @@ module Amem = struct
     let compare = Stdlib.compare
   end)
 
-  type t = { cells : aval M.t; smudged : string list }
-
-  let of_init ~pred (prog : Prog.t) =
+  let init ~pred (prog : Prog.t) =
     let cells =
       List.fold_left
         (fun m (l, v) ->
@@ -96,21 +72,11 @@ module Amem = struct
           else m)
         M.empty prog.Prog.init
     in
-    { cells; smudged = [] }
-
-  let read t ((base, _) as cell) =
-    if List.mem base t.smudged then Unknown_val
-    else match M.find_opt cell t.cells with Some v -> v | None -> Known 0
-
-  let write t cell v = { t with cells = M.add cell v t.cells }
-
-  let smudge_base t base =
-    if List.mem base t.smudged then t
-    else { t with smudged = base :: t.smudged }
+    fun cell -> match M.find_opt cell cells with Some v -> v | None -> Known 0
 end
 
 (* ------------------------------------------------------------------ *)
-(* Graph form: the CFG proper, for the fixpoint engine.                *)
+(* Graph form: the CFG proper, for the Absint fixpoint solver.         *)
 (* ------------------------------------------------------------------ *)
 
 type guard = {
@@ -148,8 +114,7 @@ let default_peel = 2
    Each node carries its [gates]: the stack of enclosing guard
    decisions (evaluation site, condition, direction). A node is
    definitely reached iff every gate's condition is must-decided in
-   the gate's direction at its evaluation site — the graph engine's
-   replacement for "present on every enumerated path". The join node
+   the gate's direction at its evaluation site. The join node
    after a loop carries only the *outer* gates: termination of the
    residual loop is structural, not gated. *)
 let graph ?(peel = default_peel) (code : Instr.t list) : graph =
@@ -235,38 +200,11 @@ type raw = {
   r_definite : bool;
 }
 
-let classify ~tid ~per_path : Diag.t list =
-  let n_paths = List.length per_path in
-  let dedup raws = List.sort_uniq Stdlib.compare raws in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun raws ->
-      List.iter
-        (fun r ->
-          let n = try Hashtbl.find tbl r with Not_found -> 0 in
-          Hashtbl.replace tbl r (n + 1))
-        (dedup raws))
-    per_path;
-  Hashtbl.fold
-    (fun r n acc ->
-      { Diag.d_code = r.r_code;
-        d_tid = tid;
-        d_path = r.r_path;
-        d_certainty =
-          (if r.r_definite && n = n_paths then Diag.Definite
-           else Diag.Possible);
-        d_message = r.r_message;
-        d_fix = r.r_fix }
-      :: acc)
-    tbl []
-  |> Diag.sort
-
-(* Fixpoint-engine counterpart of [classify]: a raw's [r_definite] here
-   is its final certainty (must-level defect at a definitely-reached
-   point), already decided by the domain. The same program point can be
-   visited along several graph edges (peeled loop copies, joined
-   obligations), so findings are merged keeping the strongest
-   certainty. *)
+(* A raw's [r_definite] is its final certainty (must-level defect at a
+   definitely-reached point), already decided by the domain. The same
+   program point can be visited along several graph edges (peeled loop
+   copies, joined obligations), so findings are merged keeping the
+   strongest certainty. *)
 let merge_raws ~tid (raws : raw list) : Diag.t list =
   let tbl = Hashtbl.create 16 in
   List.iter

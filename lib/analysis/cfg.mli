@@ -1,19 +1,18 @@
-(** Control-flow paths over the kernel DSL, plus the shared vocabulary of
-    the lint passes.
+(** The control-flow graph of a kernel-DSL thread, plus the shared
+    vocabulary of the lint passes.
 
-    A thread body is enumerated into control-flow paths exactly as
-    {!Vrm.Check_barrier} does — each [If] contributes both branches, each
-    [While] is unrolled zero and one time — but every instruction carries
-    its {e structural path}: the root-to-leaf position ([2.0.1] = branch 0
-    of the instruction at index 2, instruction 1 within it). Structural
-    paths are stable across path enumeration order, which is what makes
-    diagnostics deterministic and golden-testable.
+    Every instruction carries its {e structural path}: the root-to-leaf
+    position ([2.0.1] = branch 0 of the instruction at index 2,
+    instruction 1 within it). Structural paths do not depend on how the
+    graph is traversed, which is what makes diagnostics deterministic
+    and golden-testable.
 
-    The certainty rule lives here too: a raw finding promoted to
-    [Definite] must hold on {e every} enumerated path of its thread.
-    Since the SC executor runs every thread to completion in every
-    interleaving, an every-path defect is guaranteed a dynamic witness —
-    the soundness direction the cross-validation harness enforces. *)
+    The certainty rule lives in the passes: a finding is [Definite] only
+    when the abstract defect holds on every path reaching a
+    definitely-reached program point. Since the SC executor runs every
+    thread to completion in every interleaving, such a defect is
+    guaranteed a dynamic witness — the soundness direction the
+    cross-validation harness enforces. *)
 
 open Memmodel
 
@@ -21,10 +20,6 @@ type step = {
   pt : int list;  (** structural path of the instruction *)
   ins : Instr.t;
 }
-
-val paths : Instr.t list -> step list list
-(** All control-flow paths (loops unrolled 0/1 times, [If]/[While]
-    headers dissolved into their branches). Never empty. *)
 
 (** {2 Base-name classification}
 
@@ -62,25 +57,17 @@ val const_of_vexp : Expr.vexp -> int option
 val store_target : Instr.t -> (string * int option) option
 (** For a [Store]: base and constant offset (if resolvable). *)
 
-(** {2 Abstract memory}
+(** {2 Abstract values}
 
     Constant propagation for the Write-Once and TLBI passes: per
-    location either a known integer or unknown. Unlisted locations
-    start at their program-init value (0 when uninitialized). *)
+    location either a known integer or unknown ({!Absint.Mem}). *)
 
 module Amem : sig
   type aval = Known of int | Unknown_val
-  type t
 
-  val of_init : pred:(string -> bool) -> Prog.t -> t
-  (** Track only bases satisfying [pred]. *)
-
-  val read : t -> string * int -> aval
-  val write : t -> string * int -> aval -> t
-
-  val smudge_base : t -> string -> t
-  (** A write through a non-constant offset: every entry of the base
-      becomes unknown. *)
+  val init : pred:(string -> bool) -> Prog.t -> string * int -> aval
+  (** Program-init value of a cell, tracking only bases satisfying
+      [pred]: unlisted cells (and untracked bases) start at 0. *)
 end
 
 (** {2 Graph form}
@@ -128,7 +115,7 @@ val default_peel : int
 val graph : ?peel:int -> Instr.t list -> graph
 (** Build the control-flow graph of a thread body. *)
 
-(** {2 Certainty classification} *)
+(** {2 Findings} *)
 
 type raw = {
   r_code : Diag.code;
@@ -136,15 +123,9 @@ type raw = {
   r_message : string;
   r_fix : string;
   r_definite : bool;
-      (** eligible for [Definite] when present on every path *)
+      (** must-level defect at a definitely-reached point *)
 }
 
-val classify : tid:int -> per_path:raw list list -> Diag.t list
-(** Merge per-path raw findings into diagnostics: a finding is
-    [Definite] iff it is definite-eligible and identical on every path;
-    otherwise [Possible]. *)
-
 val merge_raws : tid:int -> raw list -> Diag.t list
-(** Fixpoint-engine counterpart of {!classify}: [r_definite] is already
-    the final certainty; duplicate findings merge keeping the strongest
-    one. *)
+(** Raw findings of one thread as diagnostics: [r_definite] is the final
+    certainty; duplicate findings merge keeping the strongest one. *)

@@ -26,9 +26,8 @@
 
     Findings are always [Possible] — the analysis is control-flow
     insensitive on purpose (an event on any path can participate), so
-    it never claims a guaranteed dynamic witness. The pass is
-    engine-independent: both the bounded and fixpoint drivers run the
-    same code. *)
+    it never claims a guaranteed dynamic witness. The pass is a
+    structural scan and carries no solver statistics. *)
 
 open Memmodel
 

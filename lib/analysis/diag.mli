@@ -8,8 +8,9 @@
 
     A diagnostic carries a {!certainty}:
 
-    - [Definite] — the defect occurs on {e every} enumerated control-flow
-      path of its thread (or is path-insensitive), so some dynamic
+    - [Definite] — the defect occurs on {e every} control-flow path
+      through a definitely-reached point of its thread (or is
+      path-insensitive), so some dynamic
       execution is guaranteed to exhibit it. [Definite] findings drive a
       [Fail] verdict and the soundness harness demands a dynamic witness
       for each.

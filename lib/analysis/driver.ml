@@ -2,24 +2,18 @@ open Memmodel
 
 let version = "lint-2"
 
-type engine = Bounded | Fixpoint
-
-let engine_name = function Bounded -> "bounded" | Fixpoint -> "fixpoint"
-
 type pass = {
   p_name : string;
   p_verdict : Diag.verdict;
   p_diags : Diag.t list;
   p_ms : float;  (** wall time of the pass, milliseconds *)
   p_stats : Absint.stats;
-      (** summed over the thread CFGs; zero for structural passes and
-          for the bounded engine *)
+      (** summed over the thread CFGs; zero for structural passes *)
 }
 
 type t = {
   a_name : string;
   a_prog_digest : string;
-  a_engine : engine;
   a_passes : pass list;
   a_overall : Diag.verdict;
   a_refinement : Diag.verdict;
@@ -59,34 +53,18 @@ let touching_threads (prog : Prog.t) base =
       go th.Prog.code)
     prog.Prog.threads
 
-let analyze_prog ?(engine = Fixpoint) ?(exempt = []) ?(initial_owners = [])
-    ~name (prog : Prog.t) : t =
+let analyze_prog ?(exempt = []) ?(initial_owners = []) ~name (prog : Prog.t)
+    : t =
   let passes =
-    match engine with
-    | Bounded ->
-        [ mk_pass "drf-lockset"
-            (structural (fun () -> Lockset.run ~exempt ~initial_owners prog));
-          mk_pass "barriers" (structural (fun () -> Barriers.run prog));
-          mk_pass "write-once" (structural (fun () -> Write_once.run prog));
-          mk_pass "transactional"
-            (structural (fun () -> Transactional.run prog));
-          mk_pass "tlbi" (structural (fun () -> Tlbi.run prog));
-          mk_pass "ownership"
-            (structural (fun () -> Ownership.run ~exempt ~initial_owners prog));
-          mk_pass "delay" (structural (fun () -> Delay.run prog)) ]
-    | Fixpoint ->
-        [ mk_pass "drf-lockset"
-            (fixpoint (fun () ->
-                 Lockset.run_fix ~exempt ~initial_owners prog));
-          mk_pass "barriers" (fixpoint (fun () -> Barriers.run_fix prog));
-          mk_pass "write-once" (fixpoint (fun () -> Write_once.run_fix prog));
-          mk_pass "transactional"
-            (fixpoint (fun () -> Transactional.run_fix prog));
-          mk_pass "tlbi" (fixpoint (fun () -> Tlbi.run_fix prog));
-          mk_pass "ownership"
-            (fixpoint (fun () ->
-                 Ownership.run_fix ~exempt ~initial_owners prog));
-          mk_pass "delay" (structural (fun () -> Delay.run prog)) ]
+    [ mk_pass "drf-lockset"
+        (fixpoint (fun () -> Lockset.run ~exempt ~initial_owners prog));
+      mk_pass "barriers" (fixpoint (fun () -> Barriers.run prog));
+      mk_pass "write-once" (fixpoint (fun () -> Write_once.run prog));
+      mk_pass "transactional" (fixpoint (fun () -> Transactional.run prog));
+      mk_pass "tlbi" (fixpoint (fun () -> Tlbi.run prog));
+      mk_pass "ownership"
+        (fixpoint (fun () -> Ownership.run ~exempt ~initial_owners prog));
+      mk_pass "delay" (structural (fun () -> Delay.run prog)) ]
   in
   let overall =
     List.fold_left
@@ -120,13 +98,12 @@ let analyze_prog ?(engine = Fixpoint) ?(exempt = []) ?(initial_owners = [])
   in
   { a_name = name;
     a_prog_digest = Fingerprint.prog prog;
-    a_engine = engine;
     a_passes = passes;
     a_overall = overall;
     a_refinement = refinement }
 
-let analyze ?engine (e : Sekvm.Kernel_progs.entry) : t =
-  analyze_prog ?engine ~exempt:e.Sekvm.Kernel_progs.exempt
+let analyze (e : Sekvm.Kernel_progs.entry) : t =
+  analyze_prog ~exempt:e.Sekvm.Kernel_progs.exempt
     ~initial_owners:e.Sekvm.Kernel_progs.initial_owners
     ~name:e.Sekvm.Kernel_progs.name e.Sekvm.Kernel_progs.prog
 
@@ -156,7 +133,6 @@ let to_json t =
       ("name", String t.a_name);
       ("prog_digest", String t.a_prog_digest);
       ("analyzer", String version);
-      ("engine", String (engine_name t.a_engine));
       ("overall", String (Diag.verdict_name t.a_overall));
       ("refinement", String (Diag.verdict_name t.a_refinement));
       ( "passes",
@@ -183,8 +159,7 @@ let pp fmt t =
   Format.fprintf fmt "@]"
 
 let pp_stats fmt t =
-  Format.fprintf fmt "@[<v>lint %s [%s engine]" t.a_name
-    (engine_name t.a_engine);
+  Format.fprintf fmt "@[<v>lint %s" t.a_name;
   List.iter
     (fun p ->
       Format.fprintf fmt

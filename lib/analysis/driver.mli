@@ -4,21 +4,12 @@
     (a dynamic witness is guaranteed), [Unknown] iff only [Possible]
     diagnostics remain, [Pass] iff none.
 
-    Two interchangeable engines drive the per-thread passes. [Bounded]
-    is the original path enumerator: every branch doubles the path set
-    and loops are unrolled at most once, so it is exact on loop-free
-    programs but exponential in branching and blind past the first loop
-    iteration. [Fixpoint] runs each pass as an abstract-interpretation
-    dataflow problem over the thread CFG ({!Absint}): linear-ish in
-    program size, sound on loops via widening, and [Definite] only at
-    definitely-reached program points. The two engines agree on every
-    corpus entry except those explicitly pinned as bounded blind spots
-    ({!Sekvm.Kernel_progs.lint_expectations_bounded}); {!Validate}
-    checks the agreement, and that the fixpoint verdict is never less
-    sound than the bounded one.
-
-    The delay pass (W008, {!Delay}) is structural and engine-independent:
-    it runs identically under both engines.
+    Each per-thread pass is an abstract-interpretation dataflow problem
+    over the thread CFG ({!Absint}): linear-ish in program size, sound
+    on loops via widening, and [Definite] only at definitely-reached
+    program points. The delay pass (W008, {!Delay}) is a structural
+    scan. The dynamic checkers are the oracle: {!Validate} checks every
+    verdict against them, on the corpus and on random programs.
 
     [a_refinement] is the static counterpart of Theorem 2 — [Pass] only
     when the lockset, ownership and barrier passes all pass {e and} every
@@ -34,39 +25,31 @@ open Memmodel
     invalidates statically served results. *)
 val version : string
 
-type engine = Bounded | Fixpoint
-
-val engine_name : engine -> string
-
 type pass = {
   p_name : string;
   p_verdict : Diag.verdict;
   p_diags : Diag.t list;
   p_ms : float;  (** wall time of the pass, milliseconds *)
   p_stats : Absint.stats;
-      (** summed over the thread CFGs; zero for structural passes and
-          for the bounded engine *)
+      (** summed over the thread CFGs; zero for structural passes *)
 }
 
 type t = {
   a_name : string;
   a_prog_digest : string;  (** {!Memmodel.Fingerprint.prog} *)
-  a_engine : engine;
   a_passes : pass list;
   a_overall : Diag.verdict;
   a_refinement : Diag.verdict;
 }
 
 val analyze_prog :
-  ?engine:engine ->
   ?exempt:string list ->
   ?initial_owners:(string * int) list ->
   name:string ->
   Prog.t ->
   t
-(** [engine] defaults to [Fixpoint]. *)
 
-val analyze : ?engine:engine -> Sekvm.Kernel_progs.entry -> t
+val analyze : Sekvm.Kernel_progs.entry -> t
 
 val diags : t -> Diag.t list
 (** All diagnostics, in the deterministic {!Diag.compare} order. *)

@@ -4,54 +4,6 @@ let fix_access =
   "take the protecting lock (pull the base) around this access, or exempt \
    the base as a synchronization internal"
 
-(* Backward lock-guard scan from a pull: skip accesses to exempt
-   (lock-internal) bases, succeed at an atomic RMW on an exempt base,
-   fail at any other memory access. *)
-let guard_of_pull (before : Cfg.step list) exempt : string option =
-  let rec go = function
-    | [] -> None
-    | (s : Cfg.step) :: rest -> (
-        match Cfg.access_base s.ins with
-        | Some b when Cfg.is_rmw s.ins && List.mem b exempt -> Some b
-        | Some b when List.mem b exempt -> go rest
-        | Some _ -> None
-        | None -> go rest)
-  in
-  go before
-
-(* Forward balance scan from a pull of [base]: a matching push must occur
-   on this path before any write to an exempt base (i.e. before the lock
-   can be released). *)
-let balanced_after_pull (after : Cfg.step list) exempt base : bool =
-  let rec go = function
-    | [] -> false
-    | (s : Cfg.step) :: rest -> (
-        match s.ins with
-        | Instr.Push bs when List.mem base bs -> true
-        | _ -> (
-            match Cfg.access_base s.ins with
-            | Some b when Cfg.writes_mem s.ins && List.mem b exempt -> false
-            | _ -> go rest))
-  in
-  go after
-
-(* All (guard, balanced) facts for pulls of [base] in one thread. *)
-let pull_facts (th : Prog.thread) exempt base :
-    (string option * bool) list =
-  List.concat_map
-    (fun path ->
-      let rec walk before = function
-        | [] -> []
-        | (s : Cfg.step) :: rest -> (
-            match s.Cfg.ins with
-            | Instr.Pull bs when List.mem base bs ->
-                (guard_of_pull before exempt, balanced_after_pull rest exempt base)
-                :: walk (s :: before) rest
-            | _ -> walk (s :: before) rest)
-      in
-      walk [] path)
-    (Cfg.paths th.Prog.code)
-
 let thread_pulls (th : Prog.thread) base =
   let rec has = function
     | [] -> false
@@ -94,103 +46,12 @@ let claim_diag base n_claimants owners0 =
         "hand-off protocols are verified by exhaustive exploration; no \
          static fix required" }
 
-let run ~exempt ~initial_owners (prog : Prog.t) : Diag.t list =
-  let shared = Prog.shared_bases prog in
-  let tracked = List.filter (fun b -> not (List.mem b exempt)) shared in
-  (* per-thread: accesses outside ownership *)
-  let thread_diags =
-    List.concat
-      (List.mapi
-         (fun i (th : Prog.thread) ->
-           let owned0 =
-             List.filter_map
-               (fun (b, idx) -> if idx = i then Some b else None)
-               initial_owners
-           in
-           let per_path =
-             List.map
-               (fun path ->
-                 let _, raws =
-                   List.fold_left
-                     (fun (owned, raws) (s : Cfg.step) ->
-                       match s.Cfg.ins with
-                       | Instr.Pull bs ->
-                           ( List.filter (fun b -> List.mem b tracked) bs
-                             @ owned,
-                             raws )
-                       | Instr.Push bs ->
-                           (List.filter (fun b -> not (List.mem b bs)) owned, raws)
-                       | ins -> (
-                           match Cfg.access_base ins with
-                           | Some b
-                             when List.mem b tracked && not (List.mem b owned)
-                             ->
-                               ( owned,
-                                 { Cfg.r_code = Diag.W001;
-                                   r_path = s.Cfg.pt;
-                                   r_message = msg_access b;
-                                   r_fix = fix_access;
-                                   r_definite = true }
-                                 :: raws )
-                           | _ -> (owned, raws)))
-                     (owned0, []) path
-                 in
-                 raws)
-               (Cfg.paths th.Prog.code)
-           in
-           Cfg.classify ~tid:th.Prog.tid ~per_path)
-         prog.Prog.threads)
-  in
-  (* whole-program: mutual exclusion of claims per tracked base *)
-  let claim_diags =
-    List.filter_map
-      (fun base ->
-        let owners0 =
-          List.filter_map
-            (fun (b, idx) -> if b = base then Some idx else None)
-            initial_owners
-        in
-        let puller_idxs =
-          List.concat
-            (List.mapi
-               (fun i (th : Prog.thread) ->
-                 if thread_pulls th base then [ i ] else [])
-               prog.Prog.threads)
-        in
-        let pullers =
-          List.map (fun i -> List.nth prog.Prog.threads i) puller_idxs
-        in
-        let n_claimants =
-          List.length (List.sort_uniq compare (owners0 @ puller_idxs))
-        in
-        if n_claimants <= 1 then None
-        else if owners0 = [] then begin
-          (* every pull lock-guarded by one common base and balanced? *)
-          let facts =
-            List.concat_map (fun th -> pull_facts th exempt base) pullers
-          in
-          let guards = List.map fst facts in
-          let balanced = List.for_all snd facts in
-          match guards with
-          | Some g :: rest
-            when balanced && List.for_all (fun g' -> g' = Some g) rest ->
-              None
-          | _ -> Some (claim_diag base n_claimants owners0)
-        end
-        else Some (claim_diag base n_claimants owners0))
-      tracked
-  in
-  Diag.sort (thread_diags @ claim_diags)
-
-(* ------------------------------------------------------------------ *)
-(* Fixpoint engine.                                                    *)
-(* ------------------------------------------------------------------ *)
-
 module SS = Set.Make (String)
 
-(* Forward replacement for the backward [guard_of_pull] scan: the most
-   recent guard-relevant access before the current point, joined over
-   incoming paths. [Start]/[Plain] both denote "no lock guard" (they
+(* The lock guard of a pull: the most recent guard-relevant access
+   before the current point (an atomic RMW on an exempt base is a
+   guard, other exempt accesses are skipped, any other access clears
+   it), joined over incoming paths. [Start]/[Plain] both denote "no lock guard" (they
    join to [Mixed], which also denotes failure, so precision is never
    lost on the claim decision). *)
 type gval = Start | Rmw_guard of string | Plain_guard | Mixed
@@ -295,7 +156,7 @@ let claims_fix ~exempt ~bases (th : Prog.thread) :
   in
   (facts, Absint.add_stats fl.Absint.f_stats st)
 
-let run_fix ~exempt ~initial_owners (prog : Prog.t) :
+let run ~exempt ~initial_owners (prog : Prog.t) :
     Diag.t list * Absint.stats list =
   let shared = Prog.shared_bases prog in
   let tracked = List.filter (fun b -> not (List.mem b exempt)) shared in

@@ -1,18 +1,20 @@
 (** W001 — lockset-style static race detection (Eraser's discipline over
     the push/pull DSL).
 
-    Per thread, ownership of tracked bases (shared minus exempt) is
-    simulated along every control-flow path: an access to a tracked base
-    the thread does not currently own is a W001 finding — [Definite] when
-    it happens on every path, since every SC interleaving then exhibits
-    the unowned access and the dynamic DRF checker panics.
+    Per thread, ownership of tracked bases (shared minus exempt) is a
+    must/may owned-set lattice over the thread CFG: an access to a
+    tracked base the thread may not own is a W001 finding — [Definite]
+    when the base is unowned even on the may-set at a definitely-reached
+    access, since every SC interleaving then exhibits the unowned access
+    and the dynamic DRF checker panics.
 
     Whole-program, the pass proves that claims on each tracked base are
     mutually exclusive: at most one claimant (puller or initial owner), or
-    every pull lock-guarded — preceded, scanning backward past
-    lock-internal accesses only, by an atomic RMW on one common exempt
-    base — and matched by a push before any exempt base is written (the
-    lock cannot be released inside the bracket). Anything else (flag
+    every pull lock-guarded — preceded, past lock-internal accesses
+    only, by an atomic RMW on one common exempt base on every incoming
+    path — and matched by a push before any exempt base is written (the
+    lock cannot be released inside the bracket). Both facts come from a
+    forward guard/balance dataflow per thread. Anything else (flag
     protocols, hand-offs) is a [Possible] finding: the verdict degrades to
     Unknown and the service falls back to exhaustive exploration. *)
 
@@ -22,15 +24,5 @@ val run :
   exempt:string list ->
   initial_owners:(string * int) list ->
   Prog.t ->
-  Diag.t list
-(** Bounded-path engine (path enumeration, loops unrolled 0/1). *)
-
-val run_fix :
-  exempt:string list ->
-  initial_owners:(string * int) list ->
-  Prog.t ->
   Diag.t list * Absint.stats list
-(** Fixpoint engine: a must/may owned-set lattice replaces per-path
-    ownership simulation ([Definite] = unowned on the may-set at a
-    definitely-reached access), and the whole-program claim check runs
-    on a forward guard/balance domain instead of per-path scans. *)
+(** Diagnostics plus the solver statistics of every thread fixpoint. *)

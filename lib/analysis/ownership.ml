@@ -12,119 +12,6 @@ let pulls_unconditionally (th : Prog.thread) base =
   in
   go th.Prog.code
 
-let run ~exempt ~initial_owners (prog : Prog.t) : Diag.t list =
-  let shared = Prog.shared_bases prog in
-  (* Mirrors [Pushpull.is_tracked]: pulls and pushes of exempt or
-     non-shared bases are dynamically no-ops, so the static pass must
-     ignore them too. *)
-  let tracked b = List.mem b shared && not (List.mem b exempt) in
-  List.concat
-    (List.mapi
-       (fun i (th : Prog.thread) ->
-         let owned0 =
-           List.filter_map
-             (fun (b, idx) -> if idx = i then Some b else None)
-             initial_owners
-         in
-         let leak_definite base =
-           List.exists
-             (fun (j, th') -> j <> i && pulls_unconditionally th' base)
-             (List.mapi (fun j t -> (j, t)) prog.Prog.threads)
-         in
-         let per_path =
-           List.map
-             (fun path ->
-               (* owned maps base -> structural point of the acquiring
-                  pull (or [] for initial ownership). *)
-               let owned0 = List.map (fun b -> (b, [])) owned0 in
-               let owned, raws =
-                 List.fold_left
-                   (fun (owned, raws) (s : Cfg.step) ->
-                     match s.Cfg.ins with
-                     | Instr.Pull bs ->
-                         let bs = List.filter tracked bs in
-                         let dup, fresh =
-                           List.partition
-                             (fun b -> List.mem_assoc b owned)
-                             bs
-                         in
-                         let raws =
-                           List.fold_left
-                             (fun raws b ->
-                               { Cfg.r_code = Diag.W006;
-                                 r_path = s.Cfg.pt;
-                                 r_message =
-                                   Printf.sprintf
-                                     "pull of '%s' already owned by this \
-                                      thread"
-                                     b;
-                                 r_fix =
-                                   "remove the duplicate pull, or push the \
-                                    base before re-acquiring it";
-                                 r_definite = true }
-                               :: raws)
-                             raws dup
-                         in
-                         ( List.map (fun b -> (b, s.Cfg.pt)) fresh @ owned,
-                           raws )
-                     | Instr.Push bs ->
-                         let bs = List.filter tracked bs in
-                         let missing =
-                           List.filter
-                             (fun b -> not (List.mem_assoc b owned))
-                             bs
-                         in
-                         let raws =
-                           List.fold_left
-                             (fun raws b ->
-                               { Cfg.r_code = Diag.W006;
-                                 r_path = s.Cfg.pt;
-                                 r_message =
-                                   Printf.sprintf
-                                     "push of '%s' that this thread does \
-                                      not own"
-                                     b;
-                                 r_fix =
-                                   "pull the base before pushing it, or \
-                                    drop the push";
-                                 r_definite = true }
-                               :: raws)
-                             raws missing
-                         in
-                         ( List.filter
-                             (fun (b, _) -> not (List.mem b bs))
-                             owned,
-                           raws )
-                     | _ -> (owned, raws))
-                   (owned0, []) path
-               in
-               (* leaks: pulled on this path (non-empty point) and never
-                  pushed back *)
-               List.fold_left
-                 (fun raws (b, pt) ->
-                   if pt = [] then raws
-                   else
-                     { Cfg.r_code = Diag.W006;
-                       r_path = pt;
-                       r_message =
-                         Printf.sprintf
-                           "ownership of '%s' pulled here is never pushed \
-                            back on this path"
-                           b;
-                       r_fix = "push the base before the thread exits";
-                       r_definite = leak_definite b }
-                     :: raws)
-                 raws owned)
-             (Cfg.paths th.Prog.code)
-         in
-         Cfg.classify ~tid:th.Prog.tid ~per_path)
-       prog.Prog.threads)
-  |> Diag.sort
-
-(* ------------------------------------------------------------------ *)
-(* Fixpoint engine.                                                    *)
-(* ------------------------------------------------------------------ *)
-
 module SM = Map.Make (String)
 
 module PtSet = Set.Make (struct
@@ -149,9 +36,12 @@ let msg_leak b =
 
 let fix_leak = "push the base before the thread exits"
 
-let run_fix ~exempt ~initial_owners (prog : Prog.t) :
+let run ~exempt ~initial_owners (prog : Prog.t) :
     Diag.t list * Absint.stats list =
   let shared = Prog.shared_bases prog in
+  (* Mirrors [Pushpull.is_tracked]: pulls and pushes of exempt or
+     non-shared bases are dynamically no-ops, so the static pass must
+     ignore them too. *)
   let tracked b = List.mem b shared && not (List.mem b exempt) in
   let stats = ref [] in
   let diags =

@@ -1,15 +1,17 @@
 (** W006 — push/pull ownership dataflow.
 
-    Simulates the ghost-ownership protocol per thread along every
-    control-flow path: pulling a base already owned, pushing a base not
+    Tracks the ghost-ownership protocol per thread over its CFG:
+    ownership is a must-set plus a may-map from base to the set of
+    acquiring points. Pulling a base already owned, pushing a base not
     owned, and leaking (a pulled base still owned when the thread exits)
     are findings.
 
-    Double-pull and unowned-push are [Definite] when they occur on every
-    path (the DRF checker then flags them on every interleaving). A leak
-    is [Definite] only if some other thread pulls the same base
-    unconditionally — that pull is then guaranteed to collide with the
-    leaked ownership dynamically; otherwise it is [Possible]. *)
+    Double-pull and unowned-push are [Definite] at the must level on a
+    definitely-reached point (the DRF checker then flags them on every
+    interleaving). A leak is [Definite] only with a unique acquiring
+    point and if some other thread pulls the same base unconditionally —
+    that pull is then guaranteed to collide with the leaked ownership
+    dynamically; otherwise it is [Possible]. *)
 
 open Memmodel
 
@@ -17,15 +19,5 @@ val run :
   exempt:string list ->
   initial_owners:(string * int) list ->
   Prog.t ->
-  Diag.t list
-(** Bounded-path engine. *)
-
-val run_fix :
-  exempt:string list ->
-  initial_owners:(string * int) list ->
-  Prog.t ->
   Diag.t list * Absint.stats list
-(** Fixpoint engine: ownership becomes a must-set plus a may-map from
-    base to the set of acquiring points; [Definite] needs the must
-    level, a definitely-reached point and (for leaks) a unique
-    acquiring point. *)
+(** Diagnostics plus the solver statistics of every thread fixpoint. *)

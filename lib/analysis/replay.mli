@@ -1,7 +1,7 @@
 (** Dynamic referee for the page-table conditions (W003/W004/W005).
 
     The static write-once, transactional-section and TLBI passes reason
-    about abstract values on enumerated paths; this module re-checks the
+    about abstract values over the thread CFG; this module re-checks the
     same three conditions concretely by replaying the SC interleaving
     event traces of {!Memmodel.Pushpull.traces} against real memory. The
     cross-validation harness then demands per-code agreement: a static

@@ -9,25 +9,6 @@ let is_dmb_st = function
   | Instr.Barrier (Instr.Dmb_full | Instr.Dmb_st) -> true
   | _ -> false
 
-(* After a live-entry store: is there a DMB(ST) and then a covering TLBI
-   in [after]? Failing that, classify the defect shape. *)
-type shape = Ok_seq | No_dmb | Tlbi_before | No_tlbi
-
-let sequence_shape before after base =
-  let rec scan dmb_seen = function
-    | [] -> None
-    | (s : Cfg.step) :: rest ->
-        if covers base s.Cfg.ins then Some dmb_seen
-        else scan (dmb_seen || is_dmb_st s.Cfg.ins) rest
-  in
-  match scan false after with
-  | Some true -> Ok_seq
-  | Some false -> No_dmb
-  | None ->
-      if List.exists (fun (s : Cfg.step) -> covers base s.Cfg.ins) before then
-        Tlbi_before
-      else No_tlbi
-
 let guard_diag b =
   { Diag.d_code = Diag.W005;
     d_tid = 0;
@@ -42,144 +23,11 @@ let guard_diag b =
       "serialize page-table updates for the base on one CPU, or rely on \
        the dynamic checker" }
 
-let run (prog : Prog.t) : Diag.t list =
-  let multi = Write_once.multi_writer_bases Cfg.is_s2_pt_base prog in
-  let guard_diags = List.map guard_diag multi in
-  let thread_diags =
-    List.concat_map
-      (fun (th : Prog.thread) ->
-        let per_path =
-          List.map
-            (fun path ->
-              let mem0 = Cfg.Amem.of_init ~pred:Cfg.is_s2_pt_base prog in
-              let mem0 = List.fold_left Cfg.Amem.smudge_base mem0 multi in
-              let rec walk mem before = function
-                | [] -> []
-                | (s : Cfg.step) :: rest -> (
-                    match s.Cfg.ins with
-                    | Instr.Store (a, v, _)
-                      when Cfg.is_s2_pt_base a.Expr.abase -> (
-                        let base = a.Expr.abase in
-                        match Cfg.const_of_vexp a.Expr.offset with
-                        | None ->
-                            { Cfg.r_code = Diag.W005;
-                              r_path = s.Cfg.pt;
-                              r_message =
-                                Printf.sprintf
-                                  "store to '%s' at a non-constant offset; \
-                                   TLB invalidation cannot be checked \
-                                   statically"
-                                  base;
-                              r_fix =
-                                "use a constant index for page-table \
-                                 updates, or rely on the dynamic checker";
-                              r_definite = false }
-                            :: walk
-                                 (Cfg.Amem.smudge_base mem base)
-                                 (s :: before) rest
-                        | Some off ->
-                            let cell = (base, off) in
-                            let prior = Cfg.Amem.read mem cell in
-                            let raws =
-                              match prior with
-                              | Cfg.Amem.Known 0 -> []
-                              | _ -> (
-                                  let definite =
-                                    match prior with
-                                    | Cfg.Amem.Known _ -> true
-                                    | Cfg.Amem.Unknown_val -> false
-                                  in
-                                  match sequence_shape before rest base with
-                                  | Ok_seq -> []
-                                  | No_dmb ->
-                                      [ { Cfg.r_code = Diag.W005;
-                                          r_path = s.Cfg.pt;
-                                          r_message =
-                                            Printf.sprintf
-                                              "TLBI after the write to \
-                                               %s[%d] is not ordered by a \
-                                               DMB"
-                                              base off;
-                                          r_fix =
-                                            "insert `dmb st` between the \
-                                             page-table write and the TLBI";
-                                          r_definite = definite } ]
-                                  | Tlbi_before ->
-                                      [ { Cfg.r_code = Diag.W005;
-                                          r_path = s.Cfg.pt;
-                                          r_message =
-                                            Printf.sprintf
-                                              "TLBI precedes the write to \
-                                               %s[%d]; stale translations \
-                                               survive the remap"
-                                              base off;
-                                          r_fix =
-                                            "move the TLBI after the \
-                                             page-table write, ordered by \
-                                             `dmb st`";
-                                          r_definite = definite } ]
-                                  | No_tlbi ->
-                                      [ { Cfg.r_code = Diag.W005;
-                                          r_path = s.Cfg.pt;
-                                          r_message =
-                                            Printf.sprintf
-                                              "%s[%d] remapped with no \
-                                               TLBI on this path"
-                                              base off;
-                                          r_fix =
-                                            "after the write: `dmb st; \
-                                             tlbi` for the entry";
-                                          r_definite = definite } ])
-                            in
-                            let av =
-                              match Cfg.const_of_vexp v with
-                              | Some n -> Cfg.Amem.Known n
-                              | None -> Cfg.Amem.Unknown_val
-                            in
-                            raws
-                            @ walk
-                                (Cfg.Amem.write mem cell av)
-                                (s :: before) rest)
-                    | ins
-                      when Cfg.is_rmw ins
-                           && (match Cfg.access_base ins with
-                              | Some b -> Cfg.is_s2_pt_base b
-                              | None -> false) ->
-                        let base = Option.get (Cfg.access_base ins) in
-                        { Cfg.r_code = Diag.W005;
-                          r_path = s.Cfg.pt;
-                          r_message =
-                            Printf.sprintf
-                              "atomic update of page-table base '%s'; TLB \
-                               invalidation cannot be checked statically"
-                              base;
-                          r_fix =
-                            "update page-table entries with plain stores \
-                             checked statically, or rely on the dynamic \
-                             checker";
-                          r_definite = false }
-                        :: walk
-                             (Cfg.Amem.smudge_base mem base)
-                             (s :: before) rest
-                    | _ -> walk mem (s :: before) rest)
-              in
-              walk mem0 [] path)
-            (Cfg.paths th.Prog.code)
-        in
-        Cfg.classify ~tid:th.Prog.tid ~per_path)
-      prog.Prog.threads
-  in
-  Diag.sort (guard_diags @ thread_diags)
-
-(* ------------------------------------------------------------------ *)
-(* Fixpoint engine.                                                    *)
-(* ------------------------------------------------------------------ *)
-
 (* A live-entry store opens a pending obligation; the flags record what
    must be true of every path carrying it. [ob_must] is seeded with the
    definite-reachedness of the store and drops when a joining path does
-   not carry the obligation, reproducing the bounded engine's
-   every-path promotion rule without enumerating paths. *)
+   not carry the obligation: the every-path promotion rule without
+   enumerating paths. *)
 type ob = {
   ob_def : bool;  (** prior value was a known non-zero on every path *)
   ob_must : bool;  (** obligation is live on every path *)
@@ -221,11 +69,10 @@ let msg_no_tlbi base off =
 
 let fix_no_tlbi = "after the write: `dmb st; tlbi` for the entry"
 
-let run_fix (prog : Prog.t) : Diag.t list * Absint.stats list =
+let run (prog : Prog.t) : Diag.t list * Absint.stats list =
   let multi = Write_once.multi_writer_bases Cfg.is_s2_pt_base prog in
   let guard_diags = List.map guard_diag multi in
-  let init_mem = Cfg.Amem.of_init ~pred:Cfg.is_s2_pt_base prog in
-  let default cell = Cfg.Amem.read init_mem cell in
+  let default = Cfg.Amem.init ~pred:Cfg.is_s2_pt_base prog in
   let stats = ref [] in
   let thread_diags =
     List.concat_map

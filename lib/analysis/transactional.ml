@@ -18,111 +18,6 @@ let reads_pt (th : Prog.thread) =
   in
   go th.Prog.code
 
-type frame = { f_pt : int list; f_saw_pt : bool; f_pending : bool }
-
-let run (prog : Prog.t) : Diag.t list =
-  List.concat
-    (List.mapi
-       (fun i (th : Prog.thread) ->
-         let other_reader =
-           List.exists
-             (fun (j, th') -> j <> i && reads_pt th')
-             (List.mapi (fun j t -> (j, t)) prog.Prog.threads)
-         in
-         let per_path =
-           List.map
-             (fun path ->
-               let frames, raws =
-                 List.fold_left
-                   (fun (frames, raws) (s : Cfg.step) ->
-                     match s.Cfg.ins with
-                     | Instr.Pull _ ->
-                         ( { f_pt = s.Cfg.pt;
-                             f_saw_pt = false;
-                             f_pending = false }
-                           :: frames,
-                           raws )
-                     | Instr.Push _ -> (
-                         match frames with [] -> ([], raws) | _ :: fs -> (fs, raws))
-                     | ins when Cfg.writes_mem ins -> (
-                         let base = Option.get (Cfg.access_base ins) in
-                         let is_pt = Cfg.is_s2_pt_base base in
-                         match frames with
-                         | [] ->
-                             let raws =
-                               if is_pt && other_reader then
-                                 { Cfg.r_code = Diag.W004;
-                                   r_path = s.Cfg.pt;
-                                   r_message =
-                                     Printf.sprintf
-                                       "stage-2 page table '%s' written \
-                                        outside a transactional section \
-                                        while another CPU walks the table"
-                                       base;
-                                   r_fix =
-                                     "wrap the page-table update in a \
-                                      lock-held pull/push section";
-                                   r_definite = true }
-                                 :: raws
-                               else raws
-                             in
-                             ([], raws)
-                         | f :: fs ->
-                             if is_pt then
-                               let raws =
-                                 if f.f_saw_pt && f.f_pending then
-                                   { Cfg.r_code = Diag.W004;
-                                     r_path = s.Cfg.pt;
-                                     r_message =
-                                       Printf.sprintf
-                                         "page-table write to '%s' follows \
-                                          an unrelated write in the same \
-                                          transactional section; a \
-                                          concurrent walker can observe a \
-                                          half-updated table"
-                                         base;
-                                     r_fix =
-                                       "keep the page-table writes of a \
-                                        transaction contiguous, or split \
-                                        them into separate transactions";
-                                     r_definite = true }
-                                   :: raws
-                                 else raws
-                               in
-                               ( { f with f_saw_pt = true; f_pending = false }
-                                 :: fs,
-                                 raws )
-                             else
-                               ( (if f.f_saw_pt then
-                                    { f with f_pending = true } :: fs
-                                  else frames),
-                                 raws ))
-                     | _ -> (frames, raws))
-                   ([], []) path
-               in
-               List.fold_left
-                 (fun raws f ->
-                   if f.f_saw_pt then
-                     { Cfg.r_code = Diag.W004;
-                       r_path = f.f_pt;
-                       r_message =
-                         "transactional section performing page-table \
-                          writes is never closed on this path";
-                       r_fix = "push the section before the thread exits";
-                       r_definite = true }
-                     :: raws
-                   else raws)
-                 raws frames)
-             (Cfg.paths th.Prog.code)
-         in
-         Cfg.classify ~tid:th.Prog.tid ~per_path)
-       prog.Prog.threads)
-  |> Diag.sort
-
-(* ------------------------------------------------------------------ *)
-(* Fixpoint engine.                                                    *)
-(* ------------------------------------------------------------------ *)
-
 module PtSet = Set.Make (struct
   type t = int list
 
@@ -130,10 +25,10 @@ module PtSet = Set.Make (struct
 end)
 
 (* A frame carries its acquiring points as a set (joins may merge
-   sections opened at different pulls) and must/may versions of the
-   bounded engine's two booleans. Joining stacks of different heights
-   loses frame tracking entirely: the state degrades to a dirty summary
-   that can only report [Possible]. *)
+   sections opened at different pulls) and must/may versions of its
+   saw-PT-write and pending-unrelated-write flags. Joining stacks of
+   different heights loses frame tracking entirely: the state degrades
+   to a dirty summary that can only report [Possible]. *)
 type fframe = {
   ff_pts : PtSet.t;
   ff_saw_must : bool;
@@ -167,7 +62,7 @@ let msg_unclosed =
 
 let fix_unclosed = "push the section before the thread exits"
 
-let run_fix (prog : Prog.t) : Diag.t list * Absint.stats list =
+let run (prog : Prog.t) : Diag.t list * Absint.stats list =
   let stats = ref [] in
   let diags =
     List.concat

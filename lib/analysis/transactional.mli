@@ -15,16 +15,13 @@
       already performed PT stores;
     - a section that performed PT stores but is never closed on the path.
 
-    [Definite] when present on every path; degrades to [Possible]
-    otherwise. *)
+    The frame stack carries must/may flags per frame (saw-PT-write,
+    pending-unrelated-write) and acquiring points as sets. A finding is
+    [Definite] at the must level on a definitely-reached point; joins of
+    stacks of different heights degrade the state to a dirty summary
+    that reports [Possible] only. *)
 
 open Memmodel
 
-val run : Prog.t -> Diag.t list
-(** Bounded-path engine. *)
-
-val run_fix : Prog.t -> Diag.t list * Absint.stats list
-(** Fixpoint engine: the frame stack carries must/may flags per frame
-    (saw-PT-write, pending-unrelated-write) and acquiring points as
-    sets; joins of stacks of different heights degrade the state to a
-    dirty summary that reports [Possible] only. *)
+val run : Prog.t -> Diag.t list * Absint.stats list
+(** Diagnostics plus the solver statistics of every thread fixpoint. *)

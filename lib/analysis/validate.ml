@@ -9,7 +9,8 @@ let ok r = List.for_all (fun c -> c.c_ok) r.r_checks
 let vs v = Diag.verdict_name v
 
 (* static Pass ⇒ dynamic holds; static Fail ⇒ dynamic fails; Unknown ⇒
-   the dynamic outcome matches the entry's pinned expectation. *)
+   the dynamic outcome matches the pinned expectation, when there is
+   one. *)
 let agree name verdict ~dynamic ~expected =
   match verdict with
   | Diag.Pass ->
@@ -24,181 +25,114 @@ let agree name verdict ~dynamic ~expected =
         c_detail =
           Printf.sprintf "static fail, dynamic %s"
             (if dynamic then "HOLDS (no witness!)" else "fails") }
-  | Diag.Unknown ->
-      { c_name = name;
-        c_ok = dynamic = expected;
-        c_detail =
-          Printf.sprintf "static unknown, dynamic %s expectation"
-            (if dynamic = expected then "matches" else "CONTRADICTS") }
+  | Diag.Unknown -> (
+      match expected with
+      | None ->
+          { c_name = name;
+            c_ok = true;
+            c_detail = "static unknown, dynamic not binding" }
+      | Some expected ->
+          { c_name = name;
+            c_ok = dynamic = expected;
+            c_detail =
+              Printf.sprintf "static unknown, dynamic %s expectation"
+                (if dynamic = expected then "matches" else "CONTRADICTS") })
 
-(* Pass/Unknown/Fail as a severity scale, for the engine-soundness
-   direction of the comparison. *)
-let rank = function Diag.Pass -> 0 | Diag.Unknown -> 1 | Diag.Fail -> 2
-
-let entry (e : Kernel_progs.entry) : report =
-  let a = Driver.analyze ~engine:Driver.Fixpoint e in
-  let b = Driver.analyze ~engine:Driver.Bounded e in
-  let checks = ref [] in
-  let add c = checks := c :: !checks in
+let program ?expect ~exempt ~initial_owners (a : Driver.t)
+    (prog : Memmodel.Prog.t) : check list =
+  let expected f = Option.map f expect in
   (* 1. DRF: lockset + ownership vs the ownership-instrumented SC run *)
   let drf_static =
     Diag.worst (Driver.pass_verdict a "drf-lockset")
       (Driver.pass_verdict a "ownership")
   in
   let drf_dyn =
-    (Vrm.Check_drf.check ~exempt:e.Kernel_progs.exempt
-       ~initial_owners:e.Kernel_progs.initial_owners e.Kernel_progs.prog)
-      .Vrm.Check_drf.holds
+    (Vrm.Check_drf.check ~exempt ~initial_owners prog).Vrm.Check_drf.holds
   in
-  add
-    (agree "drf" drf_static ~dynamic:drf_dyn
-       ~expected:e.Kernel_progs.expect.Kernel_progs.e_drf);
+  let drf =
+    agree "drf" drf_static ~dynamic:drf_dyn
+      ~expected:(expected (fun x -> x.Kernel_progs.e_drf))
+  in
   (* 2. barriers vs Check_barrier *)
-  let bar_dyn =
-    (Vrm.Check_barrier.check e.Kernel_progs.prog).Vrm.Check_barrier.holds
+  let barriers =
+    agree "barriers"
+      (Driver.pass_verdict a "barriers")
+      ~dynamic:(Vrm.Check_barrier.check prog).Vrm.Check_barrier.holds
+      ~expected:(expected (fun x -> x.Kernel_progs.e_barrier))
   in
-  add
-    (agree "barriers"
-       (Driver.pass_verdict a "barriers")
-       ~dynamic:bar_dyn
-       ~expected:e.Kernel_progs.expect.Kernel_progs.e_barrier);
-  (* 3. refinement (never statically Fail) *)
-  let ref_dyn =
-    (Vrm.Refinement.check ~config:e.Kernel_progs.rm_config
-       e.Kernel_progs.prog)
-      .Vrm.Refinement.holds
-  in
-  add
-    (agree "refinement" a.Driver.a_refinement ~dynamic:ref_dyn
-       ~expected:e.Kernel_progs.expect.Kernel_progs.e_refine);
-  (* 4. page-table codes vs the trace-replay referee *)
-  if Replay.relevant e.Kernel_progs.prog then begin
-    let findings =
-      Replay.check ~exempt:e.Kernel_progs.exempt
-        ~initial_owners:e.Kernel_progs.initial_owners e.Kernel_progs.prog
-    in
-    List.iter
-      (fun code ->
-        let witnessed =
-          List.exists (fun f -> f.Replay.f_code = code) findings
-        in
-        let v = Driver.code_verdict a code in
-        let name = "replay-" ^ Diag.code_name code in
-        match v with
-        | Diag.Pass ->
-            add
+  (* 3. page-table codes vs the trace-replay referee. Its traces are the
+     ownership-instrumented SC runs, and a DRF panic drops a trace: when
+     Check_drf fails, a missing witness is not binding. *)
+  let replay =
+    if not (Replay.relevant prog) then []
+    else
+      let findings = Replay.check ~exempt ~initial_owners prog in
+      List.map
+        (fun code ->
+          let witnessed =
+            List.exists (fun f -> f.Replay.f_code = code) findings
+          in
+          let name = "replay-" ^ Diag.code_name code in
+          match Driver.code_verdict a code with
+          | Diag.Pass ->
               { c_name = name;
                 c_ok = not witnessed;
                 c_detail =
                   (if witnessed then "static pass but replay WITNESSED"
                    else "clean on both sides") }
-        | Diag.Fail ->
-            add
+          | Diag.Fail ->
               { c_name = name;
-                c_ok = witnessed;
+                c_ok = witnessed || not drf_dyn;
                 c_detail =
                   (if witnessed then "replay witnesses the static fail"
+                   else if not drf_dyn then
+                     "static fail, replay not binding (DRF panics)"
                    else "static fail with NO replay witness") }
-        | Diag.Unknown ->
-            add
+          | Diag.Unknown ->
               { c_name = name;
                 c_ok = true;
                 c_detail = "static unknown, replay not binding" })
-      [ Diag.W003; Diag.W004; Diag.W005 ]
-  end;
+        [ Diag.W003; Diag.W004; Diag.W005 ]
+  in
+  drf :: barriers :: replay
+
+let entry (e : Kernel_progs.entry) : report =
+  let a = Driver.analyze e in
+  let expect = e.Kernel_progs.expect in
+  let checks =
+    program ~expect ~exempt:e.Kernel_progs.exempt
+      ~initial_owners:e.Kernel_progs.initial_owners a e.Kernel_progs.prog
+  in
+  (* 4. refinement (never statically Fail) *)
+  let refinement =
+    agree "refinement" a.Driver.a_refinement
+      ~dynamic:
+        (Vrm.Refinement.check ~config:e.Kernel_progs.rm_config
+           e.Kernel_progs.prog)
+          .Vrm.Refinement.holds
+      ~expected:(Some expect.Kernel_progs.e_refine)
+  in
   (* 5. the definite code set is exactly the pinned expectation *)
-  (match List.assoc_opt e.Kernel_progs.name Kernel_progs.lint_expectations with
-  | None ->
-      add
+  let codes =
+    match
+      List.assoc_opt e.Kernel_progs.name Kernel_progs.lint_expectations
+    with
+    | None ->
         { c_name = "expected-codes";
           c_ok = false;
           c_detail = "entry missing from Kernel_progs.lint_expectations" }
-  | Some expected ->
-      let got = Driver.definite_codes a in
-      let expected = List.sort_uniq compare expected in
-      add
+    | Some expected ->
+        let got = Driver.definite_codes a in
+        let expected = List.sort_uniq compare expected in
         { c_name = "expected-codes";
           c_ok = got = expected;
           c_detail =
             Printf.sprintf "expected [%s], got [%s] (overall %s)"
               (String.concat ";" expected)
               (String.concat ";" got)
-              (vs a.Driver.a_overall) });
-  (* 6. engine parity: per-pass verdicts agree between the bounded and
-     fixpoint engines, except where a bounded blind spot is pinned in
-     Kernel_progs.lint_divergences *)
-  let pinned =
-    Option.value ~default:[]
-      (List.assoc_opt e.Kernel_progs.name Kernel_progs.lint_divergences)
+              (vs a.Driver.a_overall) }
   in
-  let mismatches =
-    List.filter_map
-      (fun (p : Driver.pass) ->
-        let vb = Driver.pass_verdict b p.Driver.p_name in
-        if List.mem p.Driver.p_name pinned || vb = p.Driver.p_verdict then
-          None
-        else
-          Some
-            (Printf.sprintf "%s bounded=%s fixpoint=%s" p.Driver.p_name
-               (vs vb) (vs p.Driver.p_verdict)))
-      a.Driver.a_passes
-  in
-  add
-    { c_name = "engine-parity";
-      c_ok = mismatches = [];
-      c_detail =
-        (if mismatches = [] then
-           if pinned = [] then "verdicts agree on every pass"
-           else
-             Printf.sprintf "verdicts agree outside pinned [%s]"
-               (String.concat ";" pinned)
-         else "UNPINNED divergence: " ^ String.concat ", " mismatches) };
-  (* 7. engine soundness: the fixpoint verdict is never weaker than the
-     bounded one — on a pinned pass it may only be more severe *)
-  let unsound =
-    List.filter_map
-      (fun (p : Driver.pass) ->
-        let vb = Driver.pass_verdict b p.Driver.p_name in
-        if rank p.Driver.p_verdict >= rank vb then None
-        else
-          Some
-            (Printf.sprintf "%s bounded=%s fixpoint=%s" p.Driver.p_name
-               (vs vb) (vs p.Driver.p_verdict)))
-      a.Driver.a_passes
-  in
-  add
-    { c_name = "engine-sound";
-      c_ok = unsound = [];
-      c_detail =
-        (if unsound = [] then "fixpoint never below bounded"
-         else "fixpoint WEAKER than bounded: " ^ String.concat ", " unsound) };
-  (* 8. the bounded engine's definite code set matches its own pinned
-     expectation (defaulting to the shared table) *)
-  let expected_b =
-    match
-      List.assoc_opt e.Kernel_progs.name Kernel_progs.lint_expectations_bounded
-    with
-    | Some codes -> Some codes
-    | None ->
-        List.assoc_opt e.Kernel_progs.name Kernel_progs.lint_expectations
-  in
-  (match expected_b with
-  | None ->
-      add
-        { c_name = "expected-bnd";
-          c_ok = false;
-          c_detail = "entry missing from Kernel_progs.lint_expectations" }
-  | Some expected ->
-      let got = Driver.definite_codes b in
-      let expected = List.sort_uniq compare expected in
-      add
-        { c_name = "expected-bnd";
-          c_ok = got = expected;
-          c_detail =
-            Printf.sprintf "bounded expected [%s], got [%s]"
-              (String.concat ";" expected)
-              (String.concat ";" got) });
-  { r_entry = e.Kernel_progs.name; r_checks = List.rev !checks }
+  { r_entry = e.Kernel_progs.name; r_checks = checks @ [ refinement; codes ] }
 
 let corpus () =
   List.map entry

@@ -40,120 +40,6 @@ let guard_diag b =
       "route all mapping installs for the base through one CPU, or rely \
        on the dynamic checker" }
 
-let run (prog : Prog.t) : Diag.t list =
-  let multi = multi_writer_bases Cfg.is_el2_base prog in
-  let guard_diags = List.map guard_diag multi in
-  let thread_diags =
-    List.concat_map
-      (fun (th : Prog.thread) ->
-        let per_path =
-          List.map
-            (fun path ->
-              let mem0 = Cfg.Amem.of_init ~pred:Cfg.is_el2_base prog in
-              let mem0 = List.fold_left Cfg.Amem.smudge_base mem0 multi in
-              let _, _, raws =
-                List.fold_left
-                  (fun (mem, depth, raws) (s : Cfg.step) ->
-                    match s.Cfg.ins with
-                    | Instr.Pull _ -> (mem, depth + 1, raws)
-                    | Instr.Push _ -> (mem, max 0 (depth - 1), raws)
-                    | Instr.Store (a, v, _)
-                      when Cfg.is_el2_base a.Expr.abase -> (
-                        let base = a.Expr.abase in
-                        match Cfg.const_of_vexp a.Expr.offset with
-                        | None ->
-                            ( Cfg.Amem.smudge_base mem base,
-                              depth,
-                              { Cfg.r_code = Diag.W003;
-                                r_path = s.Cfg.pt;
-                                r_message =
-                                  Printf.sprintf
-                                    "store to '%s' at a non-constant \
-                                     offset; write-once cannot be checked \
-                                     statically"
-                                    base;
-                                r_fix =
-                                  "use a constant index for kernel-mapping \
-                                   installs, or rely on the dynamic checker";
-                                r_definite = false }
-                              :: raws )
-                        | Some off ->
-                            let cell = (base, off) in
-                            let prior = Cfg.Amem.read mem cell in
-                            let raws =
-                              match prior with
-                              | _ when depth > 0 -> raws
-                              | Cfg.Amem.Known 0 -> raws
-                              | Cfg.Amem.Known _ ->
-                                  { Cfg.r_code = Diag.W003;
-                                    r_path = s.Cfg.pt;
-                                    r_message =
-                                      Printf.sprintf
-                                        "kernel mapping %s[%d] overwritten \
-                                         outside a transactional section"
-                                        base off;
-                                    r_fix =
-                                      "install each kernel mapping exactly \
-                                       once, or wrap the remap in a \
-                                       pull/push section";
-                                    r_definite = true }
-                                  :: raws
-                              | Cfg.Amem.Unknown_val ->
-                                  { Cfg.r_code = Diag.W003;
-                                    r_path = s.Cfg.pt;
-                                    r_message =
-                                      Printf.sprintf
-                                        "store to %s[%d] may overwrite an \
-                                         existing kernel mapping"
-                                        base off;
-                                    r_fix =
-                                      "install each kernel mapping exactly \
-                                       once, or rely on the dynamic checker";
-                                    r_definite = false }
-                                  :: raws
-                            in
-                            let av =
-                              match Cfg.const_of_vexp v with
-                              | Some n -> Cfg.Amem.Known n
-                              | None -> Cfg.Amem.Unknown_val
-                            in
-                            (Cfg.Amem.write mem cell av, depth, raws))
-                    | ins
-                      when Cfg.is_rmw ins
-                           && (match Cfg.access_base ins with
-                              | Some b -> Cfg.is_el2_base b
-                              | None -> false) ->
-                        let base = Option.get (Cfg.access_base ins) in
-                        ( Cfg.Amem.smudge_base mem base,
-                          depth,
-                          { Cfg.r_code = Diag.W003;
-                            r_path = s.Cfg.pt;
-                            r_message =
-                              Printf.sprintf
-                                "atomic update of kernel-mapping base '%s'; \
-                                 write-once cannot be checked statically"
-                                base;
-                            r_fix =
-                              "install kernel mappings with plain stores \
-                               checked statically, or rely on the dynamic \
-                               checker";
-                            r_definite = false }
-                          :: raws )
-                    | _ -> (mem, depth, raws))
-                  (mem0, 0, []) path
-              in
-              raws)
-            (Cfg.paths th.Prog.code)
-        in
-        Cfg.classify ~tid:th.Prog.tid ~per_path)
-      prog.Prog.threads
-  in
-  Diag.sort (guard_diags @ thread_diags)
-
-(* ------------------------------------------------------------------ *)
-(* Fixpoint engine.                                                    *)
-(* ------------------------------------------------------------------ *)
-
 (* Pull/push nesting depth becomes an interval [dmin, dmax]; a loop
    that pulls without pushing widens dmax to "unbounded". A store is
    silent when dmin > 0 (inside a section on every path), Definite when
@@ -161,11 +47,10 @@ let run (prog : Prog.t) : Diag.t list =
    definitely reached — i.e. every run overwrites. *)
 let inf_depth = max_int asr 1
 
-let run_fix (prog : Prog.t) : Diag.t list * Absint.stats list =
+let run (prog : Prog.t) : Diag.t list * Absint.stats list =
   let multi = multi_writer_bases Cfg.is_el2_base prog in
   let guard_diags = List.map guard_diag multi in
-  let init_mem = Cfg.Amem.of_init ~pred:Cfg.is_el2_base prog in
-  let default cell = Cfg.Amem.read init_mem cell in
+  let default = Cfg.Amem.init ~pred:Cfg.is_el2_base prog in
   let stats = ref [] in
   let thread_diags =
     List.concat_map

@@ -38,18 +38,20 @@ let pp_violation fmt v =
 
 type verdict = { holds : bool; violations : violation list }
 
-(* Enumerate control-flow paths, unrolling loops zero and one time. *)
+let cross heads tails =
+  List.concat_map (fun h -> List.map (fun t -> h @ t) tails) heads
+
+(* Enumerate control-flow paths, unrolling loops zero, one and two
+   times. Two iterations suffice: a scan that crosses the back edge sees
+   the previous iteration's body, and a third iteration shows it nothing
+   new. *)
 let rec paths (code : Instr.t list) : Instr.t list list =
   match code with
   | [] -> [ [] ]
-  | Instr.If (_, a, b) :: rest ->
-      let tails = paths rest in
-      let heads = paths a @ paths b in
-      List.concat_map (fun h -> List.map (fun t -> h @ t) tails) heads
+  | Instr.If (_, a, b) :: rest -> cross (paths a @ paths b) (paths rest)
   | Instr.While (_, body) :: rest ->
-      let tails = paths rest in
-      let heads = [] :: paths body in
-      List.concat_map (fun h -> List.map (fun t -> h @ t) tails) heads
+      let once = paths body in
+      cross (([] :: once) @ cross once once) (paths rest)
   | i :: rest -> List.map (fun t -> i :: t) (paths rest)
 
 let is_acquireish = function

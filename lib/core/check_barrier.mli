@@ -17,7 +17,7 @@ val pp_violation : Format.formatter -> violation -> unit
 type verdict = { holds : bool; violations : violation list }
 
 val paths : Instr.t list -> Instr.t list list
-(** Control-flow paths, unrolling loops zero and one time. *)
+(** Control-flow paths, unrolling loops zero, one and two times. *)
 
 val check : Prog.t -> verdict
 val pp_verdict : Format.formatter -> verdict -> unit

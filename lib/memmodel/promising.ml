@@ -571,35 +571,6 @@ let thread_key (st : state) i : Statekey.t =
   hash_thread h st.threads.(i);
   Statekey.finish h
 
-(* The pre-interning key (string digest of a rendered state), kept only
-   as the baseline of the bench's key microbenchmark. *)
-let legacy_state_key (st : state) : string =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun m ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%d@%d.%d;" (Loc.to_string m.mloc) m.mval m.ts
-           m.wtid))
-    st.mem;
-  Array.iter
-    (fun t ->
-      Buffer.add_string buf
-        (Printf.sprintf "|%d.%d.%d.%d.%d.%d.%d.%d.%d" t.vrnew t.vwnew
-           t.vctrl t.vrmax t.vwmax t.vall t.vrel t.fuel t.promise_budget);
-      Reg.Map.iter
-        (fun r (v, w) ->
-          Buffer.add_string buf (Printf.sprintf "%s=%d.%d;" (Reg.name r) v w))
-        t.regs;
-      Loc.Map.iter
-        (fun l c ->
-          Buffer.add_string buf (Printf.sprintf "%s^%d;" (Loc.to_string l) c))
-        t.coh;
-      List.iter (fun p -> Buffer.add_string buf (Printf.sprintf "p%d;" p))
-        t.promises;
-      Buffer.add_string buf (Marshal.to_string t.code []))
-    st.threads;
-  Digest.string (Buffer.contents buf)
-
 (* ------------------------------------------------------------------ *)
 (* Certification and promise candidates                                *)
 (* ------------------------------------------------------------------ *)
@@ -1205,55 +1176,3 @@ let run_stats ?(config = default_config) ?(jobs = 1) ?deadline ?por ?sym
     [prog] (bounded by the configuration) and returns its behavior set. *)
 let run ?config ?jobs ?deadline ?por ?sym (prog : Prog.t) : Behavior.t =
   fst (run_stats ?config ?jobs ?deadline ?por ?sym prog)
-
-(* ------------------------------------------------------------------ *)
-(* Key microbenchmark support                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** [key_microbench ?config ~iters prog] compares the legacy string
-    state key against the interned 128-bit hash over a sample of states
-    reachable in [prog]: returns
-    [(legacy_seconds, interned_seconds, states_sampled)] for
-    [iters] keyings of every sampled state. *)
-let key_microbench ?(config = default_config) ~iters (prog : Prog.t) :
-    float * float * int =
-  let ctx = make_ctx prog config in
-  (* breadth-first sample of distinct reachable states *)
-  let sample = ref [] in
-  let seen = Statekey.Table.create ~dummy:() () in
-  let q = Queue.create () in
-  Queue.add (initial_state config prog) q;
-  while (not (Queue.is_empty q)) && Statekey.Table.length seen < 512 do
-    let st = Queue.pop q in
-    match Statekey.Table.find_or_add seen (state_key st) () with
-    | `Found () -> ()
-    | `Added -> (
-        sample := st :: !sample;
-        match Model.expand ctx ~labels:false st with
-        | Engine.Terminal _ -> ()
-        | Engine.Steps steps ->
-            Seq.iter
-              (function
-                | Engine.Step (_, st') -> Queue.add st' q
-                | Engine.Emit _ -> ())
-              steps)
-  done;
-  let states = Array.of_list !sample in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let legacy =
-    time (fun () ->
-        for _ = 1 to iters do
-          Array.iter (fun st -> ignore (legacy_state_key st)) states
-        done)
-  in
-  let interned =
-    time (fun () ->
-        for _ = 1 to iters do
-          Array.iter (fun st -> ignore (state_key st)) states
-        done)
-  in
-  (legacy, interned, Array.length states)

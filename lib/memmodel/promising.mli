@@ -93,11 +93,3 @@ val run_full :
   Prog.t ->
   Behavior.t * (Behavior.outcome * step list) list * Engine.stats
 (** Behaviors, witnesses and statistics in one exploration. *)
-
-val key_microbench :
-  ?config:config -> iters:int -> Prog.t -> float * float * int
-(** [key_microbench ~iters prog] samples up to 512 distinct reachable
-    states of [prog] and times [iters] rounds of computing every state's
-    key under (a) the legacy string-based keying and (b) the interned
-    128-bit {!Statekey} hashing. Returns
-    [(legacy_seconds, interned_seconds, sample_size)]. Bench-only. *)

@@ -237,6 +237,17 @@ let find_vcpu vm vcpuid =
 (* VM image authentication (secure boot, §5.1)                         *)
 (* ------------------------------------------------------------------ *)
 
+(** May KServ hand [pfn] to a VM? The page must be KServ's, unshared, and
+    mapped nowhere but KServ's own 1:1 stage-2 entry: a page that a
+    device still reaches through the SMMU, or that a VM already maps,
+    must never become VM memory. *)
+let donatable t pfn =
+  S2page.owner t.s2page pfn = S2page.Kserv
+  && (not (S2page.is_shared t.s2page pfn))
+  && S2page.map_count t.s2page pfn
+     = if Npt.is_mapped t.kserv_npt ~ipa:(Page_table.page_va pfn) then 1
+       else 0
+
 (** Donate [pfns] (KServ pages holding the VM image) to VM [vmid], after
     authenticating the image: each page is remapped into KCore's EL2 remap
     region (the pages need not be physically contiguous), hashed through
@@ -249,13 +260,7 @@ let set_vm_image t ~cpu ~vmid ~pfns ~expected_hash :
   let vm = find_vm t vmid in
   Ticket_lock.with_lock vm.vm_lock ~cpu @@ fun () ->
   if vm.vstate <> Registered then panic "set_vm_image: VM %d wrong state" vmid;
-  if
-    List.exists
-      (fun pfn ->
-        S2page.owner t.s2page pfn <> S2page.Kserv
-        || S2page.is_shared t.s2page pfn)
-      pfns
-  then Error `Denied
+  if not (List.for_all (donatable t) pfns) then Error `Denied
   else begin
     (* withdraw the pages from KServ's reach before reading them *)
     List.iter
@@ -392,8 +397,8 @@ let access_write t ~cpu ~vmid ~addr v : (unit, access_fault) result =
 (* ------------------------------------------------------------------ *)
 
 (** KServ proposes [pfn] to back guest address [ipa] of VM [vmid]. KCore
-    validates ownership before accepting: the page must be KServ's,
-    unshared and unmapped. The page is scrubbed (runtime-granted pages
+    validates ownership before accepting: the page must be {!donatable}
+    and [ipa] unmapped. The page is scrubbed (runtime-granted pages
     carry no KServ-chosen content) and transferred. *)
 let map_page_to_vm t ~cpu ~vmid ~ipa ~pfn : (unit, [ `Denied ]) result =
   t.hypercalls <- t.hypercalls + 1;
@@ -402,41 +407,18 @@ let map_page_to_vm t ~cpu ~vmid ~ipa ~pfn : (unit, [ `Denied ]) result =
   Ticket_lock.with_lock vm.vm_lock ~cpu @@ fun () ->
   (* validate before mutating anything: a denied donation leaves the
      system exactly as it was *)
-  if
-    S2page.owner t.s2page pfn <> S2page.Kserv
-    || S2page.is_shared t.s2page pfn
-    || Npt.is_mapped vm.npt ~ipa
-  then Error `Denied
+  if not (donatable t pfn) || Npt.is_mapped vm.npt ~ipa then Error `Denied
   else begin
-    let was_mapped =
-      match Npt.clear_s2pt t.kserv_npt ~cpu ~ipa:(Page_table.page_va pfn) with
-      | Ok () ->
-          S2page.decr_map t.s2page pfn;
-          true
-      | Error `Not_mapped -> false
-    in
-    if S2page.map_count t.s2page pfn > 0 then begin
-      (* still referenced elsewhere (e.g. SMMU): refuse, restoring the
-         host mapping we just withdrew *)
-      if was_mapped then begin
-        (match
-           Npt.set_s2pt t.kserv_npt ~cpu ~ipa:(Page_table.page_va pfn) ~pfn
-             ~perms:Pte.rw
-         with
-        | Ok () -> S2page.incr_map t.s2page pfn
-        | Error `Already_mapped -> ())
-      end;
-      Error `Denied
-    end
-    else begin
-      Phys_mem.scrub t.mem pfn;
-      S2page.set_owner t.s2page pfn (S2page.Vm vmid);
-      match Npt.set_s2pt vm.npt ~cpu ~ipa ~pfn ~perms:Pte.rw with
-      | Ok () ->
-          S2page.incr_map t.s2page pfn;
-          Ok ()
-      | Error `Already_mapped -> assert false (* checked above, under the lock *)
-    end
+    (match Npt.clear_s2pt t.kserv_npt ~cpu ~ipa:(Page_table.page_va pfn) with
+    | Ok () -> S2page.decr_map t.s2page pfn
+    | Error `Not_mapped -> ());
+    Phys_mem.scrub t.mem pfn;
+    S2page.set_owner t.s2page pfn (S2page.Vm vmid);
+    match Npt.set_s2pt vm.npt ~cpu ~ipa ~pfn ~perms:Pte.rw with
+    | Ok () ->
+        S2page.incr_map t.s2page pfn;
+        Ok ()
+    | Error `Already_mapped -> assert false (* checked above, under the lock *)
   end
 
 (** KServ faults on its own stage 2 (lazy 4 KB mappings, §6): KCore maps
@@ -822,8 +804,8 @@ let import_vm t ~cpu ~pages ~donate ~n_vcpus : int =
   List.iter
     (fun (vp, words) ->
       let pfn = donate () in
-      if S2page.owner t.s2page pfn <> S2page.Kserv then
-        panic "import_vm: donated page not KServ's";
+      if not (donatable t pfn) then
+        panic "import_vm: donated page %d is not KServ's alone" pfn;
       (match Npt.clear_s2pt t.kserv_npt ~cpu ~ipa:(Page_table.page_va pfn) with
       | Ok () -> S2page.decr_map t.s2page pfn
       | Error `Not_mapped -> ());

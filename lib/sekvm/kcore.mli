@@ -96,7 +96,9 @@ val set_vm_image :
   (unit, [ `Bad_hash | `Denied ]) result
 (** Authenticated boot (§5.1): withdraw the image pages from KServ, hash
     them through the EL2 remap region, and on success transfer them to
-    the VM at consecutive guest addresses. *)
+    the VM at consecutive guest addresses. [Denied] unless every page is
+    KServ's alone: owned, unshared, and mapped by nothing but KServ's own
+    stage 2 (no VM and no SMMU mapping). *)
 
 val teardown_vm : t -> cpu:int -> vmid:int -> unit
 (** Unmap, scrub, and return every VM page to KServ. *)
@@ -122,8 +124,9 @@ val access_write : t -> cpu:int -> vmid:int -> addr:int -> int -> (unit, access_
 
 val map_page_to_vm :
   t -> cpu:int -> vmid:int -> ipa:int -> pfn:int -> (unit, [ `Denied ]) result
-(** Stage-2 fault resolution: validate KServ's donation (owner, sharing,
-    existing mapping, residual references), withdraw it from KServ, scrub,
+(** Stage-2 fault resolution: validate KServ's donation (the same
+    KServ's-alone precondition as {!set_vm_image}, and [ipa] unmapped),
+    withdraw it from KServ, scrub,
     transfer, map. Check-then-act: a denial leaves the system unchanged. *)
 
 val kserv_fault : t -> cpu:int -> addr:int -> (unit, [ `Denied ]) result
@@ -150,6 +153,9 @@ val export_vm : t -> cpu:int -> vmid:int -> (int * int array) list
 val import_vm :
   t -> cpu:int -> pages:(int * int array) list -> donate:(unit -> int) ->
   n_vcpus:int -> int
+(** Register a VM and fill it with [pages] (guest page, contents), each on
+    a page from [donate]. Panics if a donated page is not KServ's alone
+    (see {!set_vm_image}). Returns the new vmid. *)
 
 (** {2 Virtual interrupts and MMIO emulation} *)
 

@@ -511,7 +511,7 @@ let walker_no_isb =
 let el2_loop_remap =
   (* the same EL2 word rewritten on every loop iteration: the overwrite
      only manifests on the second pass, which a 0/1-unrolling path
-     enumeration never sees — the designated bounded-engine blind spot *)
+     enumeration never sees; the analyzer's loop peeling must *)
   let i = Reg.v "i" in
   { name = "el2-loop-remap";
     prog =
@@ -529,7 +529,7 @@ let el2_loop_remap =
     initial_owners = [];
     expect = all_good;
     rm_config = lockcfg;
-    note = "loop-carried double map: the second iteration overwrites the             first; bounded 0/1 unrolling misses it, the fixpoint engine             pins W003" }
+    note = "loop-carried double map: the second iteration overwrites the             first; 0/1 loop unrolling misses it, loop peeling             pins W003" }
 
 (* ------------------------------------------------------------------ *)
 (* Symmetric vCPU stress family (thread-symmetry reduction corpus)     *)
@@ -630,18 +630,6 @@ let lint_expectations =
     ("split-transaction", [ "W004" ]);
     ("walker-no-isb", []);
     ("el2-loop-remap", [ "W003" ]) ]
-
-(** Entries where the {e bounded} engine's definite codes legitimately
-    differ from {!lint_expectations} (its 0/1 loop unrolling is blind to
-    loop-carried defects). Entries absent here default to
-    {!lint_expectations}. *)
-let lint_expectations_bounded = [ ("el2-loop-remap", []) ]
-
-(** Pinned engine divergences: per entry, the passes whose verdicts are
-    allowed to differ between the bounded and fixpoint engines. On a
-    pinned pass the fixpoint verdict must still be at least as severe as
-    the bounded one; everywhere else the verdicts must agree exactly. *)
-let lint_divergences = [ ("el2-loop-remap", [ "write-once" ]) ]
 
 type version = {
   linux : string;

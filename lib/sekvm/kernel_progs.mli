@@ -89,17 +89,6 @@ val lint_expectations : (string * string list) list
     failure, so every program added to a corpus must also decide its
     expected static verdict here. *)
 
-val lint_expectations_bounded : (string * string list) list
-(** Overrides of {!lint_expectations} for the {e bounded} engine only —
-    entries whose loop-carried defects its 0/1 unrolling is blind to.
-    Entries absent here default to {!lint_expectations}. *)
-
-val lint_divergences : (string * string list) list
-(** Pinned engine divergences: per entry name, the lint passes whose
-    verdicts are allowed to differ between engines (fixpoint must still
-    be at least as severe). All other (entry, pass) combinations must
-    agree exactly; {!Analysis.Validate} enforces both directions. *)
-
 type version = { linux : string; stage2_levels : int }
 
 val versions : version list

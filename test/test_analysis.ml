@@ -1,7 +1,8 @@
 (* The static wDRF analyzer: cross-validation against the dynamic
    checkers, deterministic diagnostics, golden renderings of the text
-   and JSON outputs (one per verdict: pass / fail / unknown), and the
-   bounded-vs-fixpoint engine contract. *)
+   and JSON outputs (one per verdict: pass / fail / unknown), the
+   fixpoint solver's loop handling and statistics, and a random-program
+   property with the dynamic checkers as the oracle. *)
 
 open Analysis
 open Sekvm
@@ -77,54 +78,19 @@ let test_program_summary () =
 
 (* --- engines ------------------------------------------------------- *)
 
-let vrank = function Diag.Pass -> 0 | Diag.Unknown -> 1 | Diag.Fail -> 2
-
-(* The designated bounded blind spot: a loop-carried double map that
-   only manifests on the second iteration. The fixpoint engine pins it
-   Definite; the bounded engine's 0/1 unrolling never sees it. *)
+(* A loop-carried double map that only manifests on the second
+   iteration: 0/1 loop unrolling never sees it, loop peeling pins it
+   Definite. *)
 let test_loop_carried () =
-  let e = Kernel_progs.el2_loop_remap in
-  let fx = Driver.analyze ~engine:Driver.Fixpoint e in
+  let fx = Driver.analyze Kernel_progs.el2_loop_remap in
   Alcotest.(check (list string))
     "fixpoint pins W003" [ "W003" ] (Driver.definite_codes fx);
   Alcotest.(check string) "fixpoint write-once fails" "fail"
-    (Diag.verdict_name (Driver.pass_verdict fx "write-once"));
-  let bd = Driver.analyze ~engine:Driver.Bounded e in
-  Alcotest.(check (list string))
-    "bounded is blind" [] (Driver.definite_codes bd);
-  Alcotest.(check string) "bounded write-once passes" "pass"
-    (Diag.verdict_name (Driver.pass_verdict bd "write-once"))
+    (Diag.verdict_name (Driver.pass_verdict fx "write-once"))
 
-(* Per-pass verdict agreement across every corpus entry, modulo the
-   pinned divergences (where fixpoint may only be more severe). *)
-let test_engine_parity_corpus () =
-  List.iter
-    (fun (e : Kernel_progs.entry) ->
-      let fx = Driver.analyze ~engine:Driver.Fixpoint e in
-      let bd = Driver.analyze ~engine:Driver.Bounded e in
-      let pinned =
-        Option.value ~default:[]
-          (List.assoc_opt e.Kernel_progs.name Kernel_progs.lint_divergences)
-      in
-      List.iter
-        (fun (p : Driver.pass) ->
-          let vb = Driver.pass_verdict bd p.Driver.p_name in
-          let label = e.Kernel_progs.name ^ "/" ^ p.Driver.p_name in
-          if List.mem p.Driver.p_name pinned then
-            Alcotest.(check bool)
-              (label ^ " pinned: fixpoint at least as severe")
-              true
-              (vrank p.Driver.p_verdict >= vrank vb)
-          else
-            Alcotest.(check string) label (Diag.verdict_name vb)
-              (Diag.verdict_name p.Driver.p_verdict))
-        fx.Driver.a_passes)
-    (all_entries ())
-
-(* Fixpoint passes carry solver statistics; structural passes and the
-   bounded engine stay at zero. *)
+(* Fixpoint passes carry solver statistics. *)
 let test_stats () =
-  let fx = Driver.analyze ~engine:Driver.Fixpoint Kernel_progs.vmid_alloc in
+  let fx = Driver.analyze Kernel_progs.vmid_alloc in
   let lockset =
     List.find (fun (p : Driver.pass) -> p.Driver.p_name = "drf-lockset")
       fx.Driver.a_passes
@@ -137,14 +103,9 @@ let test_stats () =
     (lockset.Driver.p_stats.Absint.st_iters > 0);
   Alcotest.(check bool) "wall time non-negative" true
     (List.for_all (fun (p : Driver.pass) -> p.Driver.p_ms >= 0.)
-       fx.Driver.a_passes);
-  let bd = Driver.analyze ~engine:Driver.Bounded Kernel_progs.vmid_alloc in
-  Alcotest.(check bool) "bounded stats are zero" true
-    (List.for_all
-       (fun (p : Driver.pass) -> p.Driver.p_stats = Absint.zero_stats)
-       bd.Driver.a_passes)
+       fx.Driver.a_passes)
 
-(* --- randomized engine parity -------------------------------------- *)
+(* --- random programs vs the dynamic checkers ----------------------- *)
 
 (* A small deterministic PRNG so failures reproduce from the seed. *)
 module Rng = struct
@@ -159,12 +120,9 @@ module Rng = struct
   let below t n = next t mod n
 end
 
-(* Random two-thread DSL programs for the engine-parity properties.
-   Guards branch only on freshly loaded registers (statically opaque, so
-   both engines face the same control-flow uncertainty), pulls and
-   pushes are always matched, and every EL2 store writes the same
-   constant, so joining branch states never invents a value conflict the
-   bounded enumeration cannot see. *)
+(* Random two-thread DSL programs. Guards branch only on freshly loaded
+   registers (statically opaque), pulls and pushes are always matched,
+   and every EL2 store writes the same constant. *)
 let gen_code rng ~loops tid =
   let open Memmodel in
   let fresh = ref 0 in
@@ -214,53 +172,48 @@ let gen_prog ~loops seed =
     [ Prog.thread 1 (gen_code rng ~loops 1);
       Prog.thread 2 (gen_code rng ~loops 2) ]
 
-let definite_diags a =
-  List.filter
-    (fun (d : Diag.t) -> d.Diag.d_certainty = Diag.Definite)
-    (Driver.diags a)
-
-let parity_seed ~loops seed =
+(* The analyzer's random-program oracle: on [gen_prog seed], a static
+   Pass must hold dynamically (Check_drf / Check_barrier), a static Fail
+   must not, and a definite W003/W004/W005 must have a replay witness.
+   Unknown is not binding. The page-table base is exempt from DRF, as in
+   the corpus. Replay traces stop at DRF panics, which nearly every
+   random program has, so loop-free programs are checked a second time
+   with every shared base exempt: then each SC trace is replayed in full.
+   (With loops, uninstrumented trace enumeration is exponential.) *)
+let oracle_seed ~loops seed =
   let prog = gen_prog ~loops seed in
-  let fx =
-    Driver.analyze_prog ~engine:Driver.Fixpoint ~name:"lint-qcheck" prog
+  let check exempt =
+    let a = Driver.analyze_prog ~exempt ~name:"lint-qcheck" prog in
+    match
+      List.filter
+        (fun c -> not c.Validate.c_ok)
+        (Validate.program ~exempt ~initial_owners:[] a prog)
+    with
+    | [] -> true
+    | bad ->
+        Format.eprintf "seed %d (loops=%b, exempt [%s]):@.%a@." seed loops
+          (String.concat ";" exempt) Driver.pp a;
+        List.iter
+          (fun c ->
+            Format.eprintf "  %s: %s@." c.Validate.c_name c.Validate.c_detail)
+          bad;
+        false
   in
-  let bd =
-    Driver.analyze_prog ~engine:Driver.Bounded ~name:"lint-qcheck" prog
-  in
-  (* soundness: every bounded Definite diagnostic survives verbatim *)
-  let dfx = definite_diags fx in
-  let missing =
-    List.filter (fun d -> not (List.mem d dfx)) (definite_diags bd)
-  in
-  if missing <> [] then (
-    Format.eprintf "seed %d: fixpoint lost definite diags:@." seed;
-    List.iter (fun d -> Format.eprintf "  %a@." Diag.pp d) missing;
-    false)
-  else if
-    (* loop-free programs: the engines must agree pass by pass *)
-    (not loops)
-    && List.exists
-         (fun (p : Driver.pass) ->
-           Driver.pass_verdict bd p.Driver.p_name <> p.Driver.p_verdict)
-         fx.Driver.a_passes
-  then (
-    Format.eprintf "seed %d: loop-free verdict divergence@.%a@.%a@." seed
-      Driver.pp bd Driver.pp fx;
-    false)
-  else true
+  check [ "el2_m" ] && (loops || check [ "data"; "el2_m" ])
 
-let qcheck_parity_loopfree =
-  QCheck.Test.make
-    ~name:"loop-free programs: engines agree pass by pass" ~count:60
-    QCheck.(int_bound 100_000)
-    (parity_seed ~loops:false)
+let oracle_property ~loops name =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 14 |])
+    (QCheck.Test.make ~name ~count:200
+       QCheck.(int_bound 100_000)
+       (oracle_seed ~loops))
 
-let qcheck_parity_loops =
-  QCheck.Test.make
-    ~name:"loopy programs: fixpoint keeps every bounded definite"
-    ~count:60
-    QCheck.(int_bound 100_000)
-    (parity_seed ~loops:true)
+(* Pinned: a loop-carried barrier misuse in nested loops. The pull in
+   one outer iteration is followed by a plain load of [data] in the
+   next, before any DMB(LD); Check_barrier saw it only once it unrolled
+   loops twice. *)
+let test_loop_carried_barrier () =
+  Alcotest.(check bool) "oracle agrees" true (oracle_seed ~loops:true 1831)
 
 (* --- goldens ------------------------------------------------------- *)
 
@@ -307,7 +260,7 @@ let golden_unknown_text =
   \  delay         pass"
 
 let golden_fail_json =
-  "{\"kind\":\"lint\",\"name\":\"el2-double-map\",\"prog_digest\":\"419295c9c9093fa79a9f6e594fdbc0cd\",\"analyzer\":\"lint-2\",\"engine\":\"fixpoint\",\"overall\":\"fail\",\"refinement\":\"pass\",\"passes\":[{\"name\":\"drf-lockset\",\"verdict\":\"pass\",\"diags\":[]},{\"name\":\"barriers\",\"verdict\":\"pass\",\"diags\":[]},{\"name\":\"write-once\",\"verdict\":\"fail\",\"diags\":[{\"code\":\"W003\",\"tid\":1,\"path\":[1],\"certainty\":\"definite\",\"message\":\"kernel mapping el2_pt[0] overwritten outside a transactional section\",\"fix\":\"install each kernel mapping exactly once, or wrap the remap in a pull/push section\"}]},{\"name\":\"transactional\",\"verdict\":\"pass\",\"diags\":[]},{\"name\":\"tlbi\",\"verdict\":\"pass\",\"diags\":[]},{\"name\":\"ownership\",\"verdict\":\"pass\",\"diags\":[]},{\"name\":\"delay\",\"verdict\":\"pass\",\"diags\":[]}]}"
+  "{\"kind\":\"lint\",\"name\":\"el2-double-map\",\"prog_digest\":\"419295c9c9093fa79a9f6e594fdbc0cd\",\"analyzer\":\"lint-2\",\"overall\":\"fail\",\"refinement\":\"pass\",\"passes\":[{\"name\":\"drf-lockset\",\"verdict\":\"pass\",\"diags\":[]},{\"name\":\"barriers\",\"verdict\":\"pass\",\"diags\":[]},{\"name\":\"write-once\",\"verdict\":\"fail\",\"diags\":[{\"code\":\"W003\",\"tid\":1,\"path\":[1],\"certainty\":\"definite\",\"message\":\"kernel mapping el2_pt[0] overwritten outside a transactional section\",\"fix\":\"install each kernel mapping exactly once, or wrap the remap in a pull/push section\"}]},{\"name\":\"transactional\",\"verdict\":\"pass\",\"diags\":[]},{\"name\":\"tlbi\",\"verdict\":\"pass\",\"diags\":[]},{\"name\":\"ownership\",\"verdict\":\"pass\",\"diags\":[]},{\"name\":\"delay\",\"verdict\":\"pass\",\"diags\":[]}]}"
 
 let test_golden_text () =
   Alcotest.(check string) "pass text" golden_pass_text
@@ -350,11 +303,13 @@ let () =
       );
       ( "engines",
         [ Alcotest.test_case "loop-carried W003" `Quick test_loop_carried;
-          Alcotest.test_case "corpus parity" `Quick
-            test_engine_parity_corpus;
           Alcotest.test_case "solver stats" `Quick test_stats;
-          QCheck_alcotest.to_alcotest qcheck_parity_loopfree;
-          QCheck_alcotest.to_alcotest qcheck_parity_loops ] );
+          Alcotest.test_case "loop-carried W002 (seed 1831)" `Quick
+            test_loop_carried_barrier;
+          oracle_property ~loops:false
+            "loop-free programs: verdicts agree with dynamic checkers";
+          oracle_property ~loops:true
+            "loopy programs: verdicts agree with dynamic checkers" ] );
       ( "golden",
         [ Alcotest.test_case "text" `Quick test_golden_text;
           Alcotest.test_case "json" `Quick test_golden_json ] ) ]

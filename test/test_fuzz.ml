@@ -155,11 +155,24 @@ let run_fuzz seed n_steps =
       ok := false);
   !ok
 
+let storm seed = run_fuzz seed 60
+
 let qcheck_fuzz =
-  QCheck.Test.make ~name:"random hypercall storms preserve the invariants"
-    ~count:12
-    QCheck.(int_bound 10_000)
-    (fun seed -> run_fuzz seed 60)
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 60 |])
+    (QCheck.Test.make ~name:"random hypercall storms preserve the invariants"
+       ~count:12
+       QCheck.(int_bound 10_000)
+       storm)
+
+(* Storms that once handed a page a device could still DMA to (through
+   its SMMU mapping) to a VM, via set_vm_image. *)
+let test_dma_regressions () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool) (Printf.sprintf "storm %d clean" seed) true
+        (storm seed))
+    [ 228; 522; 630 ]
 
 let test_long_fuzz () =
   Alcotest.(check bool) "200-step run clean" true (run_fuzz 424242 200)
@@ -197,10 +210,23 @@ let test_stress_4level () =
   in
   Alcotest.(check bool) "clean" true (s.Vrm.Scenario.st_guest_ops > 0)
 
+(* Wide run outside the test suite: VRM_FUZZ_SEEDS=n sweeps storms
+   0 .. n-1 (`make fuzz`) and exits non-zero if any storm fails. *)
+let sweep n =
+  let failed = List.filter (fun seed -> not (storm seed)) (List.init n Fun.id) in
+  Format.printf "%d storms, %d failed%s@." n (List.length failed)
+    (if failed = [] then ""
+     else ": " ^ String.concat " " (List.map string_of_int failed));
+  exit (if failed = [] then 0 else 1)
+
 let () =
+  Option.iter sweep
+    (Option.bind (Sys.getenv_opt "VRM_FUZZ_SEEDS") int_of_string_opt);
   Alcotest.run "fuzz"
     [ ( "fuzz",
-        [ QCheck_alcotest.to_alcotest qcheck_fuzz;
+        [ qcheck_fuzz;
+          Alcotest.test_case "DMA-isolation regressions" `Quick
+            test_dma_regressions;
           Alcotest.test_case "long run" `Quick test_long_fuzz ] );
       ( "stress",
         [ Alcotest.test_case "4 VMs x 3 rounds" `Quick test_stress_scenario;
