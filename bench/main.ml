@@ -728,6 +728,18 @@ let print_symmetry () : Cache.Json.t =
       ("pushpull_equal", Cache.Json.Bool pushpull_equal);
       ("min_ratio_n4", Cache.Json.Float min_ratio_n4) ]
 
+(* cert-cache on/off sweep pairs run alternately by [print_engine] *)
+let cert_ab_pairs = 5
+
+(* median and range of a non-empty sample *)
+let median_range xs =
+  let a = Array.of_list (List.sort compare xs) in
+  let n = Array.length a in
+  let med =
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+  in
+  (med, a.(0), a.(n - 1))
+
 let print_engine ?(emit_json = false) ?bmc ?sym () =
   section "Exploration engine: frontier scheduler, POR oracle, cert cache";
   (* kernel-corpus refinement sweeps: the frontier scheduler at 1/2/4
@@ -789,25 +801,38 @@ let print_engine ?(emit_json = false) ?bmc ?sym () =
   expect "seen-set stripes populated and occupancy sane"
     (ws4.sw_stripes > 0 && ws4.sw_occupancy > 0
     && ws4.sw_occupancy <= ws4.sw_visited);
-  (* certification memoization: the same sequential sweep with the cert
-     cache disabled — behavior digests must be bit-identical, and the
-     cached run must answer at least half its certification queries from
-     the cache for the memoization to carry its weight. *)
-  let nc =
-    refinement_sweep ~label:"cert-cache off (jobs=1)" ~jobs:1
-      ~cert_cache:false ()
+  (* certification memoization A/B: alternating sequential sweeps with
+     the cert cache on and off, enough of them that the medians and
+     their spread can decide whether the memo pays. Behavior digests
+     must be bit-identical, and the cached run must answer at least half
+     its certification queries from the cache. *)
+  let ab =
+    List.init cert_ab_pairs (fun _ ->
+        ( refinement_sweep ~label:"cert-cache on (jobs=1)" ~jobs:1 (),
+          refinement_sweep ~label:"cert-cache off (jobs=1)" ~jobs:1
+            ~cert_cache:false () ))
   in
+  let walls pick = List.map (fun p -> (pick p).sw_wall) ab in
+  let on_med, on_lo, on_hi = median_range (walls fst) in
+  let off_med, off_lo, off_hi = median_range (walls snd) in
   let cert_ratio =
     if ws1.sw_cert_calls = 0 then 0.
     else float_of_int ws1.sw_cert_hits /. float_of_int ws1.sw_cert_calls
   in
   Format.printf
-    "  cert cache: %d/%d queries memoized (%.0f%%); sweep %.3f s cached \
-     vs %.3f s uncached@."
-    ws1.sw_cert_hits ws1.sw_cert_calls (cert_ratio *. 100.) ws1.sw_wall
-    nc.sw_wall;
+    "  cert cache: %d/%d queries memoized (%.0f%%); sweep median %.3f s \
+     [%.3f-%.3f] cached vs %.3f s [%.3f-%.3f] uncached (%d alternating \
+     pairs)@."
+    ws1.sw_cert_hits ws1.sw_cert_calls (cert_ratio *. 100.) on_med on_lo
+    on_hi off_med off_lo off_hi cert_ab_pairs;
+  let ab_digests_equal =
+    List.for_all
+      (fun (on, off) ->
+        on.sw_digest = ws1.sw_digest && off.sw_digest = ws1.sw_digest)
+      ab
+  in
   expect "cert-cache on/off behavior digests are bit-identical"
-    (nc.sw_digest = ws1.sw_digest);
+    ab_digests_equal;
   expect "cert cache answers at least half the certification queries"
     (cert_ratio >= 0.5);
   (* the POR oracle, per model *)
@@ -831,7 +856,7 @@ let print_engine ?(emit_json = false) ?bmc ?sym () =
   if emit_json then begin
     let j =
       Cache.Json.Obj
-        ([ ("schema", Cache.Json.String "vrm-bench-engine/5");
+        ([ ("schema", Cache.Json.String "vrm-bench-engine/6");
           ("engine_version", Cache.Json.String Memmodel.Engine.version);
           ( "refinement_sweep",
             Cache.Json.List
@@ -861,10 +886,15 @@ let print_engine ?(emit_json = false) ?bmc ?sym () =
               [ ("cert_calls", Cache.Json.Int ws1.sw_cert_calls);
                 ("cert_hits", Cache.Json.Int ws1.sw_cert_hits);
                 ("hit_ratio", Cache.Json.Float cert_ratio);
-                ("wall_s_cached", Cache.Json.Float ws1.sw_wall);
-                ("wall_s_uncached", Cache.Json.Float nc.sw_wall);
-                ( "digest_equal_on_off",
-                  Cache.Json.Bool (nc.sw_digest = ws1.sw_digest) ) ] );
+                ("ab_pairs", Cache.Json.Int cert_ab_pairs);
+                ("wall_s_cached_median", Cache.Json.Float on_med);
+                ("wall_s_cached_min", Cache.Json.Float on_lo);
+                ("wall_s_cached_max", Cache.Json.Float on_hi);
+                ("wall_s_uncached_median", Cache.Json.Float off_med);
+                ("wall_s_uncached_min", Cache.Json.Float off_lo);
+                ("wall_s_uncached_max", Cache.Json.Float off_hi);
+                ("digest_equal_on_off", Cache.Json.Bool ab_digests_equal) ]
+          );
           ( "por",
             Cache.Json.Obj
               (List.map
@@ -917,7 +947,7 @@ let print_engine ?(emit_json = false) ?bmc ?sym () =
                                   [ ("name", Cache.Json.String name);
                                     ("wall_s", Cache.Json.Float w) ])
                               s.sw_entries) ) ])
-                 [ ws1; ws2; ws4; np1; np4; ns1; nc ]) ) ]
+                 [ ws1; ws2; ws4; np1; np4; ns1; snd (List.hd ab) ]) ) ]
     in
     let oc = open_out "BENCH_entries.json" in
     output_string oc (Cache.Json.to_string entries_j);

@@ -193,9 +193,9 @@ val pp_stats : Format.formatter -> stats -> unit
 (** One outgoing transition of a state. *)
 type ('state, 'label) step =
   | Step of 'label * 'state
-      (** successor state; the label (a human-readable action for witness
-          schedules, and the currency of the POR oracles) is only
-          retained when witnesses or POR need it *)
+      (** successor state; the label (the transition's footprint: the
+          currency of the POR oracles, and the entries of a witness
+          path) is only retained when witnesses or POR need it *)
   | Emit of Behavior.outcome
       (** the path ends here with an outcome — fuel exhaustion and panics
           are emitted this way while sibling transitions keep exploring *)
@@ -216,7 +216,9 @@ module type MODEL = sig
   type state
 
   type label
-  (** Witness-schedule entry (e.g. {!Promising.step}) and POR currency. *)
+  (** POR currency and witness-path entry (every model uses a
+      {!Porlabel} footprint; {!Promising} renders its witness paths as
+      {!Promising.step}s after the search). *)
 
   val key : ctx -> state -> Statekey.t
   (** Canonical memoization key: two states with the same key must have

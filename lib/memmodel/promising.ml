@@ -40,7 +40,7 @@ type message = {
 }
 
 type tstate = {
-  code : Instr.t list;
+  code : Cont.t;
   regs : (int * int) Reg.Map.t;  (** value, view *)
   coh : int Loc.Map.t;  (** per-location coherence timestamp *)
   vrnew : int;  (** read floor (acquire loads, DMB LD/full) *)
@@ -60,8 +60,14 @@ type tstate = {
 
 type state = {
   mem : message list;  (** newest first *)
+  mkey : Statekey.t;  (** key of [mem], kept on append ({!mem_key_add}) *)
   next_ts : int;
   threads : tstate array;
+  tkeys : Statekey.t array;
+      (** per-thread key memo, filled only when the state is keyed
+          ({!thread_key_memo}); [unkeyed] marks a slot not computed yet.
+          Copied with [threads] in {!set_thread}, so a successor keeps
+          the keys of the threads it did not change. *)
 }
 
 type config = {
@@ -137,10 +143,86 @@ let pp_step fmt s = Format.fprintf fmt "CPU %d: %s" s.s_tid s.s_what
 let pp_schedule fmt steps =
   Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_step fmt steps
 
+(* ------------------------------------------------------------------ *)
+(* Incremental state keys                                              *)
+(* ------------------------------------------------------------------ *)
+(* A state key combines the memory key, kept on every append, with one
+   key per thread, memoised in the state when first requested: a
+   successor shares every thread key but the stepping thread's, so
+   keying it hashes one thread. The thread key covers its code through
+   the continuation key ({!Cont}), computed when the code was built. *)
+
+let mem_key_add k m =
+  let h = Statekey.fresh () in
+  Statekey.absorb h k;
+  Statekey.loc h m.mloc;
+  Statekey.int h m.mval;
+  Statekey.int h m.ts;
+  Statekey.int h m.wtid;
+  Statekey.finish h
+
+let mem_key_nil =
+  let h = Statekey.fresh () in
+  Statekey.char h 'M';
+  Statekey.finish h
+
+let mem_key mem = List.fold_right (fun m k -> mem_key_add k m) mem mem_key_nil
+
+(* never returned by [Statekey.finish]: compared physically *)
+let unkeyed = Statekey.finish (Statekey.fresh ())
+
+let hash_thread h (t : tstate) =
+  Statekey.char h 'T';
+  Statekey.int h t.vrnew;
+  Statekey.int h t.vwnew;
+  Statekey.int h t.vctrl;
+  Statekey.int h t.vrmax;
+  Statekey.int h t.vwmax;
+  Statekey.int h t.vall;
+  Statekey.int h t.vrel;
+  Statekey.int h t.fuel;
+  Statekey.int h t.promise_budget;
+  Statekey.int h (Reg.Map.cardinal t.regs);
+  Reg.Map.iter
+    (fun r (v, w) ->
+      Statekey.str h (Reg.name r);
+      Statekey.int h v;
+      Statekey.int h w)
+    t.regs;
+  Statekey.int h (Loc.Map.cardinal t.coh);
+  Loc.Map.iter
+    (fun l c ->
+      Statekey.loc h l;
+      Statekey.int h c)
+    t.coh;
+  Statekey.int h (List.length t.promises);
+  List.iter (Statekey.int h) t.promises;
+  Statekey.absorb h (Cont.key t.code)
+
+let thread_key_memo st i =
+  let k = st.tkeys.(i) in
+  if k != unkeyed then k
+  else begin
+    let h = Statekey.fresh () in
+    hash_thread h st.threads.(i);
+    let k = Statekey.finish h in
+    st.tkeys.(i) <- k;
+    k
+  end
+
 let set_thread st i t' =
   let threads = Array.copy st.threads in
   threads.(i) <- t';
-  { st with threads }
+  let tkeys = Array.copy st.tkeys in
+  tkeys.(i) <- unkeyed;
+  { st with threads; tkeys }
+
+(* append a fresh message (it takes the next timestamp) *)
+let append st m =
+  { st with
+    mem = m :: st.mem;
+    mkey = mem_key_add st.mkey m;
+    next_ts = m.ts + 1 }
 
 (* Shared placeholder footprint for solo runs and label-free search:
    never consulted, never compared. *)
@@ -198,9 +280,7 @@ let rmw_step ~fp st init_val i t rest ~loc ~va ~vd ~ord ~dst ~new_value :
               cert_write = [ Loc.base loc ] }
           else dummy_fp
         in
-        [ Next
-            ( set_thread { st with mem = m :: st.mem; next_ts = ts + 1 } i t',
-              lbl ) ]
+        [ Next (set_thread (append st m) i t', lbl) ]
     | None ->
         let view = max latest.ts (max va vd) in
         let t' =
@@ -243,8 +323,8 @@ let step_thread ?(fp = false) ?(silent_ok = false) ?(obs = any_reg)
     else Porlabel.empty ~tid:i
   in
   match t.code with
-  | [] -> invalid_arg "Promising.step_thread: thread done"
-  | instr :: rest -> (
+  | Cont.Nil -> invalid_arg "Promising.step_thread: thread done"
+  | Cont.Cons { instr; rest; _ } -> (
       try
         match instr with
         | Instr.Nop | Instr.Pull _ | Instr.Push _ | Instr.Tlbi _ ->
@@ -321,7 +401,7 @@ let step_thread ?(fp = false) ?(silent_ok = false) ?(obs = any_reg)
                 (max va (max vd (max t.vctrl t.vwnew)))
             in
             let is_release = ord = Instr.Release || ord = Instr.Acq_rel in
-            let commit ts mem next_ts promises lbl =
+            let commit ts st' promises lbl =
               let t' =
                 { t with
                   code = rest;
@@ -331,7 +411,6 @@ let step_thread ?(fp = false) ?(silent_ok = false) ?(obs = any_reg)
                   vrel = (if is_release then max t.vrel ts else t.vrel);
                   promises }
               in
-              let st' = { st with mem; next_ts } in
               Next (set_thread st' i t', lbl)
             in
             (* fulfill one of our promises... *)
@@ -355,7 +434,7 @@ let step_thread ?(fp = false) ?(silent_ok = false) ?(obs = any_reg)
                         else dummy_fp
                       in
                       Some
-                        (commit m.ts st.mem st.next_ts
+                        (commit m.ts st
                            (List.filter (fun q -> q <> p) t.promises)
                            lbl)
                   | _ -> None)
@@ -372,7 +451,7 @@ let step_thread ?(fp = false) ?(silent_ok = false) ?(obs = any_reg)
                     cert_write = [ Loc.base loc ] }
                 else dummy_fp
               in
-              commit ts (m :: st.mem) (ts + 1) t.promises lbl
+              commit ts (append st m) t.promises lbl
             in
             append :: fulfills
         | Instr.Faa (r, a, e, ord) ->
@@ -394,7 +473,7 @@ let step_thread ?(fp = false) ?(silent_ok = false) ?(obs = any_reg)
               ~new_value:(fun old -> if old = exp_v then Some des_v else None)
         | Instr.If (cond, br_then, br_else) ->
             let b, vc = Expr.eval_b (lookup_reg t.regs) cond in
-            let code = (if b then br_then else br_else) @ rest in
+            let code = Cont.prepend (if b then br_then else br_else) rest in
             [ Next
                 ( set_thread st i { t with code; vctrl = max t.vctrl vc },
                   quiet_lbl () ) ]
@@ -408,7 +487,7 @@ let step_thread ?(fp = false) ?(silent_ok = false) ?(obs = any_reg)
               [ Next
                   ( set_thread st i
                       { t with
-                        code = body @ (Instr.While (cond, body) :: rest);
+                        code = Cont.prepend body t.code;
                         fuel = t.fuel - 1 },
                     quiet_lbl () ) ]
       with Expr.Eval_panic _ -> raise Thread_panic)
@@ -431,14 +510,17 @@ let describe_step (st : state) (st' : state) (i : int) (instr : Instr.t) :
         (match ord with Instr.Acquire -> ", acquire" | _ -> "")
   | Instr.Store (a, _, ord) ->
       let loc, _ = Expr.eval_addr (lookup_reg t.regs) a in
-      let fulfilled = List.length t'.promises < List.length t.promises in
-      let m =
-        List.find_opt (fun m -> Loc.equal m.mloc loc && m.wtid = i) st'.mem
+      (* the written message: the fulfilled promise, else the append *)
+      let fulfilled =
+        List.find_opt (fun p -> not (List.mem p t'.promises)) t.promises
       in
+      let ts = Option.value fulfilled ~default:st.next_ts in
+      let m = List.find_opt (fun m -> m.ts = ts) st'.mem in
       Format.asprintf "[%a] := %d%s%s" Loc.pp loc
         (match m with Some m -> m.mval | None -> 0)
         (match ord with Instr.Release -> "  (release)" | _ -> "")
-        (if fulfilled then "  (fulfils an earlier promise)" else "")
+        (if Option.is_some fulfilled then "  (fulfils an earlier promise)"
+         else "")
   | Instr.Faa (r, a, _, _) ->
       let loc, _ = Expr.eval_addr (lookup_reg t.regs) a in
       Format.asprintf "fetch-add [%a] (read %d)" Loc.pp loc (reg_val r)
@@ -467,54 +549,19 @@ let describe_step (st : state) (st' : state) (i : int) (instr : Instr.t) :
 (* ------------------------------------------------------------------ *)
 (* State keys                                                          *)
 (* ------------------------------------------------------------------ *)
-(* One canonical encoder for shared memory and for one thread's state;
-   the full-state key and the per-thread solo-exploration key are both
-   compositions of these two — the historical duplicate key functions
-   (full state here, [mem + thread] inside [solo_write_candidates])
-   collapsed into one place. *)
+(* The full-state key and the per-thread solo-exploration key are both
+   compositions of the memory key and the memoised thread keys. *)
 
 let hash_mem h (st : state) =
   Statekey.int h st.next_ts;
-  List.iter
-    (fun m ->
-      Statekey.loc h m.mloc;
-      Statekey.int h m.mval;
-      Statekey.int h m.ts;
-      Statekey.int h m.wtid)
-    st.mem
-
-let hash_thread h (t : tstate) =
-  Statekey.char h 'T';
-  Statekey.int h t.vrnew;
-  Statekey.int h t.vwnew;
-  Statekey.int h t.vctrl;
-  Statekey.int h t.vrmax;
-  Statekey.int h t.vwmax;
-  Statekey.int h t.vall;
-  Statekey.int h t.vrel;
-  Statekey.int h t.fuel;
-  Statekey.int h t.promise_budget;
-  Statekey.int h (Reg.Map.cardinal t.regs);
-  Reg.Map.iter
-    (fun r (v, w) ->
-      Statekey.str h (Reg.name r);
-      Statekey.int h v;
-      Statekey.int h w)
-    t.regs;
-  Statekey.int h (Loc.Map.cardinal t.coh);
-  Loc.Map.iter
-    (fun l c ->
-      Statekey.loc h l;
-      Statekey.int h c)
-    t.coh;
-  Statekey.int h (List.length t.promises);
-  List.iter (Statekey.int h) t.promises;
-  Statekey.instrs h t.code
+  Statekey.absorb h st.mkey
 
 let state_key (st : state) : Statekey.t =
   let h = Statekey.fresh () in
   hash_mem h st;
-  Array.iter (hash_thread h) st.threads;
+  for i = 0 to Array.length st.threads - 1 do
+    Statekey.absorb h (thread_key_memo st i)
+  done;
   Statekey.finish h
 
 (* Orbit-canonical key. Unlike SC/TSO, part of a Promising thread's
@@ -539,7 +586,7 @@ let canonical_key sym (st : state) : Statekey.t =
   let sub =
     Array.init n (fun i ->
         let h = Statekey.fresh () in
-        hash_thread h st.threads.(i);
+        Statekey.absorb h (thread_key_memo st i);
         List.iter
           (fun m ->
             if m.wtid = i then begin
@@ -568,7 +615,7 @@ let canonical_key sym (st : state) : Statekey.t =
 let thread_key (st : state) i : Statekey.t =
   let h = Statekey.fresh () in
   hash_mem h st;
-  hash_thread h st.threads.(i);
+  Statekey.absorb h (thread_key_memo st i);
   Statekey.finish h
 
 (* ------------------------------------------------------------------ *)
@@ -589,20 +636,19 @@ let solo_steps st init_val i =
    fulfilled, and a footprint-free thread has no promise candidates at
    all. Both prunes are verdict-preserving — they only skip solo
    searches whose outcome is already forced. *)
-let rec store_bases acc = function
-  | [] -> acc
-  | instr :: rest ->
-      let acc =
-        match instr with
-        | Instr.Store (a, _, _) ->
-            let b = a.Expr.abase in
-            if List.mem b acc then acc else b :: acc
-        | Instr.If (_, br_then, br_else) ->
-            store_bases (store_bases acc br_then) br_else
-        | Instr.While (_, body) -> store_bases acc body
-        | _ -> acc
-      in
-      store_bases acc rest
+let rec instr_store_bases acc (instr : Instr.t) =
+  match instr with
+  | Instr.Store (a, _, _) ->
+      let b = a.Expr.abase in
+      if List.mem b acc then acc else b :: acc
+  | Instr.If (_, br_then, br_else) ->
+      List.fold_left instr_store_bases
+        (List.fold_left instr_store_bases acc br_then)
+        br_else
+  | Instr.While (_, body) -> List.fold_left instr_store_bases acc body
+  | _ -> acc
+
+let store_bases code = Cont.fold instr_store_bases [] code
 
 (** Can thread [i], running solo (no new promises), reach a state with all
     its promises fulfilled, within [depth] steps? *)
@@ -610,7 +656,7 @@ let certifiable cfg st init_val i =
   let t0 = st.threads.(i) in
   if t0.promises = [] then true
   else
-    let bases = store_bases [] t0.code in
+    let bases = store_bases t0.code in
     let fulfillable p =
       match List.find_opt (fun m -> m.ts = p && m.wtid = i) st.mem with
       | Some m -> List.mem (Loc.base m.mloc) bases
@@ -621,7 +667,7 @@ let certifiable cfg st init_val i =
       let rec go st depth =
         let t = st.threads.(i) in
         if t.promises = [] then true
-        else if depth <= 0 || t.code = [] then false
+        else if depth <= 0 || Cont.is_empty t.code then false
         else
           List.exists
             (function
@@ -634,10 +680,10 @@ let certifiable cfg st init_val i =
 (** Store values thread [i] may produce along some solo run: the candidate
     set for promises. Over-approximate; certification filters. *)
 let solo_write_candidates cfg st init_val i =
-  if store_bases [] st.threads.(i).code = [] then []
+  if store_bases st.threads.(i).code = [] then []
   else begin
     let found = Hashtbl.create 16 in
-    let seen = Statekey.Table.create ~initial:256 ~dummy:() () in
+    let seen = Statekey.Table.create ~initial:16 ~dummy:() () in
     let rec go st depth =
       if depth <= 0 then ()
       else
@@ -647,8 +693,8 @@ let solo_write_candidates cfg st init_val i =
         | `Added -> begin
             let t = st.threads.(i) in
           match t.code with
-          | [] -> ()
-          | instr :: _ ->
+          | Cont.Nil -> ()
+          | Cont.Cons { instr; _ } ->
               (match instr with
               | Instr.Store (a, e, _) -> (
                   try
@@ -676,25 +722,21 @@ let solo_write_candidates cfg st init_val i =
    [Expr.eval_addr] always lands on the address expression's static
    [abase], so a solo run can only ever read or write locations on these
    bases. *)
-let rec access_bases acc = function
-  | [] -> acc
-  | instr :: rest ->
-      let add (a : Expr.aexp) acc =
-        let b = a.Expr.abase in
-        if List.mem b acc then acc else b :: acc
-      in
-      let acc =
-        match instr with
-        | Instr.Load (_, a, _) | Instr.Store (a, _, _)
-        | Instr.Faa (_, a, _, _) | Instr.Xchg (_, a, _, _)
-        | Instr.Cas (_, a, _, _, _) ->
-            add a acc
-        | Instr.If (_, br_then, br_else) ->
-            access_bases (access_bases acc br_then) br_else
-        | Instr.While (_, body) -> access_bases acc body
-        | _ -> acc
-      in
-      access_bases acc rest
+let rec instr_access_bases acc (instr : Instr.t) =
+  match instr with
+  | Instr.Load (_, a, _) | Instr.Store (a, _, _)
+  | Instr.Faa (_, a, _, _) | Instr.Xchg (_, a, _, _)
+  | Instr.Cas (_, a, _, _, _) ->
+      let b = a.Expr.abase in
+      if List.mem b acc then acc else b :: acc
+  | Instr.If (_, br_then, br_else) ->
+      List.fold_left instr_access_bases
+        (List.fold_left instr_access_bases acc br_then)
+        br_else
+  | Instr.While (_, body) -> List.fold_left instr_access_bases acc body
+  | _ -> acc
+
+let access_bases code = Cont.fold instr_access_bases [] code
 
 (* The memo key is a {e canonical projection} of the state onto what a
    solo run of thread [i] can observe. [certifiable]'s verdict is
@@ -722,27 +764,54 @@ let rec access_bases acc = function
    member of the class. *)
 let cert_key (st : state) i : Statekey.t =
   let t = st.threads.(i) in
-  let bases = access_bases [] t.code in
-  let msgs =
-    List.filter (fun m -> List.mem (Loc.base m.mloc) bases) st.mem
+  let bases = access_bases t.code in
+  let in_fp loc = List.mem (Loc.base loc) bases in
+  let msgs = List.filter (fun m -> in_fp m.mloc) st.mem in
+  (* Rank table: every comparable timestamp in one int array, sorted in
+     place and deduplicated; a timestamp's rank is its index, found by
+     binary search. Unfilled slots keep their initial 0, which is always
+     a member. *)
+  let ranks =
+    Array.make
+      (8 + List.length msgs + Loc.Map.cardinal t.coh
+     + Reg.Map.cardinal t.regs + List.length t.promises)
+      0
   in
-  let module Ts = Set.Make (Int) in
-  let ts = ref (Ts.singleton 0) in
-  let note v = ts := Ts.add v !ts in
+  let n = ref 1 in
+  let note v =
+    ranks.(!n) <- v;
+    incr n
+  in
   List.iter (fun m -> note m.ts) msgs;
-  Loc.Map.iter
-    (fun loc v -> if List.mem (Loc.base loc) bases then note v)
-    t.coh;
-  List.iter note
-    [ t.vrnew; t.vwnew; t.vctrl; t.vrmax; t.vwmax; t.vall; t.vrel ];
+  Loc.Map.iter (fun loc v -> if in_fp loc then note v) t.coh;
+  note t.vrnew;
+  note t.vwnew;
+  note t.vctrl;
+  note t.vrmax;
+  note t.vwmax;
+  note t.vall;
+  note t.vrel;
   Reg.Map.iter (fun _ (_, w) -> note w) t.regs;
   List.iter note t.promises;
-  let ranks = Hashtbl.create 64 in
-  List.iteri (fun idx v -> Hashtbl.replace ranks v idx) (Ts.elements !ts);
-  let rank v = Hashtbl.find ranks v in
+  Array.sort Int.compare ranks;
+  let len = ref 1 in
+  for j = 1 to Array.length ranks - 1 do
+    if ranks.(j) <> ranks.(!len - 1) then begin
+      ranks.(!len) <- ranks.(j);
+      incr len
+    end
+  done;
+  let rank v =
+    let rec go lo hi =
+      let mid = (lo + hi) / 2 in
+      let x = ranks.(mid) in
+      if x = v then mid else if x < v then go (mid + 1) hi else go lo (mid - 1)
+    in
+    go 0 (!len - 1)
+  in
   let h = Statekey.fresh () in
   Statekey.char h 'C';
-  Statekey.instrs h t.code;
+  Statekey.absorb h (Cont.key t.code);
   Statekey.int h t.fuel;
   Statekey.int h (Reg.Map.cardinal t.regs);
   Reg.Map.iter
@@ -753,7 +822,7 @@ let cert_key (st : state) i : Statekey.t =
     t.regs;
   Loc.Map.iter
     (fun loc v ->
-      if List.mem (Loc.base loc) bases then begin
+      if in_fp loc then begin
         Statekey.loc h loc;
         Statekey.int h (rank v)
       end)
@@ -850,7 +919,7 @@ let initial_state cfg (prog : Prog.t) : state =
     Array.of_list
       (List.map
          (fun th ->
-           { code = th.Prog.code;
+           { code = Cont.of_list th.Prog.code;
              regs = Reg.Map.empty;
              coh = Loc.Map.empty;
              vrnew = 0;
@@ -865,7 +934,11 @@ let initial_state cfg (prog : Prog.t) : state =
              promises = [] })
          prog.Prog.threads)
   in
-  { mem; next_ts = 1; threads }
+  { mem;
+    mkey = mem_key mem;
+    next_ts = 1;
+    threads;
+    tkeys = Array.make (Array.length threads) unkeyed }
 
 let observe (prog : Prog.t) (st : state) init_val status : Behavior.outcome =
   let value = function
@@ -931,13 +1004,9 @@ module Model = struct
   type ctx = {
     prog : Prog.t;
     cfg : config;
-    tids : int array;
     cache : cert_cache option;
         (** certification memo, shared across domains (internally
             mutex-guarded); [None] when [cfg.cert_cache] is off *)
-    want_desc : bool;
-        (** render human-readable step descriptions (witness runs only;
-            POR-only label requests skip the formatting) *)
     sym : Symmetry.t option;
         (** thread-symmetry structure for orbit-canonical keys; [None]
             when disabled, no groups exist, or [strict_certification]
@@ -946,30 +1015,25 @@ module Model = struct
 
   type nonrec state = state
 
-  (* POR footprint plus the witness-schedule entry; [independent] and
-     [ample] consult only the footprint, witness collection only the
-     step. The footprint's [disc] fields keep labels of one thread's
-     enabled transitions distinct (engine requirement) even when
-     [want_desc] leaves every [l_step] at the dummy. *)
-  type label = { l_fp : Porlabel.t; l_step : step }
+  (* The footprint alone: its [disc] fields keep the labels of one
+     thread's enabled transitions distinct (engine requirement), which
+     is also what lets {!render_witness} replay a recorded path. *)
+  type label = Porlabel.t
 
   let key ctx st =
     match ctx.sym with
     | None -> state_key st
     | Some s -> canonical_key s st
 
-  let independent = Some (fun _ctx a b -> Porlabel.independent a.l_fp b.l_fp)
-  let ample = Some (fun _ctx l -> Porlabel.ample l.l_fp)
+  let independent = Some (fun _ctx a b -> Porlabel.independent a b)
+  let ample = Some (fun _ctx l -> Porlabel.ample l)
 
-  let sleepable ctx l =
+  let sleepable ctx (l : label) =
     match ctx.sym with
     | None -> true
-    | Some s -> not (Symmetry.grouped s l.l_fp.Porlabel.tid)
+    | Some s -> not (Symmetry.grouped s l.Porlabel.tid)
 
-  let dummy_step = { s_tid = -1; s_what = "" }
-
-  let expand { prog; cfg; tids; cache; want_desc; sym = _ } ~labels
-      (st : state) :
+  let expand { prog; cfg; cache; sym = _ } ~labels (st : state) :
       (state, label) Engine.expansion =
     let init_val loc = Prog.init_value prog loc in
     let n = Array.length st.threads in
@@ -986,20 +1050,19 @@ module Model = struct
       !ok
     in
     if not certified_everywhere then Engine.Terminal None
-    else if Array.for_all (fun t -> t.code = []) st.threads then
+    else if Array.for_all (fun t -> Cont.is_empty t.code) st.threads then
       if Array.for_all (fun t -> t.promises = []) st.threads then
         Engine.Terminal (Some (observe prog st init_val Behavior.Normal))
       else Engine.Terminal None
     else
       let thread_steps i =
         let t = st.threads.(i) in
-        if t.code = [] then Seq.empty
+        if Cont.is_empty t.code then Seq.empty
         else
-          let instr = List.hd t.code in
           (* can this thread take a promise step here? (cheap syntactic
              over-approximation: budget left and a store in its code) *)
           let may_promise =
-            t.promise_budget > 0 && store_bases [] t.code <> []
+            t.promise_budget > 0 && store_bases t.code <> []
           in
           (* ordinary architectural steps *)
           let arch () =
@@ -1010,14 +1073,7 @@ module Model = struct
             | steps ->
                 List.to_seq steps
                 |> Seq.filter_map (function
-                     | Next (st', fp) ->
-                         let s_step =
-                           if labels && want_desc then
-                             { s_tid = tids.(i);
-                               s_what = describe_step st st' i instr }
-                           else dummy_step
-                         in
-                         Some (Engine.Step ({ l_fp = fp; l_step = s_step }, st'))
+                     | Next (st', fp) -> Some (Engine.Step (fp, st'))
                      | Fuel_out ->
                          Some
                            (Engine.Emit
@@ -1039,9 +1095,7 @@ module Model = struct
               let cands =
                 List.sort compare (solo_write_candidates cfg st init_val i)
               in
-              let cert_read =
-                if labels then access_bases [] t.code else []
-              in
+              let cert_read = if labels then access_bases t.code else [] in
               (List.to_seq cands
               |> Seq.mapi (fun idx cand -> (idx, cand))
               |> Seq.filter_map (fun (idx, (loc, v)) ->
@@ -1052,11 +1106,7 @@ module Model = struct
                          promises = ts :: t.promises;
                          promise_budget = t.promise_budget - 1 }
                      in
-                     let st' =
-                       set_thread
-                         { st with mem = m :: st.mem; next_ts = ts + 1 }
-                         i t'
-                     in
+                     let st' = set_thread (append st m) i t' in
                      if certifiable_cached cache cfg st' init_val i then
                        let fp =
                          if labels then
@@ -1067,15 +1117,7 @@ module Model = struct
                              disc = idx }
                          else dummy_fp
                        in
-                       let s_step =
-                         if labels && want_desc then
-                           { s_tid = tids.(i);
-                             s_what =
-                               Format.asprintf "promises [%a] := %d" Loc.pp
-                                 loc v }
-                         else dummy_step
-                       in
-                       Some (Engine.Step ({ l_fp = fp; l_step = s_step }, st'))
+                       Some (Engine.Step (fp, st'))
                      else None))
                 ()
           in
@@ -1086,13 +1128,10 @@ end
 
 module E = Engine.Make (Model)
 
-let make_ctx ?(want_desc = false) ?(sym = true) prog cfg =
+let make_ctx ?(sym = true) prog cfg =
   { Model.prog;
     cfg;
-    tids =
-      Array.of_list (List.map (fun th -> th.Prog.tid) prog.Prog.threads);
     cache = (if cfg.cert_cache then Some (make_cert_cache ()) else None);
-    want_desc;
     (* Symmetry mirrors the POR valve: under strict certification the
        engine prunes certification-dead states mid-path, and an orbit
        representative may die where its permuted twin's concrete path
@@ -1101,6 +1140,46 @@ let make_ctx ?(want_desc = false) ?(sym = true) prog cfg =
     sym =
       (if sym && not cfg.strict_certification then Symmetry.detect prog
        else None) }
+
+(* Witness text is rendered after the search, not on every transition:
+   the engine records each witness as its footprint path, replayed here
+   from the initial state. At each step the successor whose footprint
+   equals the recorded one is the step taken — footprints are unique
+   among a state's enabled transitions — and only then is the step
+   described. A step that adds a promise is a promise step; its message
+   heads the successor's memory. *)
+let render_witness (ctx : Model.ctx) init path =
+  let tids =
+    Array.of_list
+      (List.map (fun th -> th.Prog.tid) ctx.Model.prog.Prog.threads)
+  in
+  let successor st fp =
+    match Model.expand ctx ~labels:true st with
+    | Engine.Steps steps ->
+        Seq.find_map
+          (function
+            | Engine.Step (l, st') when l = fp -> Some st'
+            | Engine.Step _ | Engine.Emit _ -> None)
+          steps
+    | Engine.Terminal _ -> None
+  in
+  let rec go st acc = function
+    | [] -> List.rev acc
+    | fp :: path -> (
+        match successor st fp with
+        | None -> invalid_arg "Promising.render_witness: path does not replay"
+        | Some st' ->
+            let i = fp.Porlabel.tid in
+            let t = st.threads.(i) and t' = st'.threads.(i) in
+            let s_what =
+              if List.length t'.promises > List.length t.promises then
+                let m = List.hd st'.mem in
+                Format.asprintf "promises [%a] := %d" Loc.pp m.mloc m.mval
+              else describe_step st st' i (Cont.head t.code)
+            in
+            go st' ({ s_tid = tids.(i); s_what } :: acc) path)
+  in
+  go init [] path
 
 (* POR is sound here only without strict certification: strict mode
    prunes mid-path states as [Terminal None], which breaks the sleep-set
@@ -1135,18 +1214,18 @@ let with_cert_stats (ctx : Model.ctx) (s : Engine.stats) : Engine.stats =
 let run_full ?(config = default_config) ?(jobs = 1) ?deadline ?por ?sym
     (prog : Prog.t) :
     Behavior.t * (Behavior.outcome * step list) list * Engine.stats =
-  let ctx = make_ctx ~want_desc:true ?sym prog config in
+  let ctx = make_ctx ?sym prog config in
+  let init = initial_state config prog in
   let r =
     E.explore ~max_states:config.max_states ?deadline
-      ?por:(por_for config por) ~witnesses:true ~jobs ~ctx
-      (initial_state config prog)
+      ?por:(por_for config por) ~witnesses:true ~jobs ~ctx init
   in
+  (* counters first: the replays below query the cert cache too *)
+  let stats = with_cert_stats ctx r.E.stats in
   let witnesses =
-    List.map
-      (fun (o, ls) -> (o, List.map (fun l -> l.Model.l_step) ls))
-      r.E.witnesses
+    List.map (fun (o, path) -> (o, render_witness ctx init path)) r.E.witnesses
   in
-  (r.E.behaviors, witnesses, with_cert_stats ctx r.E.stats)
+  (r.E.behaviors, witnesses, stats)
 
 (** [run_with_witnesses ?config ?jobs prog] explores all Promising Arm
     executions of [prog] and additionally returns, for each distinct

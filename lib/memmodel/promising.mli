@@ -92,4 +92,27 @@ val run_full :
   ?sym:bool ->
   Prog.t ->
   Behavior.t * (Behavior.outcome * step list) list * Engine.stats
-(** Behaviors, witnesses and statistics in one exploration. *)
+(** Behaviors, witnesses and statistics in one exploration. The search
+    records each witness as its footprint path; the schedule text is
+    rendered afterwards by replaying each path from the initial state,
+    so statistics cover the search alone. *)
+
+(** {2 Memory keys}
+
+    A state's key folds one key per thread with a memory key that is
+    kept on every append instead of re-walking the message list. Exposed
+    for the key-relation tests. *)
+
+type message = {
+  mloc : Loc.t;
+  mval : int;
+  ts : int;  (** position in the append-only memory; 0 = initial *)
+  wtid : int;  (** writing thread; -1 for initial messages *)
+}
+
+val mem_key : message list -> Statekey.t
+(** Key of a memory (newest message first), folded from scratch. *)
+
+val mem_key_add : Statekey.t -> message -> Statekey.t
+(** [mem_key_add (mem_key mem) m] is [mem_key (m :: mem)]: how a state
+    updates its memory key when [m] is appended. *)

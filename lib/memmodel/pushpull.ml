@@ -64,7 +64,7 @@ type check_result =
       (** the program itself panicked (e.g. explicit [Panic]) — reported
           separately from ownership violations *)
 
-type tstate = { code : Instr.t list; regs : int Reg.Map.t; fuel : int }
+type tstate = { code : Cont.t; regs : int Reg.Map.t; fuel : int }
 
 type state = {
   mem : int Loc.Map.t;
@@ -115,8 +115,8 @@ let step_thread ~tracked (st : state) (i : int) :
     (state * event option) option =
   let t = st.threads.(i) in
   match t.code with
-  | [] -> invalid_arg "Pushpull.step_thread: thread done"
-  | instr :: rest -> (
+  | Cont.Nil -> invalid_arg "Pushpull.step_thread: thread done"
+  | Cont.Cons { instr; rest; _ } -> (
       let with_thread t' = { st with threads = (let a = Array.copy st.threads in a.(i) <- t'; a) } in
       try
         match instr with
@@ -234,7 +234,8 @@ let step_thread ~tracked (st : state) (i : int) :
             let b, _ = Expr.eval_b (lookup_rv t.regs) c in
             Some
               ( with_thread
-                  { t with code = (if b then br_then else br_else) @ rest },
+                  { t with
+                    code = Cont.prepend (if b then br_then else br_else) rest },
                 None )
         | Instr.While (c, body) ->
             let b, _ = Expr.eval_b (lookup_rv t.regs) c in
@@ -244,7 +245,7 @@ let step_thread ~tracked (st : state) (i : int) :
               Some
                 ( with_thread
                     { t with
-                      code = body @ (Instr.While (c, body) :: rest);
+                      code = Cont.prepend body t.code;
                       fuel = t.fuel - 1 },
                   None )
       with Expr.Eval_panic _ -> raise Thread_panic)
@@ -301,7 +302,7 @@ let hash_thread h (t : tstate) =
       Statekey.str h (Reg.name r);
       Statekey.int h v)
     t.regs;
-  Statekey.instrs h t.code
+  Statekey.absorb h (Cont.key t.code)
 
 let state_key (st : state) : Statekey.t =
   let h = Statekey.fresh () in
@@ -337,7 +338,8 @@ let initial_state ~fuel ~initial_owners (prog : Prog.t) : state =
   let threads =
     Array.of_list
       (List.map
-         (fun th -> { code = th.Prog.code; regs = Reg.Map.empty; fuel })
+         (fun th ->
+           { code = Cont.of_list th.Prog.code; regs = Reg.Map.empty; fuel })
          prog.Prog.threads)
   in
   { mem; owners = initial_owners; threads; poison = None }
@@ -439,7 +441,8 @@ module Model = struct
     | None -> (
         let runnable = ref [] in
         Array.iteri
-          (fun i t -> if t.code <> [] then runnable := i :: !runnable)
+          (fun i t ->
+            if not (Cont.is_empty t.code) then runnable := i :: !runnable)
           st.threads;
         match !runnable with
         | [] -> Engine.Terminal (Some (observe prog st Behavior.Normal))
@@ -452,7 +455,7 @@ module Model = struct
                          let lbl =
                            if labels then
                              label_of ~tracked prog st i
-                               (List.hd st.threads.(i).code)
+                               (Cont.head st.threads.(i).code)
                            else dummy i
                          in
                          Engine.Step (lbl, st')
@@ -529,7 +532,8 @@ let traces ?(fuel = 16) ?(exempt = []) ?(initial_owners = [])
   let expand (st : state) : (state, event option) Engine.expansion =
     let runnable = ref [] in
     Array.iteri
-      (fun i t -> if t.code <> [] then runnable := i :: !runnable)
+      (fun i t ->
+        if not (Cont.is_empty t.code) then runnable := i :: !runnable)
       st.threads;
     match !runnable with
     | [] -> Engine.Terminal None

@@ -9,7 +9,7 @@
     fuel are reported as {!Behavior.Fuel_exhausted} rather than dropped. *)
 
 type tstate = {
-  code : Instr.t list;
+  code : Cont.t;
   regs : int Reg.Map.t;
   fuel : int;
 }
@@ -35,8 +35,8 @@ exception Thread_panic
 let step_thread (st : state) (i : int) : state option =
   let t = st.threads.(i) in
   match t.code with
-  | [] -> invalid_arg "step_thread: thread done"
-  | instr :: rest -> (
+  | Cont.Nil -> invalid_arg "step_thread: thread done"
+  | Cont.Cons { instr; rest; _ } -> (
       let set_thread t' =
         let threads = Array.copy st.threads in
         threads.(i) <- t';
@@ -95,7 +95,7 @@ let step_thread (st : state) (i : int) : state option =
                  mem)
         | Instr.If (c, br_then, br_else) ->
             let b, _ = Expr.eval_b (lookup_rv t.regs) c in
-            let code = (if b then br_then else br_else) @ rest in
+            let code = Cont.prepend (if b then br_then else br_else) rest in
             Some (set_thread { t with code })
         | Instr.While (c, body) ->
             let b, _ = Expr.eval_b (lookup_rv t.regs) c in
@@ -105,7 +105,7 @@ let step_thread (st : state) (i : int) : state option =
               Some
                 (set_thread
                    { t with
-                     code = body @ (Instr.While (c, body) :: rest);
+                     code = Cont.prepend body t.code;
                      fuel = t.fuel - 1 })
       with Expr.Eval_panic _ -> raise Thread_panic)
 
@@ -133,7 +133,8 @@ let initial_state ?(fuel = 64) (prog : Prog.t) : state =
   let threads =
     Array.of_list
       (List.map
-         (fun th -> { code = th.Prog.code; regs = Reg.Map.empty; fuel })
+         (fun th ->
+           { code = Cont.of_list th.Prog.code; regs = Reg.Map.empty; fuel })
          prog.Prog.threads)
   in
   { mem; threads }
@@ -147,7 +148,7 @@ let hash_thread h (t : tstate) =
       Statekey.str h (Reg.name r);
       Statekey.int h v)
     t.regs;
-  Statekey.instrs h t.code
+  Statekey.absorb h (Cont.key t.code)
 
 let state_key (st : state) : Statekey.t =
   let h = Statekey.fresh () in
@@ -251,7 +252,8 @@ module Model = struct
     let prog = ctx.prog in
     let runnable = ref [] in
     Array.iteri
-      (fun i t -> if t.code <> [] then runnable := i :: !runnable)
+      (fun i t ->
+        if not (Cont.is_empty t.code) then runnable := i :: !runnable)
       st.threads;
     match !runnable with
     | [] -> Engine.Terminal (Some (observe prog st Behavior.Normal))
@@ -263,7 +265,7 @@ module Model = struct
                  | Some st' ->
                      let lbl =
                        if labels then
-                         label_of prog st i (List.hd st.threads.(i).code)
+                         label_of prog st i (Cont.head st.threads.(i).code)
                        else dummy i
                      in
                      Engine.Step (lbl, st')

@@ -265,7 +265,7 @@ let loc h (l : Loc.t) =
   str h (Loc.base l);
   int h (Loc.index l)
 
-let instrs h is = emit_instrs (hash_sink h) is
+let instr h i = emit_instr (hash_sink h) i
 
 (* ------------------------------------------------------------------ *)
 (* Open-addressing hash table keyed on the 128-bit keys.               *)

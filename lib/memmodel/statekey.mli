@@ -93,7 +93,10 @@ val emit_loc : sink -> Loc.t -> unit
     functions. *)
 
 val loc : h -> Loc.t -> unit
-val instrs : h -> Instr.t list -> unit
+
+val instr : h -> Instr.t -> unit
+(** One instruction's canonical token stream; {!Cont} folds it into a
+    continuation key once per built node. *)
 
 (** {1 Interning table} *)
 

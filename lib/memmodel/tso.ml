@@ -17,7 +17,7 @@
     act as MFENCE. *)
 
 type tstate = {
-  code : Instr.t list;
+  code : Cont.t;
   regs : int Reg.Map.t;
   buffer : (Loc.t * int) list;  (** oldest first *)
   fuel : int;
@@ -64,8 +64,8 @@ type step = Next of state | Fuel_out
 let step_thread (st : state) (i : int) : step =
   let t = st.threads.(i) in
   match t.code with
-  | [] -> invalid_arg "Tso.step_thread: thread done"
-  | instr :: rest -> (
+  | Cont.Nil -> invalid_arg "Tso.step_thread: thread done"
+  | Cont.Cons { instr; rest; _ } -> (
       try
         match instr with
         | Instr.Nop | Instr.Pull _ | Instr.Push _ | Instr.Tlbi _ ->
@@ -133,7 +133,8 @@ let step_thread (st : state) (i : int) : step =
             let b, _ = Expr.eval_b (lookup_rv t.regs) c in
             Next
               (set_thread st i
-                 { t with code = (if b then br_then else br_else) @ rest })
+                 { t with
+                   code = Cont.prepend (if b then br_then else br_else) rest })
         | Instr.While (c, body) ->
             let b, _ = Expr.eval_b (lookup_rv t.regs) c in
             if not b then Next (set_thread st i { t with code = rest })
@@ -142,7 +143,7 @@ let step_thread (st : state) (i : int) : step =
               Next
                 (set_thread st i
                    { t with
-                     code = body @ (Instr.While (c, body) :: rest);
+                     code = Cont.prepend body t.code;
                      fuel = t.fuel - 1 })
       with Expr.Eval_panic _ -> raise Thread_panic)
 
@@ -186,7 +187,7 @@ let hash_thread h (t : tstate) =
       Statekey.loc h l;
       Statekey.int h v)
     t.buffer;
-  Statekey.instrs h t.code
+  Statekey.absorb h (Cont.key t.code)
 
 let state_key (st : state) : Statekey.t =
   let h = Statekey.fresh () in
@@ -291,8 +292,8 @@ module Model = struct
     let n = Array.length st.threads in
     let all_done = ref true in
     for i = 0 to n - 1 do
-      if st.threads.(i).code <> [] || st.threads.(i).buffer <> [] then
-        all_done := false
+      let t = st.threads.(i) in
+      if (not (Cont.is_empty t.code)) || t.buffer <> [] then all_done := false
     done;
     if !all_done then
       Engine.Terminal (Some (observe prog st Behavior.Normal))
@@ -314,14 +315,14 @@ module Model = struct
           | [] -> Seq.empty
         in
         let instr =
-          if t.code = [] then Seq.empty
+          if Cont.is_empty t.code then Seq.empty
           else
             fun () ->
               Seq.Cons
                 ( (match step_thread st i with
                   | Next st' ->
                       let lbl =
-                        if labels then label_of prog st i (List.hd t.code)
+                        if labels then label_of prog st i (Cont.head t.code)
                         else dummy i
                       in
                       Engine.Step (lbl, st')
@@ -363,7 +364,10 @@ let run_stats ?(fuel = 8) ?(jobs = 1) ?deadline ?por ?(sym = true)
     Array.of_list
       (List.map
          (fun th ->
-           { code = th.Prog.code; regs = Reg.Map.empty; buffer = []; fuel })
+           { code = Cont.of_list th.Prog.code;
+             regs = Reg.Map.empty;
+             buffer = [];
+             fuel })
          prog.Prog.threads)
   in
   let symmetry = if sym then Symmetry.detect prog else None in

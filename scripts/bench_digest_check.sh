@@ -15,9 +15,10 @@
 #
 # Engine mode: regenerate BENCH_engine.json via `make bench-smoke` and fail if any
 # refinement-sweep behavior digest differs from the digests committed in
-# the repository, if the thread-symmetry section lost digest parity or
-# its N=4 state-cut gate, or if the frontier scheduler failed its
-# scaling gate.
+# the repository, if a sweep's visited-state count (or, for sequential
+# sweeps, its POR-pruned count) differs from the committed one, if the
+# thread-symmetry section lost digest parity or its N=4 state-cut gate,
+# or if the frontier scheduler failed its scaling gate.
 # scaling_ok is three-valued as of vrm-bench-engine/4: "true" (jobs=4
 # speedup >= 1.3x on a >=4-domain machine), "false" (it was not), or
 # "skipped" (machine has <4 domains, so the comparison was never run —
@@ -108,9 +109,10 @@ python3 - "$committed" BENCH_engine.json <<'EOF'
 import json, os, sys
 
 with open(sys.argv[1]) as f:
-    old = {s["label"]: s["digest"] for s in json.load(f)["refinement_sweep"]}
+    old_sweeps = {s["label"]: s for s in json.load(f)["refinement_sweep"]}
 with open(sys.argv[2]) as f:
     fresh = json.load(f)
+old = {label: s["digest"] for label, s in old_sweeps.items()}
 new = {s["label"]: s["digest"] for s in fresh["refinement_sweep"]}
 
 bad = False
@@ -131,6 +133,26 @@ for label in sorted(set(old) - set(new)):
 if bad:
     sys.exit("bench digests differ from the committed BENCH_engine.json")
 print("all sweep digests match the committed BENCH_engine.json")
+
+# Visited-count gate: a state-key change that merged distinct states
+# (or split equal ones) can keep every digest yet visit a different
+# number of states. Visited counts are deterministic at any jobs;
+# POR-pruned counts only in sequential sweeps (under parallel search
+# the sleep sets a state is reached with depend on the schedule).
+for s in fresh["refinement_sweep"]:
+    ref = old_sweeps.get(s["label"])
+    if ref is None:
+        continue
+    keys = ["visited"] + (["por_pruned"] if s["jobs"] == 1 else [])
+    for k in keys:
+        if s[k] != ref[k]:
+            bad = True
+            print(f"MISMATCH {s['label']} {k}: fresh {s[k]}, "
+                  f"committed {ref[k]}")
+if bad:
+    sys.exit("sweep state counts differ from the committed BENCH_engine.json")
+print("all sweep visited/por_pruned counts match the committed "
+      "BENCH_engine.json")
 
 # Thread-symmetry gate (vrm-bench-engine/5): every sym-stress row must
 # be digest-equal sym-on vs sym-off, the ownership checker must agree,

@@ -790,6 +790,119 @@ let test_check_many_parity () =
         (digest_behaviors v2.Vrm.Refinement.rm))
     direct many
 
+(* ---- state keys and witness replay ------------------------------ *)
+
+(* Continuation keys are a function of the instruction list alone: over
+   every pair of suffixes of two random code blocks, the keys agree
+   exactly when the lists are structurally equal; walking a
+   continuation's tails meets the keys of the list's suffixes; and a
+   continuation built by entering a block ([prepend]) keys like the
+   flat list. Small seeds make equal suffixes common. *)
+let qcheck_cont_keys =
+  QCheck.Test.make ~count:200 ~name:"continuation keys equal iff code equal"
+    QCheck.(triple (int_bound 40) (int_bound 40) bool)
+    (fun (s1, s2, loops) ->
+      let code s = Dsl_gen.gen_code (Dsl_gen.Rng.create s) ~loops 1 in
+      let a = code s1 and b = code s2 in
+      let rec suffixes = function
+        | [] -> [ [] ]
+        | _ :: t as l -> l :: suffixes t
+      in
+      let key l = Cont.key (Cont.of_list l) in
+      let rec tails_agree k l =
+        Statekey.equal (Cont.key k) (key l)
+        &&
+        match (k, l) with
+        | Cont.Cons { instr; rest; _ }, i :: l ->
+            Instr.equal instr i && tails_agree rest l
+        | Cont.Nil, [] -> true
+        | _ -> false
+      in
+      List.for_all
+        (fun x ->
+          List.for_all
+            (fun y ->
+              Statekey.equal (key x) (key y) = List.equal Instr.equal x y)
+            (suffixes b))
+        (suffixes a)
+      && tails_agree (Cont.of_list a) a
+      && List.for_all
+           (fun k ->
+             let pre = List.filteri (fun i _ -> i < k) a
+             and post = List.filteri (fun i _ -> i >= k) a in
+             tails_agree (Cont.prepend pre (Cont.of_list post)) a)
+           (List.init (List.length a + 1) Fun.id))
+
+(* The memory key a Promising state keeps on append equals the key
+   folded from scratch over the message list, at every step of a random
+   append sequence, and distinct memories along the way never share a
+   key. *)
+let qcheck_mem_key =
+  QCheck.Test.make ~count:200
+    ~name:"incremental memory key = key folded from scratch"
+    QCheck.(
+      list_of_size Gen.(0 -- 12)
+        (quad (int_bound 1) (int_bound 2) (int_bound 3) (int_bound 2)))
+    (fun appends ->
+      let init =
+        [ { Promising.mloc = Loc.v "x"; mval = 0; ts = 0; wtid = -1 } ]
+      in
+      let _, _, ok, keys =
+        List.fold_left
+          (fun (mem, k, ok, keys) (b, idx, v, w) ->
+            let m =
+              { Promising.mloc = Loc.v ~index:idx (if b = 0 then "x" else "y");
+                mval = v;
+                ts = List.length mem;
+                wtid = w }
+            in
+            let mem = m :: mem and k = Promising.mem_key_add k m in
+            (mem, k, ok && Statekey.equal k (Promising.mem_key mem), k :: keys))
+          (init, Promising.mem_key init, true, [ Promising.mem_key init ])
+          appends
+      in
+      ok
+      && List.length (List.sort_uniq Statekey.compare keys)
+         = List.length keys)
+
+(* Witness text is rendered after the search by replaying each recorded
+   footprint path. Over the litmus suite, the paper examples and the
+   kernel, buggy and symmetry corpora, [run_full] visits exactly the
+   states [run_stats] does (witness bookkeeping changes nothing about
+   the search), and the rendered schedules hash to the digest captured
+   when witness text was still formatted on every transition. *)
+let witness_golden = "8f60ba735f7a62aa19ad2fa82d7b4fbb"
+
+let test_witness_parity () =
+  let programs =
+    List.map
+      (fun (t : Litmus.t) -> (t.Litmus.prog, t.Litmus.rm_config))
+      (Paper_examples.all @ Litmus_suite.all)
+    @ List.map
+        (fun (e : Sekvm.Kernel_progs.entry) ->
+          (e.Sekvm.Kernel_progs.prog, Some e.Sekvm.Kernel_progs.rm_config))
+        Sekvm.Kernel_progs.(corpus @ buggy_corpus @ sym_corpus)
+  in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun ((prog : Prog.t), config) ->
+      let _, w, (full : Engine.stats) = Promising.run_full ?config prog in
+      let _, (plain : Engine.stats) = Promising.run_stats ?config prog in
+      Alcotest.(check int)
+        (prog.Prog.name ^ " visited: run_full = run_stats")
+        plain.Engine.visited full.Engine.visited;
+      Buffer.add_string buf prog.Prog.name;
+      List.iter
+        (fun (o, steps) ->
+          Buffer.add_string buf
+            (Format.asprintf "\n%a\n%a" Behavior.pp_outcome o
+               Promising.pp_schedule steps))
+        (List.sort (fun (a, _) (b, _) -> Behavior.compare_outcome a b) w);
+      Buffer.add_char buf '\n')
+    programs;
+  Alcotest.(check string) "witness schedules digest" witness_golden
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "engine"
     [ ( "parity",
@@ -837,4 +950,13 @@ let () =
             test_seen_set_stats ] );
       ( "stats",
         [ Alcotest.test_case "exploration statistics sane" `Quick
-            test_stats_sanity ] ) ]
+            test_stats_sanity ] );
+      ( "state-keys",
+        [ QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 15 |])
+            qcheck_cont_keys;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 15 |])
+            qcheck_mem_key;
+          Alcotest.test_case "witness text and visited counts unchanged"
+            `Slow test_witness_parity ] ) ]

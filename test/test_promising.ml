@@ -240,6 +240,43 @@ let gen_prog =
         [ t1; t2 ])
     (gen_thread 1) (gen_thread 2)
 
+(* A store that fulfils a promise is described with the value of the
+   message it fulfils. Here CPU 2 can read x = 2 before CPU 1 reads y
+   only if CPU 1 promised x := 1 and then x := 2: its first store then
+   fulfils the older promise while the newer one, on the same location,
+   is still outstanding. *)
+let test_fulfil_description () =
+  let prog =
+    Prog.make ~name:"two-promises"
+      ~observables:[ obs_r 1 "r0"; obs_r 2 "r1" ]
+      [ Prog.thread 1
+          [ Instr.load (Reg.v "r0") (Expr.at "y");
+            Instr.store (Expr.at "x") (Expr.c 1);
+            Instr.store (Expr.at "x") (Expr.c 2) ];
+        Prog.thread 2
+          [ Instr.load (Reg.v "r1") (Expr.at "x");
+            Instr.store (Expr.at "y") (Expr.r (Reg.v "r1")) ] ]
+  in
+  let _, ws = Promising.run_with_witnesses ~config:(cfg ~mp:2 ()) prog in
+  let relaxed = Behavior.outcome [ (obs_r 1 "r0", 2); (obs_r 2 "r1", 2) ] in
+  match List.assoc_opt relaxed ws with
+  | None -> Alcotest.fail "outcome r0 = r1 = 2 missing"
+  | Some steps ->
+      let cpu1 =
+        List.filter_map
+          (fun s ->
+            if s.Promising.s_tid = 1 then Some s.Promising.s_what else None)
+          steps
+      in
+      Alcotest.(check (list string))
+        "CPU 1 promises both stores, then fulfils them in order"
+        [ "promises [x] := 1";
+          "promises [x] := 2";
+          "r0 := [y]  (reads 2)";
+          "[x] := 1  (fulfils an earlier promise)";
+          "[x] := 2  (fulfils an earlier promise)" ]
+        cpu1
+
 let qcheck_sc_subset_of_rm =
   QCheck.Test.make ~name:"SC behaviors are Promising behaviors" ~count:60
     (QCheck.make gen_prog)
@@ -275,4 +312,7 @@ let () =
             test_data_dependency_orders_store;
           Alcotest.test_case "release not promotable" `Quick
             test_release_not_promotable_past_earlier_store ] );
+      ( "witness-text",
+        [ Alcotest.test_case "fulfil shows the fulfilled value" `Quick
+            test_fulfil_description ] );
       ("qcheck", [ QCheck_alcotest.to_alcotest qcheck_sc_subset_of_rm ]) ]
