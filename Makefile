@@ -1,4 +1,4 @@
-.PHONY: all build test litmus examples smoke lint fuzz bmc check bench \
+.PHONY: all build test litmus examples smoke lint fuzz sym-wide bmc check bench \
 	bench-smoke service-smoke bench-serve bench-serve-smoke clean
 
 all: build
@@ -36,6 +36,14 @@ lint:
 fuzz:
 	VRM_FUZZ_SEEDS=10000 dune exec test/test_fuzz.exe
 
+# Wide thread-symmetry check, outside the test suite: one reversed
+# declaration order of sym-stress-4 against the original, Promising
+# under its default config (~1.8M states per run, about a minute on a
+# 2-vCPU VM). Exits non-zero if digests or the canonical quotient
+# differ, or a run hits its state budget.
+sym-wide:
+	VRM_SYM_WIDE=1 dune exec test/test_engine.exe
+
 # Cross-validate the SAT-based BMC backend against the explicit-state
 # engines: digest equality on every litmus-suite entry, both memory
 # models. Exits non-zero on any divergence.
@@ -43,7 +51,7 @@ bmc:
 	dune exec bin/vrm_cli.exe -- litmus --suite --backend=both
 
 # The tier-1 gate: what CI runs. (CI additionally runs bench-smoke,
-# service-smoke and fuzz in their own jobs.)
+# service-smoke, fuzz and sym-wide in their own jobs.)
 check: build test examples litmus smoke lint bmc
 
 bench:

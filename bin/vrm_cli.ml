@@ -1300,8 +1300,6 @@ let bench_serve_cmd =
                 ("stores", Cache.Json.Int c.Service.Scheduler.cache_stats.Cache.Store.stores);
                 ("corrupt", Cache.Json.Int c.Service.Scheduler.cache_stats.Cache.Store.corrupt) ] );
           ("coalesced", Cache.Json.Int c.Service.Scheduler.coalesced);
-          ("batches", Cache.Json.Int c.Service.Scheduler.batches);
-          ("batched", Cache.Json.Int c.Service.Scheduler.batched);
           ("digest_parity", Cache.Json.Bool (!parity_failures = 0));
           ("parity_checked", Cache.Json.Int (List.length parity_jobs));
           ( "warm_path",

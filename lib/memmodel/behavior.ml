@@ -30,6 +30,16 @@ let pp_outcome fmt o =
     | Panicked -> " PANIC"
     | Fuel_exhausted -> " FUEL")
 
+let observe (prog : Prog.t) ~reg ~loc status =
+  outcome ~status
+    (List.map
+       (fun obs ->
+         ( obs,
+           match obs with
+           | Prog.Obs_reg (tid, r) -> reg (Prog.thread_index prog tid) r
+           | Prog.Obs_loc l -> loc l ))
+       prog.Prog.observables)
+
 module Outcome_set = Set.Make (struct
   type t = outcome
 

@@ -16,6 +16,13 @@ type outcome = {
 val outcome : ?status:status -> (Prog.observable * int) list -> outcome
 (** Canonicalizes the value vector (sorted by observable). *)
 
+val observe :
+  Prog.t -> reg:(int -> Reg.t -> int) -> loc:(Loc.t -> int) -> status ->
+  outcome
+(** The outcome of a state: [reg idx r] reads register [r] of the thread
+    at index [idx] ({!Prog.thread_index}), [loc l] the final value of
+    location [l]. Shared by every executor's terminal and emit steps. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit
 val equal_outcome : outcome -> outcome -> bool
 val compare_outcome : outcome -> outcome -> int

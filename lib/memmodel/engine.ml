@@ -121,26 +121,23 @@ type ('state, 'label) expansion =
 module type MODEL = sig
   type ctx
   type state
-  type label
 
+  val sym : ctx -> Symmetry.t option
   val key : ctx -> state -> Statekey.t
-  val independent : (ctx -> label -> label -> bool) option
-  val ample : (ctx -> label -> bool) option
-  val sleepable : ctx -> label -> bool
-  val expand : ctx -> labels:bool -> state -> (state, label) expansion
+  val expand : ctx -> labels:bool -> state -> (state, Porlabel.t) expansion
 end
 
 module Make (M : MODEL) = struct
   type result = {
     behaviors : Behavior.t;
-    witnesses : (Behavior.outcome * M.label list) list;
+    witnesses : (Behavior.outcome * Porlabel.t list) list;
     stats : stats;
   }
 
   (* Mutable accumulator of one search (one domain's worth of work). *)
   type acc = {
     mutable behaviors : Behavior.t;
-    wits : (Behavior.outcome, M.label list) Hashtbl.t;
+    wits : (Behavior.outcome, Porlabel.t list) Hashtbl.t;
     mutable visited : int;
     mutable dedup : int;
     mutable trans : int;
@@ -180,8 +177,7 @@ module Make (M : MODEL) = struct
   (* A sleep set is the list of labels whose transitions need not be
      explored from a state because an equivalent interleaving is covered
      through an already-explored sibling. Labels identify transitions
-     structurally (polymorphic equality); the POR-enabled models keep
-     them small (tid + access kind). *)
+     structurally (polymorphic equality on {!Porlabel} footprints). *)
 
   let mem_lbl l zs = List.exists (fun z -> z = l) zs
   let subset a b = List.for_all (fun x -> mem_lbl x b) a
@@ -195,107 +191,105 @@ module Make (M : MODEL) = struct
      intersection (written back first), which shrinks monotonically, so
      re-exploration terminates. Without POR the stored sleep set is
      always [[]] and every revisit deduplicates, exactly as before. *)
-  type seen_v = int * M.label list
+  type seen_v = int * Porlabel.t list
 
   let dummy_seen : seen_v = (0, [])
 
+  (* May a label enter a sleep set? Not a symmetric thread's: a sleep
+     set is history, and under orbit canonicalization a revisit may
+     arrive with its grouped threads permuted, where a literal label
+     comparison against stored history would be wrong. Keeping only
+     permutation-invariant labels makes the subset/intersection checks
+     at dedup exact. Filtering is always sound — a smaller sleep set
+     only means less pruning. *)
+  let sleepable sym (l : Porlabel.t) =
+    match sym with
+    | None -> true
+    | Some s -> not (Symmetry.grouped s l.Porlabel.tid)
+
   (* Expand one state and dispatch its successors through [child]
      (direct recursion when sequential, deque pushes when parallel).
-     Without an [independent] oracle the transition sequence stays lazy:
-     the engine forces the next transition only after [child] returns,
-     preserving the exception-surfacing and budget-laziness contract.
-     With an oracle the steps are materialized (the POR models enumerate
-     transitions cheaply and totally) so sibling labels can feed sleep
-     sets; [Emit]s are always recorded, never pruned. *)
-  let expand_state ~ctx ~witnesses ~labels ~oracle ~ample acc st path depth
+     Without POR the transition sequence stays lazy: the engine forces
+     the next transition only after [child] returns, preserving the
+     exception-surfacing and budget-laziness contract. Under POR the
+     steps are materialized (the models enumerate transitions cheaply
+     and totally) so sibling labels can feed sleep sets; [Emit]s are
+     always recorded, never pruned. *)
+  let expand_state ~ctx ~witnesses ~labels ~por ~sym acc st path depth
       sleep ~child =
     match M.expand ctx ~labels st with
     | Terminal (Some o) -> record acc ~witnesses o path
     | Terminal None -> ()
-    | Steps steps -> (
-        match oracle with
-        | None ->
-            Seq.iter
-              (fun s ->
-                acc.trans <- acc.trans + 1;
-                match s with
-                | Emit o -> record acc ~witnesses o path
-                | Step (lbl, st') ->
-                    child st'
-                      (if witnesses then lbl :: path else path)
-                      (depth + 1) [])
-              steps
-        | Some indep -> (
-            let items = List.of_seq steps in
-            List.iter
-              (function
-                | Emit o ->
-                    acc.trans <- acc.trans + 1;
-                    record acc ~witnesses o path
-                | Step _ -> ())
-              items;
-            let steps =
-              List.filter_map
-                (function Step (l, s) -> Some (l, s) | Emit _ -> None)
-                items
-            in
-            (* Singleton-ample reduction: an [ample] transition is
-               invisible, its thread's unique transition, and commutes
-               with every other thread's — so exploring it alone covers
-               every interleaving of the siblings (see the interface for
-               the soundness argument). *)
-            let amp =
-              match ample with
-              | Some ok ->
-                  List.find_opt
-                    (fun (l, _) -> ok ctx l && not (mem_lbl l sleep))
-                    steps
-              | None -> None
-            in
-            match amp with
-            | Some (l, st') ->
-                acc.trans <- acc.trans + 1;
-                acc.pruned <- acc.pruned + (List.length steps - 1);
+    | Steps steps when not por ->
+        Seq.iter
+          (fun s ->
+            acc.trans <- acc.trans + 1;
+            match s with
+            | Emit o -> record acc ~witnesses o path
+            | Step (lbl, st') ->
                 child st'
-                  (if witnesses then l :: path else path)
-                  (depth + 1)
-                  (List.filter (fun z -> indep ctx z l) sleep)
-            | None ->
-                (* Sleep-set exploration: sibling [i]'s subtree may skip
-                   any earlier sibling [j < i] independent of [i] — the
-                   [j]-then-[i] interleavings are covered inside [j]'s
-                   subtree, which explored [i] (not sleeping there). *)
-                let sleeping = ref sleep in
-                List.iter
-                  (fun (l, st') ->
-                    if mem_lbl l !sleeping then
-                      acc.pruned <- acc.pruned + 1
-                    else begin
-                      acc.trans <- acc.trans + 1;
-                      let child_sleep =
-                        List.filter (fun z -> indep ctx z l) !sleeping
-                      in
-                      child st'
-                        (if witnesses then l :: path else path)
-                        (depth + 1) child_sleep;
-                      (* Labels of symmetric threads never enter sleep
-                         sets: a sleep set is history, and under orbit
-                         canonicalization a revisit may arrive with its
-                         grouped threads permuted, where a literal label
-                         comparison against stored history would be
-                         wrong. Keeping only permutation-invariant
-                         labels makes the subset/intersection checks at
-                         dedup exact; see {!MODEL.sleepable}. *)
-                      if M.sleepable ctx l then sleeping := l :: !sleeping
-                    end)
-                  steps))
+                  (if witnesses then lbl :: path else path)
+                  (depth + 1) [])
+          steps
+    | Steps steps ->
+        let items = List.of_seq steps in
+        List.iter
+          (function
+            | Emit o ->
+                acc.trans <- acc.trans + 1;
+                record acc ~witnesses o path
+            | Step _ -> ())
+          items;
+        let steps =
+          List.filter_map
+            (function Step (l, s) -> Some (l, s) | Emit _ -> None)
+            items
+        in
+        (* Singleton-ample reduction: an [ample] transition is
+           invisible, its thread's unique transition, and commutes
+           with every other thread's — so exploring it alone covers
+           every interleaving of the siblings (see the interface for
+           the soundness argument). *)
+        let amp =
+          List.find_opt
+            (fun (l, _) -> Porlabel.ample l && not (mem_lbl l sleep))
+            steps
+        in
+        match amp with
+        | Some (l, st') ->
+            acc.trans <- acc.trans + 1;
+            acc.pruned <- acc.pruned + (List.length steps - 1);
+            child st'
+              (if witnesses then l :: path else path)
+              (depth + 1)
+              (List.filter (fun z -> Porlabel.independent z l) sleep)
+        | None ->
+            (* Sleep-set exploration: sibling [i]'s subtree may skip
+               any earlier sibling [j < i] independent of [i] — the
+               [j]-then-[i] interleavings are covered inside [j]'s
+               subtree, which explored [i] (not sleeping there). *)
+            let sleeping = ref sleep in
+            List.iter
+              (fun (l, st') ->
+                if mem_lbl l !sleeping then
+                  acc.pruned <- acc.pruned + 1
+                else begin
+                  acc.trans <- acc.trans + 1;
+                  let child_sleep =
+                    List.filter (fun z -> Porlabel.independent z l) !sleeping
+                  in
+                  child st'
+                    (if witnesses then l :: path else path)
+                    (depth + 1) child_sleep;
+                  if sleepable sym l then sleeping := l :: !sleeping
+                end)
+              steps
 
   (* Depth-first search from each root, with a private seen-set. Roots
      carry the (reversed) label path and depth that led to them, so a
      parallel bucket reports witnesses with their full schedule. *)
-  let dfs ~ctx ~witnesses ~max_states ~deadline ~oracle ~ample ~seen acc
-      roots =
-    let labels = witnesses || Option.is_some oracle in
+  let dfs ~ctx ~witnesses ~max_states ~deadline ~por ~sym ~seen acc roots =
+    let labels = witnesses || por in
     let check_deadline () =
       match deadline with
       | Some d when Unix.gettimeofday () > d ->
@@ -307,17 +301,15 @@ module Make (M : MODEL) = struct
       let key = M.key ctx st in
       match Statekey.Table.find_or_add seen key (0, sleep) with
       | `Found (_, old_sleep) ->
-          if
-            (match oracle with None -> true | Some _ -> false)
-            || subset old_sleep sleep
-          then acc.dedup <- acc.dedup + 1
+          if (not por) || subset old_sleep sleep then
+            acc.dedup <- acc.dedup + 1
           else begin
             (* weaker sleep set: re-explore under the intersection *)
             let z = inter old_sleep sleep in
             Statekey.Table.update seen key (0, z);
             check_deadline ();
-            expand_state ~ctx ~witnesses ~labels ~oracle ~ample acc st path
-              depth z ~child:go
+            expand_state ~ctx ~witnesses ~labels ~por ~sym acc st path depth
+              z ~child:go
           end
       | `Added ->
           acc.visited <- acc.visited + 1;
@@ -328,8 +320,8 @@ module Make (M : MODEL) = struct
               raise Budget
           | _ -> ());
           check_deadline ();
-          expand_state ~ctx ~witnesses ~labels ~oracle ~ample acc st path
-            depth sleep ~child:go
+          expand_state ~ctx ~witnesses ~labels ~por ~sym acc st path depth
+            sleep ~child:go
     in
     try List.iter (fun (st, path, depth) -> go st path depth []) roots
     with Budget -> ()
@@ -385,9 +377,9 @@ module Make (M : MODEL) = struct
 
   type frame = {
     f_st : M.state;
-    f_path : M.label list;
+    f_path : Porlabel.t list;
     f_depth : int;
-    f_sleep : M.label list;
+    f_sleep : Porlabel.t list;
   }
 
   (* Per-domain deque: the owner pushes/pops at the back (LIFO keeps the
@@ -447,9 +439,9 @@ module Make (M : MODEL) = struct
   let nshards = 64
   let default_task_cut = 8
 
-  let explore_tasks ~max_states ~deadline ~witnesses ~jobs ~task_cut ~oracle
-      ~ample ~ctx init t0 =
-    let labels = witnesses || Option.is_some oracle in
+  let explore_tasks ~max_states ~deadline ~witnesses ~jobs ~task_cut ~por
+      ~sym ~ctx init t0 =
+    let labels = witnesses || por in
     let cut = max 1 task_cut in
     (* Striped shared seen-set: shard selected by high key bits (the
        tables themselves probe on low bits). *)
@@ -497,10 +489,7 @@ module Make (M : MODEL) = struct
             match Statekey.Table.find_or_add tbl key (me, fr.f_sleep) with
             | `Added -> `Fresh
             | `Found (owner, old_sleep) ->
-                if
-                  (match oracle with None -> true | Some _ -> false)
-                  || subset old_sleep fr.f_sleep
-                then `Dup owner
+                if (not por) || subset old_sleep fr.f_sleep then `Dup owner
                 else begin
                   let z = inter old_sleep fr.f_sleep in
                   Statekey.Table.update tbl key (me, z);
@@ -541,8 +530,8 @@ module Make (M : MODEL) = struct
                 | _ -> true
               in
               if proceed then
-                expand_state ~ctx ~witnesses ~labels ~oracle ~ample acc
-                  fr.f_st fr.f_path fr.f_depth sleep
+                expand_state ~ctx ~witnesses ~labels ~por ~sym acc fr.f_st
+                  fr.f_path fr.f_depth sleep
                   ~child:(fun st' path' depth' sleep' ->
                     let fr' =
                       { f_st = st';
@@ -646,28 +635,37 @@ module Make (M : MODEL) = struct
   let explore ?max_states ?deadline ?(witnesses = false) ?(por = true)
       ?(task_cut = default_task_cut) ?(jobs = 1) ~ctx init =
     let t0 = Unix.gettimeofday () in
-    let oracle = if por then M.independent else None in
-    let ample = if por then M.ample else None in
-    if jobs <= 1 then begin
-      let acc = new_acc () in
-      let seen : seen_v Statekey.Table.t =
-        Statekey.Table.create ~dummy:dummy_seen ()
-      in
-      let mw0 = Gc.minor_words () in
-      dfs ~ctx ~witnesses ~max_states ~deadline ~oracle ~ample ~seen acc
-        [ (init, [], 0) ];
-      acc.mwords <- int_of_float (Gc.minor_words () -. mw0);
-      let res = finish ~t0 ~jobs:1 [ acc ] in
-      let len = Statekey.Table.length seen in
-      { res with
-        stats =
-          { res.stats with
-            seen_stripes = (if len > 0 then 1 else 0);
-            stripe_occupancy = len } }
-    end
-    else
-      explore_tasks ~max_states ~deadline ~witnesses ~jobs ~task_cut ~oracle
-        ~ample ~ctx init t0
+    let sym = M.sym ctx in
+    let res =
+      if jobs <= 1 then begin
+        let acc = new_acc () in
+        let seen : seen_v Statekey.Table.t =
+          Statekey.Table.create ~dummy:dummy_seen ()
+        in
+        let mw0 = Gc.minor_words () in
+        dfs ~ctx ~witnesses ~max_states ~deadline ~por ~sym ~seen acc
+          [ (init, [], 0) ];
+        acc.mwords <- int_of_float (Gc.minor_words () -. mw0);
+        let res = finish ~t0 ~jobs:1 [ acc ] in
+        let len = Statekey.Table.length seen in
+        { res with
+          stats =
+            { res.stats with
+              seen_stripes = (if len > 0 then 1 else 0);
+              stripe_occupancy = len } }
+      end
+      else
+        explore_tasks ~max_states ~deadline ~witnesses ~jobs ~task_cut ~por
+          ~sym ~ctx init t0
+    in
+    match sym with
+    | None -> res
+    | Some s ->
+        { res with
+          stats =
+            { res.stats with
+              sym_groups = Symmetry.n_groups s;
+              sym_collapsed = Symmetry.collapsed s } }
 end
 
 let enumerate_paths (type s l) ~(expand : s -> (s, l) expansion)

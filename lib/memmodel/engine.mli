@@ -18,9 +18,9 @@
     {!Pushpull.check}'s ownership violations) surface at exactly the same
     point of the search as in a hand-rolled nested loop, and expensive
     transition enumeration (promise certification) is never done for
-    subtrees cut off by a budget. (When a model provides a POR oracle the
-    expansion is materialized eagerly instead — the POR-enabled models
-    enumerate transitions cheaply and never raise from the sequence.)
+    subtrees cut off by a budget. (Under POR the expansion is
+    materialized eagerly instead — the models enumerate transitions
+    cheaply and never raise from the sequence.)
 
     {2 State interning}
 
@@ -31,9 +31,10 @@
 
     {2 Partial-order reduction}
 
-    A model may provide an [independent] commutativity oracle on
-    transition labels (and optionally an [ample] invisibility predicate).
-    The engine then applies two sound reductions:
+    Every model labels its transitions with {!Porlabel} footprints, and
+    the engine owns the reduction: when [por] is on it consults
+    {!Porlabel.independent} and {!Porlabel.ample} directly and applies
+    two sound reductions:
 
     - {e Sleep sets} (Godefroid): after exploring sibling [t{_i}], later
       siblings' subtrees need not re-explore [t{_i}] at the next state
@@ -60,9 +61,8 @@
       This is what makes POR visit {e strictly fewer states}, not just
       fewer transitions.
 
-    [Emit] steps are always recorded and never pruned. All four models
-    supply a {!Porlabel} footprint oracle; a model can still opt out
-    with [independent = None] to keep exact search.
+    [Emit] steps are always recorded and never pruned. [~por:false]
+    keeps exact search.
 
     {2 Symmetry reduction}
 
@@ -70,16 +70,16 @@
     thread-symmetry ({!Symmetry}): states that differ only by a
     permutation of interchangeable threads intern to one seen-set
     entry, quotienting the search by up to N! on N symmetric threads.
-    The engine itself only sees the canonical keys — the quotient falls
-    out of ordinary memoization — plus one composition rule:
-    {!MODEL.sleepable} keeps the labels of symmetric threads out of
-    sleep sets, because sleep sets are history and a revisit may arrive
-    with its symmetric threads permuted, where literal label comparison
-    against stored history would be wrong. Ungrouped threads keep full
-    sleep-set pruning, and singleton-ample reduction (history-free,
+    A model exposes its context's symmetry structure through
+    {!MODEL.sym}; the quotient itself falls out of ordinary memoization
+    on the canonical keys, and the engine adds one composition rule: it
+    keeps the labels of grouped threads out of sleep sets, because
+    sleep sets are history and a revisit may arrive with its symmetric
+    threads permuted, where literal label comparison against stored
+    history would be wrong. Ungrouped threads keep full sleep-set
+    pruning, and singleton-ample reduction (history-free,
     permutation-equivariant) still applies to symmetric threads. The
-    [sym_groups]/[sym_collapsed] statistics are filled in by the model
-    wrappers ({!Sc.run_stats} etc.), not by the engine.
+    engine also fills the [sym_groups]/[sym_collapsed] statistics.
 
     {2 Parallel search: the frontier scheduler}
 
@@ -138,7 +138,7 @@ type stats = {
   outcomes : int;  (** distinct outcomes recorded *)
   por_pruned : int;
       (** transitions skipped by partial-order reduction (sleeping
-          siblings + ample-pruned siblings); 0 without an oracle *)
+          siblings + ample-pruned siblings); 0 with [por] off *)
   tasks_spawned : int;
       (** subtree tasks published to the shared deque pool at depth
           cuts (parallel mode only; 0 when sequential) *)
@@ -194,7 +194,7 @@ val pp_stats : Format.formatter -> stats -> unit
 type ('state, 'label) step =
   | Step of 'label * 'state
       (** successor state; the label (the transition's footprint: the
-          currency of the POR oracles, and the entries of a witness
+          currency of partial-order reduction, and the entries of a witness
           path) is only retained when witnesses or POR need it *)
   | Emit of Behavior.outcome
       (** the path ends here with an outcome — fuel exhaustion and panics
@@ -206,7 +206,7 @@ type ('state, 'label) expansion =
           the path (dead states, strict-certification pruning) *)
   | Steps of ('state, 'label) step Seq.t
       (** lazy outgoing transitions, forced one at a time in order
-          (materialized eagerly only under a POR oracle) *)
+          (materialized eagerly only under POR) *)
 
 module type MODEL = sig
   type ctx
@@ -215,62 +215,41 @@ module type MODEL = sig
 
   type state
 
-  type label
-  (** POR currency and witness-path entry (every model uses a
-      {!Porlabel} footprint; {!Promising} renders its witness paths as
-      {!Promising.step}s after the search). *)
+  val sym : ctx -> Symmetry.t option
+  (** The context's thread-symmetry structure, or [None] when symmetry
+      is off or no two threads are interchangeable. The engine keeps
+      grouped threads' labels out of sleep sets and reports the
+      structure's [sym_groups]/[sym_collapsed] statistics; the model
+      keys states orbit-canonically under it in {!key}. *)
 
   val key : ctx -> state -> Statekey.t
   (** Canonical memoization key: two states with the same key must have
       the same reachable outcome sets. Fold every semantically relevant
-      state component into the hash ({!Statekey.fresh}/[finish]). The
-      context carries the per-program {!Symmetry} structure (when
-      enabled), under which the model hashes symmetric threads in
+      state component into the hash ({!Statekey.fresh}/[finish]). Under
+      [sym ctx = Some s] the model hashes symmetric threads in
       orbit-canonical order — permuted states then share a key, which
       is sound because permuting interchangeable threads preserves
       reachable outcome sets. *)
 
-  val independent : (ctx -> label -> label -> bool) option
-  (** Commutativity oracle enabling partial-order reduction. When
-      [independent ctx a b] holds, the two transitions must commute from
-      any state enabling both: neither disables the other, both
-      execution orders reach the same state, and neither order changes
-      the other's effect. [None] keeps exact search. Labels must
-      uniquely identify a transition among the enabled set of any state
-      they can both be pending at (the engine compares them with
-      structural equality). *)
-
-  val ample : (ctx -> label -> bool) option
-  (** Invisibility predicate for singleton-ample reduction. A label may
-      be ample only if its transition (a) is the issuing thread's unique
-      enabled transition, (b) is independent of every other thread's
-      transitions, and (c) leaves every observation unchanged — memory,
-      store buffers and observable registers untouched — so pruned
-      sibling orders produce identical mid-path [Emit] outcomes. Only
-      consulted when [independent] is also provided. *)
-
-  val sleepable : ctx -> label -> bool
-  (** May this label be remembered in sleep sets? Models return [false]
-      for labels of symmetry-grouped threads (see the symmetry section
-      above): under orbit-canonical keys a revisit can arrive with those
-      threads permuted, and a stored sleep set mentioning them would be
-      compared against the wrong concrete labels. Filtering is always
-      sound — a smaller sleep set only means less pruning — and models
-      without symmetry return [true] unconditionally. *)
-
-  val expand : ctx -> labels:bool -> state -> (state, label) expansion
-  (** Outgoing structure of a state. When [labels] is false the model may
-      put placeholder labels in [Step]s (they are dropped); this keeps
-      witness bookkeeping off the hot path. The engine passes
-      [labels:true] whenever witnesses are requested or a POR oracle is
-      active. Must be pure up to the exceptions it deliberately lets
-      escape. *)
+  val expand :
+    ctx -> labels:bool -> state -> (state, Porlabel.t) expansion
+  (** Outgoing structure of a state. Each [Step] carries its transition's
+      {!Porlabel} footprint, which must meet the obligations listed
+      there: in particular, labels uniquely identify a transition among
+      the enabled set of any state they can both be pending at (the
+      engine compares them with structural equality), and a label may
+      claim [silent] only for an invisible, thread-unique transition.
+      When [labels] is false the model may put placeholder labels in
+      [Step]s (they are dropped); this keeps witness bookkeeping off the
+      hot path. The engine passes [labels:true] whenever witnesses are
+      requested or POR is on. Must be pure up to the exceptions it
+      deliberately lets escape. *)
 end
 
 module Make (M : MODEL) : sig
   type result = {
     behaviors : Behavior.t;
-    witnesses : (Behavior.outcome * M.label list) list;
+    witnesses : (Behavior.outcome * Porlabel.t list) list;
         (** for each outcome, the first schedule that produced it (empty
             unless [witnesses:true]) *)
     stats : stats;
@@ -295,8 +274,8 @@ module Make (M : MODEL) : sig
       search stops at the next expanded state (in every domain) with
       [stats.budget_hit] set, which is how the verification service
       cancels jobs that outlive their per-job deadline. [por] (default
-      [true]) applies partial-order reduction when the model provides an
-      oracle; the behavior set is identical either way. [task_cut]
+      [true]) applies partial-order reduction; the behavior set is
+      identical either way. [task_cut]
       (default 8) is the depth granularity at which subtrees are
       published as stealable tasks; ignored when [jobs <= 1], and any
       value yields the same behavior set. Exceptions raised by

@@ -1,6 +1,7 @@
-(** Transition footprints for partial-order reduction, shared by every
-    interleaving model that provides an [Engine.MODEL.independent]
-    oracle ({!Sc}, {!Tso}, {!Promising}, {!Pushpull}).
+(** Transition footprints for partial-order reduction: the label type of
+    {!Engine.MODEL.expand}, shared by every interleaving model ({!Sc},
+    {!Tso}, {!Promising}, {!Pushpull}). The engine consults
+    {!independent} and {!ample} itself when POR is on.
 
     A label records one transition's footprint on shared and observable
     state. Two labels commute exactly when their footprints are disjoint

@@ -31,6 +31,21 @@ let n_threads t = List.length t.threads
 
 let find_thread t tid = List.find (fun th -> th.tid = tid) t.threads
 
+let thread_index t tid =
+  match List.find_index (fun th -> th.tid = tid) t.threads with
+  | Some i -> i
+  | None -> invalid_arg "Prog.thread_index: unknown tid"
+
+let observable_reg t idx r =
+  match List.nth_opt t.threads idx with
+  | Some th ->
+      List.exists
+        (function
+          | Obs_reg (tid, r') -> tid = th.tid && Reg.name r' = Reg.name r
+          | Obs_loc _ -> false)
+        t.observables
+  | None -> false
+
 let init_value t loc =
   match List.assoc_opt loc t.init with Some v -> v | None -> 0
 

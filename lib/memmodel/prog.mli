@@ -29,6 +29,15 @@ val make :
 
 val n_threads : t -> int
 val find_thread : t -> int -> thread
+
+val thread_index : t -> int -> int
+(** [thread_index p tid]: position in [p.threads] of the thread declared
+    as [tid] — the index the executors key their thread arrays by.
+    Raises [Invalid_argument] on an unknown tid. *)
+
+val observable_reg : t -> int -> Reg.t -> bool
+(** [observable_reg p idx r]: is register [r] of the thread at index
+    [idx] named by an [Obs_reg] observable? *)
 val init_value : t -> Loc.t -> int
 val known_locs : t -> Loc.t list
 

@@ -941,40 +941,16 @@ let initial_state cfg (prog : Prog.t) : state =
     tkeys = Array.make (Array.length threads) unkeyed }
 
 let observe (prog : Prog.t) (st : state) init_val status : Behavior.outcome =
-  let value = function
-    | Prog.Obs_reg (tid, r) ->
-        let idx =
-          match
-            List.find_index (fun th -> th.Prog.tid = tid) prog.Prog.threads
-          with
-          | Some i -> i
-          | None -> invalid_arg "observe: unknown tid"
-        in
-        fst (lookup_reg st.threads.(idx).regs r)
-    | Prog.Obs_loc l ->
-        (* value of the coherence-final message on l *)
-        let msgs =
-          List.filter (fun m -> Loc.equal m.mloc l) st.mem
-        in
-        List.fold_left
-          (fun (bts, bv) m -> if m.ts > bts then (m.ts, m.mval) else (bts, bv))
-          (0, init_val l) msgs
-        |> snd
-  in
-  Behavior.outcome ~status
-    (List.map (fun obs -> (obs, value obs)) prog.Prog.observables)
-
-(* is register [r] of thread index [idx] observable? *)
-let observable_reg (prog : Prog.t) idx r =
-  match List.nth_opt prog.Prog.threads idx with
-  | Some th ->
-      List.exists
-        (function
-          | Prog.Obs_reg (tid, r') ->
-              tid = th.Prog.tid && Reg.name r' = Reg.name r
-          | Prog.Obs_loc _ -> false)
-        prog.Prog.observables
-  | None -> false
+  Behavior.observe prog
+    ~reg:(fun i r -> fst (lookup_reg st.threads.(i).regs r))
+    ~loc:(fun l ->
+      (* value of the coherence-final message on l *)
+      let msgs = List.filter (fun m -> Loc.equal m.mloc l) st.mem in
+      List.fold_left
+        (fun (bts, bv) m -> if m.ts > bts then (m.ts, m.mval) else (bts, bv))
+        (0, init_val l) msgs
+      |> snd)
+    status
 
 (* The executor is an instance of the shared exploration engine. Per
    runnable thread, the expansion offers the architectural steps (several
@@ -1015,26 +991,18 @@ module Model = struct
 
   type nonrec state = state
 
-  (* The footprint alone: its [disc] fields keep the labels of one
-     thread's enabled transitions distinct (engine requirement), which
-     is also what lets {!render_witness} replay a recorded path. *)
-  type label = Porlabel.t
+  let sym ctx = ctx.sym
 
   let key ctx st =
     match ctx.sym with
     | None -> state_key st
     | Some s -> canonical_key s st
 
-  let independent = Some (fun _ctx a b -> Porlabel.independent a b)
-  let ample = Some (fun _ctx l -> Porlabel.ample l)
-
-  let sleepable ctx (l : label) =
-    match ctx.sym with
-    | None -> true
-    | Some s -> not (Symmetry.grouped s l.Porlabel.tid)
-
+  (* Labels are footprints alone: their [disc] fields keep the labels of
+     one thread's enabled transitions distinct (engine requirement),
+     which is also what lets {!render_witness} replay a recorded path. *)
   let expand { prog; cfg; cache; sym = _ } ~labels (st : state) :
-      (state, label) Engine.expansion =
+      (state, Porlabel.t) Engine.expansion =
     let init_val loc = Prog.init_value prog loc in
     let n = Array.length st.threads in
     let certified_everywhere =
@@ -1068,7 +1036,7 @@ module Model = struct
           let arch () =
             (match
                step_thread ~fp:labels ~silent_ok:(not may_promise)
-                 ~obs:(observable_reg prog i) st init_val i
+                 ~obs:(Prog.observable_reg prog i) st init_val i
              with
             | steps ->
                 List.to_seq steps
@@ -1190,20 +1158,12 @@ let por_for cfg por =
 (* Fold the context's certification counters into the engine's stats
    (the engine itself knows nothing about certification). *)
 let with_cert_stats (ctx : Model.ctx) (s : Engine.stats) : Engine.stats =
-  let s =
-    match ctx.Model.cache with
-    | None -> s
-    | Some c ->
-        { s with
-          Engine.cert_calls = Atomic.get c.cc_calls;
-          cert_hits = Atomic.get c.cc_hits }
-  in
-  match ctx.Model.sym with
+  match ctx.Model.cache with
   | None -> s
-  | Some sy ->
+  | Some c ->
       { s with
-        Engine.sym_groups = Symmetry.n_groups sy;
-        sym_collapsed = Symmetry.collapsed sy }
+        Engine.cert_calls = Atomic.get c.cc_calls;
+        cert_hits = Atomic.get c.cc_hits }
 
 (** [run_full ?config ?jobs prog] explores all Promising Arm executions
     of [prog] and returns the behavior set, the per-outcome witness

@@ -251,20 +251,9 @@ let step_thread ~tracked (st : state) (i : int) :
       with Expr.Eval_panic _ -> raise Thread_panic)
 
 let observe (prog : Prog.t) (st : state) status : Behavior.outcome =
-  let value = function
-    | Prog.Obs_reg (tid, r) ->
-        let idx =
-          match
-            List.find_index (fun th -> th.Prog.tid = tid) prog.Prog.threads
-          with
-          | Some i -> i
-          | None -> invalid_arg "observe: unknown tid"
-        in
-        lookup_reg st.threads.(idx).regs r
-    | Prog.Obs_loc l -> read_mem st.mem l
-  in
-  Behavior.outcome ~status
-    (List.map (fun obs -> (obs, value obs)) prog.Prog.observables)
+  Behavior.observe prog
+    ~reg:(fun i r -> lookup_reg st.threads.(i).regs r)
+    ~loc:(read_mem st.mem) status
 
 let hash_poison h (st : state) =
   match st.poison with
@@ -344,18 +333,6 @@ let initial_state ~fuel ~initial_owners (prog : Prog.t) : state =
   in
   { mem; owners = initial_owners; threads; poison = None }
 
-(* is register [r] of thread index [idx] observable? *)
-let observable_reg (prog : Prog.t) idx r =
-  match List.nth_opt prog.Prog.threads idx with
-  | Some th ->
-      List.exists
-        (function
-          | Prog.Obs_reg (tid, r') ->
-              tid = th.Prog.tid && Reg.name r' = Reg.name r
-          | Prog.Obs_loc _ -> false)
-        prog.Prog.observables
-  | None -> false
-
 (* POR footprint of thread [i]'s (unique, SC) next transition. Tracked
    accesses consult ownership ([obases]); pulls and pushes change it
    ([otransfer]), which is what makes them dependent on every access and
@@ -376,7 +353,7 @@ let label_of ~tracked (prog : Prog.t) (st : state) i (instr : Instr.t) :
         | tr ->
             { (Porlabel.empty ~tid:i) with obases = tr; otransfer = tr })
     | Instr.Move (r, _) ->
-        if observable_reg prog i r then Porlabel.private_ ~tid:i
+        if Prog.observable_reg prog i r then Porlabel.private_ ~tid:i
         else Porlabel.silent ~tid:i
     | Instr.Load (_, a, _) ->
         let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
@@ -417,25 +394,18 @@ module Model = struct
   }
 
   type nonrec state = state
-  type label = Porlabel.t
+
+  let sym ctx = ctx.sym
 
   let key ctx st =
     match ctx.sym with
     | None -> state_key st
     | Some s -> canonical_key s st
 
-  let independent = Some (fun _ctx a b -> Porlabel.independent a b)
-  let ample = Some (fun _ctx l -> Porlabel.ample l)
-
-  let sleepable ctx (l : Porlabel.t) =
-    match ctx.sym with
-    | None -> true
-    | Some s -> not (Symmetry.grouped s l.Porlabel.tid)
-
   let dummy i = Porlabel.silent ~tid:i
 
   let expand { prog; tracked; sym = _ } ~labels (st : state) :
-      (state, label) Engine.expansion =
+      (state, Porlabel.t) Engine.expansion =
     match st.poison with
     | Some v -> raise (Ownership v)
     | None -> (
@@ -472,15 +442,6 @@ end
 
 module E = Engine.Make (Model)
 
-(* patch the symmetry statistics (the engine itself never sees them) *)
-let with_sym_stats sym (stats : Engine.stats) =
-  match sym with
-  | None -> stats
-  | Some s ->
-      { stats with
-        Engine.sym_groups = Symmetry.n_groups s;
-        sym_collapsed = Symmetry.collapsed s }
-
 (** [check_stats ?fuel ?exempt ?initial_owners ?jobs ?por ?sym prog] —
     like {!check}, also returning exploration statistics. *)
 let check_stats ?(fuel = 64) ?(exempt = []) ?(initial_owners = [])
@@ -510,7 +471,7 @@ let check_stats ?(fuel = 64) ?(exempt = []) ?(initial_owners = [])
       ( (match Behavior.elements panics with
         | o :: _ -> Drf_kernel_panic o
         | [] -> Drf_ok ok),
-        with_sym_stats symmetry r.E.stats )
+        r.E.stats )
   | exception Ownership v -> (Drf_violation v, Engine.zero_stats)
 
 (** [check ?fuel ?exempt ?initial_owners ?jobs ?por ?sym prog] explores

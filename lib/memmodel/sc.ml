@@ -110,20 +110,9 @@ let step_thread (st : state) (i : int) : state option =
       with Expr.Eval_panic _ -> raise Thread_panic)
 
 let observe (prog : Prog.t) (st : state) status : Behavior.outcome =
-  let value = function
-    | Prog.Obs_reg (tid, r) ->
-        let idx =
-          match
-            List.find_index (fun th -> th.Prog.tid = tid) prog.Prog.threads
-          with
-          | Some i -> i
-          | None -> invalid_arg "observe: unknown tid"
-        in
-        lookup_reg st.threads.(idx).regs r
-    | Prog.Obs_loc l -> read_mem st.mem l
-  in
-  Behavior.outcome ~status
-    (List.map (fun obs -> (obs, value obs)) prog.Prog.observables)
+  Behavior.observe prog
+    ~reg:(fun i r -> lookup_reg st.threads.(i).regs r)
+    ~loc:(read_mem st.mem) status
 
 let initial_state ?(fuel = 64) (prog : Prog.t) : state =
   let mem =
@@ -185,17 +174,6 @@ let canonical_key sym (st : state) : Statekey.t =
   Symmetry.fold_threads sym h sub;
   Statekey.finish h
 
-(* is register [r] of thread index [idx] observable? *)
-let observable_reg (prog : Prog.t) idx r =
-  match List.nth_opt prog.Prog.threads idx with
-  | Some th ->
-      List.exists
-        (function
-          | Prog.Obs_reg (tid, r') -> tid = th.Prog.tid && Reg.name r' = Reg.name r
-          | Prog.Obs_loc _ -> false)
-        prog.Prog.observables
-  | None -> false
-
 (* POR footprint of thread [i]'s (unique) next transition. Under SC a
    thread has exactly one enabled transition, so any instruction that
    touches neither memory nor an observable register is silent
@@ -208,7 +186,7 @@ let label_of (prog : Prog.t) (st : state) i (instr : Instr.t) : Porlabel.t =
     | Instr.Barrier _ | Instr.If _ | Instr.While _ | Instr.Panic ->
         Porlabel.silent ~tid:i
     | Instr.Move (r, _) ->
-        if observable_reg prog i r then Porlabel.private_ ~tid:i
+        if Prog.observable_reg prog i r then Porlabel.private_ ~tid:i
         else Porlabel.silent ~tid:i
     | Instr.Load (_, a, _) ->
         let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
@@ -231,24 +209,18 @@ let label_of (prog : Prog.t) (st : state) i (instr : Instr.t) : Porlabel.t =
 module Model = struct
   type ctx = { prog : Prog.t; sym : Symmetry.t option }
   type nonrec state = state
-  type label = Porlabel.t
+
+  let sym ctx = ctx.sym
 
   let key ctx st =
     match ctx.sym with
     | None -> state_key st
     | Some s -> canonical_key s st
 
-  let independent = Some (fun _ctx a b -> Porlabel.independent a b)
-  let ample = Some (fun _ctx l -> Porlabel.ample l)
-
-  let sleepable ctx (l : Porlabel.t) =
-    match ctx.sym with
-    | None -> true
-    | Some s -> not (Symmetry.grouped s l.Porlabel.tid)
-
   let dummy i = Porlabel.silent ~tid:i
 
-  let expand ctx ~labels (st : state) : (state, label) Engine.expansion =
+  let expand ctx ~labels (st : state) :
+      (state, Porlabel.t) Engine.expansion =
     let prog = ctx.prog in
     let runnable = ref [] in
     Array.iteri
@@ -277,15 +249,6 @@ end
 
 module E = Engine.Make (Model)
 
-(* patch the symmetry statistics (the engine itself never sees them) *)
-let with_sym_stats sym (stats : Engine.stats) =
-  match sym with
-  | None -> stats
-  | Some s ->
-      { stats with
-        Engine.sym_groups = Symmetry.n_groups s;
-        sym_collapsed = Symmetry.collapsed s }
-
 (** [run_stats ?fuel ?jobs ?deadline ?por ?sym prog] explores all SC
     interleavings of [prog] and returns its behavior set with exploration
     statistics. [por] (default on) applies sleep-set/ample partial-order
@@ -293,10 +256,11 @@ let with_sym_stats sym (stats : Engine.stats) =
     symmetric thread groups — same behavior set either way. *)
 let run_stats ?(fuel = 64) ?(jobs = 1) ?deadline ?por ?(sym = true)
     (prog : Prog.t) : Behavior.t * Engine.stats =
-  let symmetry = if sym then Symmetry.detect prog else None in
-  let ctx = { Model.prog; sym = symmetry } in
+  let ctx =
+    { Model.prog; sym = (if sym then Symmetry.detect prog else None) }
+  in
   let r = E.explore ?deadline ?por ~jobs ~ctx (initial_state ~fuel prog) in
-  (r.E.behaviors, with_sym_stats symmetry r.E.stats)
+  (r.E.behaviors, r.E.stats)
 
 (** [run ?fuel ?jobs ?deadline prog] explores all SC interleavings of
     [prog] and returns its behavior set. *)

@@ -52,8 +52,8 @@
     (violations carry concrete thread ids). Interaction with sleep-set
     POR: sleep sets are history — a label pruned at the representative
     need not be pruned at a permuted arrival — so the engine keeps only
-    permutation-invariant labels (ungrouped threads') in sleep sets; see
-    {!Engine.MODEL.sleepable}. *)
+    permutation-invariant labels (ungrouped threads') in sleep sets; a
+    model hands the engine its structure through {!Engine.MODEL.sym}. *)
 
 type t
 (** Symmetry structure of one program: the thread groups plus a

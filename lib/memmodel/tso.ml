@@ -148,29 +148,19 @@ let step_thread (st : state) (i : int) : step =
       with Expr.Eval_panic _ -> raise Thread_panic)
 
 let observe (prog : Prog.t) (st : state) status : Behavior.outcome =
-  let value = function
-    | Prog.Obs_reg (tid, r) ->
-        let idx =
-          match
-            List.find_index (fun th -> th.Prog.tid = tid) prog.Prog.threads
-          with
-          | Some i -> i
-          | None -> invalid_arg "observe: unknown tid"
-        in
-        lookup_reg st.threads.(idx).regs r
-    | Prog.Obs_loc l -> (
-        (* terminal states have empty buffers, but be defensive *)
-        match
-          Array.fold_left
-            (fun acc t ->
-              match forwarded t.buffer l with Some v -> Some v | None -> acc)
-            None st.threads
-        with
-        | Some v -> v
-        | None -> read_mem st.mem l)
-  in
-  Behavior.outcome ~status
-    (List.map (fun obs -> (obs, value obs)) prog.Prog.observables)
+  Behavior.observe prog
+    ~reg:(fun i r -> lookup_reg st.threads.(i).regs r)
+    ~loc:(fun l ->
+      (* terminal states have empty buffers, but be defensive *)
+      match
+        Array.fold_left
+          (fun acc t ->
+            match forwarded t.buffer l with Some v -> Some v | None -> acc)
+          None st.threads
+      with
+      | Some v -> v
+      | None -> read_mem st.mem l)
+    status
 
 let hash_thread h (t : tstate) =
   Statekey.char h 'T';
@@ -223,17 +213,6 @@ let canonical_key sym (st : state) : Statekey.t =
   Symmetry.fold_threads sym h sub;
   Statekey.finish h
 
-(* is register [r] of thread index [idx] observable? *)
-let observable_reg (prog : Prog.t) idx r =
-  match List.nth_opt prog.Prog.threads idx with
-  | Some th ->
-      List.exists
-        (function
-          | Prog.Obs_reg (tid, r') -> tid = th.Prog.tid && Reg.name r' = Reg.name r
-          | Prog.Obs_loc _ -> false)
-        prog.Prog.observables
-  | None -> false
-
 (* POR footprint of thread [i]'s next {e instruction} transition (drain
    transitions are labelled as writes at their location directly in
    [expand]). A transition is silent (ample-eligible) only when it is
@@ -253,7 +232,8 @@ let label_of (prog : Prog.t) (st : state) i (instr : Instr.t) : Porlabel.t =
     | Instr.If _ | Instr.While _ | Instr.Panic ->
         local ()
     | Instr.Move (r, _) ->
-        if observable_reg prog i r then Porlabel.private_ ~tid:i else local ()
+        if Prog.observable_reg prog i r then Porlabel.private_ ~tid:i
+        else local ()
     | Instr.Barrier _ ->
         if t.buffer = [] then Porlabel.silent ~tid:i else Porlabel.sync ~tid:i
     | Instr.Load (_, a, _) ->
@@ -270,24 +250,18 @@ let label_of (prog : Prog.t) (st : state) i (instr : Instr.t) : Porlabel.t =
 module Model = struct
   type ctx = { prog : Prog.t; sym : Symmetry.t option }
   type nonrec state = state
-  type label = Porlabel.t
+
+  let sym ctx = ctx.sym
 
   let key ctx st =
     match ctx.sym with
     | None -> state_key st
     | Some s -> canonical_key s st
 
-  let independent = Some (fun _ctx a b -> Porlabel.independent a b)
-  let ample = Some (fun _ctx l -> Porlabel.ample l)
-
-  let sleepable ctx (l : Porlabel.t) =
-    match ctx.sym with
-    | None -> true
-    | Some s -> not (Symmetry.grouped s l.Porlabel.tid)
-
   let dummy i = Porlabel.silent ~tid:i
 
-  let expand ctx ~labels (st : state) : (state, label) Engine.expansion =
+  let expand ctx ~labels (st : state) :
+      (state, Porlabel.t) Engine.expansion =
     let prog = ctx.prog in
     let n = Array.length st.threads in
     let all_done = ref true in
@@ -340,15 +314,6 @@ end
 
 module E = Engine.Make (Model)
 
-(* patch the symmetry statistics (the engine itself never sees them) *)
-let with_sym_stats sym (stats : Engine.stats) =
-  match sym with
-  | None -> stats
-  | Some s ->
-      { stats with
-        Engine.sym_groups = Symmetry.n_groups s;
-        sym_collapsed = Symmetry.collapsed s }
-
 (** Explore all TSO executions (instruction steps interleaved with buffer
     drains) and return the behavior set with exploration statistics.
     [por] (default on) applies sleep-set/ample partial-order reduction;
@@ -370,10 +335,11 @@ let run_stats ?(fuel = 8) ?(jobs = 1) ?deadline ?por ?(sym = true)
              fuel })
          prog.Prog.threads)
   in
-  let symmetry = if sym then Symmetry.detect prog else None in
-  let ctx = { Model.prog; sym = symmetry } in
+  let ctx =
+    { Model.prog; sym = (if sym then Symmetry.detect prog else None) }
+  in
   let r = E.explore ?deadline ?por ~jobs ~ctx { mem; threads } in
-  (r.E.behaviors, with_sym_stats symmetry r.E.stats)
+  (r.E.behaviors, r.E.stats)
 
 (** Explore all TSO executions and return the behavior set. *)
 let run ?fuel ?jobs ?por ?sym (prog : Prog.t) : Behavior.t =

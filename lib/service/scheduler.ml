@@ -14,11 +14,7 @@
     when the pool has at least two workers, worker 0 is {e reserved} —
     it only ever pops interactive — so an interactive arrival waits for
     at most one in-flight job regardless of how deep the bulk backlog
-    is. Bulk pops take the head ticket {e and} every queued bulk ticket
-    on the same program digest (a batch): the programs decode once into
-    the fingerprint memo and the batch runs back-to-back on one worker,
-    so a corpus sweep touching one program under many configs pays one
-    canonicalization, not N. *)
+    is. *)
 
 open Cache
 open Memmodel
@@ -161,7 +157,6 @@ type meta = { from_cache : bool; wall_s : float }
 type ticket = {
   tk_key : string;
   tk_spec : spec;
-  tk_prog : string;  (** program digest: the batching identity *)
   tk_jobs : int;
   tk_deadline : float option;  (** absolute, [Unix.gettimeofday] scale *)
   tk_lane : Protocol.lane;
@@ -199,8 +194,6 @@ type t = {
   mutable shed_bulk : int;
   mutable lane_interactive : int;
   mutable lane_bulk : int;
-  mutable batches : int;
-  mutable batched : int;
   mutable fp_memo_hits : int;
   mutable litmus_jobs : int;
   mutable refine_jobs : int;
@@ -371,28 +364,8 @@ let run_one t tk =
       t.running <- t.running - 1;
       Condition.broadcast t.done_cv)
 
-(* Pull every queued ticket with the same program digest as [tk] out of
-   [q] (order otherwise preserved), capped so one pop cannot hog a
-   worker for an unbounded batch. *)
-let extract_same_prog q tk =
-  let cap = 7 in
-  let keep = Queue.create () in
-  let extras = ref [] in
-  let n = ref 0 in
-  Queue.iter
-    (fun x ->
-      if !n < cap && String.equal x.tk_prog tk.tk_prog then begin
-        extras := x :: !extras;
-        incr n
-      end
-      else Queue.push x keep)
-    q;
-  Queue.clear q;
-  Queue.transfer keep q;
-  List.rev !extras
-
 let rec worker_loop t ~reserved =
-  let batch =
+  let next =
     locked t (fun () ->
         let can_pop () =
           (not (Queue.is_empty t.iq))
@@ -403,25 +376,15 @@ let rec worker_loop t ~reserved =
         done;
         if not (can_pop ()) then None
         else begin
-          let bulk = Queue.is_empty t.iq in
-          let q = if bulk then t.bq else t.iq in
-          let tk = Queue.pop q in
-          (* batching only pays off on sweeps; interactive arrivals are
-             latency-sensitive singles *)
-          let extras = if bulk then extract_same_prog q tk else [] in
-          if extras <> [] then begin
-            t.batches <- t.batches + 1;
-            t.batched <- t.batched + List.length extras
-          end;
-          let all = tk :: extras in
-          t.running <- t.running + List.length all;
-          Some all
+          let tk = Queue.pop (if Queue.is_empty t.iq then t.bq else t.iq) in
+          t.running <- t.running + 1;
+          Some tk
         end)
   in
-  match batch with
+  match next with
   | None -> ()
-  | Some tks ->
-      List.iter (run_one t) tks;
+  | Some tk ->
+      run_one t tk;
       worker_loop t ~reserved
 
 let create ?workers ?cache ?(hot_shards = 16) ?(hot_capacity = 1024)
@@ -464,8 +427,6 @@ let create ?workers ?cache ?(hot_shards = 16) ?(hot_capacity = 1024)
       shed_bulk = 0;
       lane_interactive = 0;
       lane_bulk = 0;
-      batches = 0;
-      batched = 0;
       fp_memo_hits = 0;
       litmus_jobs = 0;
       refine_jobs = 0;
@@ -485,8 +446,8 @@ let create ?workers ?cache ?(hot_shards = 16) ?(hot_capacity = 1024)
   t
 
 (* Program digest via the memo: one [Fingerprint] decode serves every
-   subsequent submission on the same program (a batch of
-   same-program/different-config jobs decodes once). *)
+   subsequent submission on the same program (same-program/
+   different-config jobs decode once). *)
 let memo_prog_digest t spec =
   let id = spec_id spec in
   locked t (fun () ->
@@ -522,7 +483,6 @@ let submit_abs t ~jobs ~deadline ~lane ~backend ~cert_cache ~por ~sym
           let tk =
             { tk_key = key;
               tk_spec = spec;
-              tk_prog = prog_digest;
               tk_jobs = max 1 jobs;
               tk_deadline = deadline;
               tk_lane = lane;
@@ -642,8 +602,6 @@ type counters = {
   coalesced : int;
   interactive : lane_counters;
   bulk : lane_counters;
-  batches : int;
-  batched : int;
   fp_memo_hits : int;
   litmus_jobs : int;
   refine_jobs : int;
@@ -675,8 +633,6 @@ let counters t : counters =
           { lane_submitted = t.lane_bulk;
             lane_shed = t.shed_bulk;
             lane_depth = Queue.length t.bq };
-        batches = t.batches;
-        batched = t.batched;
         fp_memo_hits = t.fp_memo_hits;
         litmus_jobs = t.litmus_jobs;
         refine_jobs = t.refine_jobs;
@@ -709,8 +665,6 @@ let counters_to_json (c : counters) : Json.t =
         Json.Obj
           [ ("interactive", lane_to_json c.interactive);
             ("bulk", lane_to_json c.bulk) ] );
-      ("batches", Json.Int c.batches);
-      ("batched", Json.Int c.batched);
       ("fp_memo_hits", Json.Int c.fp_memo_hits);
       ("litmus_jobs", Json.Int c.litmus_jobs);
       ("refine_jobs", Json.Int c.refine_jobs);
@@ -733,14 +687,13 @@ let pp_counters fmt (c : counters) =
   Format.fprintf fmt
     "@[<v>jobs: submitted=%d completed=%d failed=%d timeouts=%d expired=%d \
      coalesced=%d@ lanes: interactive=%d/shed=%d/depth=%d \
-     bulk=%d/shed=%d/depth=%d@ batching: batches=%d batched=%d \
-     fp_memo_hits=%d@ kinds: litmus=%d refine=%d certify=%d \
+     bulk=%d/shed=%d/depth=%d@ fp_memo_hits=%d@ kinds: litmus=%d refine=%d certify=%d \
      static_served=%d@ pool: workers=%d queued=%d running=%d@ engine: %a@ \
      cache: %a@ hot: %a@]"
     c.submitted c.completed c.failed c.timeouts c.expired c.coalesced
     c.interactive.lane_submitted c.interactive.lane_shed
     c.interactive.lane_depth c.bulk.lane_submitted c.bulk.lane_shed
-    c.bulk.lane_depth c.batches c.batched c.fp_memo_hits c.litmus_jobs
+    c.bulk.lane_depth c.fp_memo_hits c.litmus_jobs
     c.refine_jobs c.certify_jobs c.static_served c.workers c.queue_depth
     c.running Engine.pp_stats c.engine Store.pp_counters c.cache_stats
     Hot.pp_counters c.hot_stats

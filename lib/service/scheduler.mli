@@ -26,11 +26,10 @@
        depth x observed mean job wall / workers), nothing is queued and
        nothing is computed. Coalesced resubmissions are never shed —
        they attach to work already admitted.}
-    {- {b Batching.} The program-digest component of the cache key is
-       memoized per program ([fp_memo_hits]), so a sweep submitting one
-       program under many configurations decodes its fingerprint once.
-       Bulk workers also dequeue same-program tickets together
-       ([batches]/[batched]) and run them back-to-back on one worker.}
+    {- {b Fingerprint memo.} The program-digest component of the cache
+       key is memoized per program ([fp_memo_hits]), so a sweep
+       submitting one program under many configurations decodes its
+       fingerprint once.}
     {- {b Coalescing.} Submitting a job whose key is already queued or
        running returns the {e same} ticket: concurrent identical
        requests cost one computation. (A coalesced ticket keeps the
@@ -160,8 +159,6 @@ type counters = {
   coalesced : int;  (** submissions answered by an in-flight ticket *)
   interactive : lane_counters;
   bulk : lane_counters;
-  batches : int;  (** bulk pops that carried more than one ticket *)
-  batched : int;  (** extra tickets carried by those pops *)
   fp_memo_hits : int;  (** fingerprint decodes saved by the memo *)
   litmus_jobs : int;
   refine_jobs : int;

@@ -588,12 +588,25 @@ let test_sym_parity_pushpull () =
    every sym-stress entry one group covering all threads is detected,
    arrivals collapse, and the visited count drops — by at least 5x at
    N=4 (the committed acceptance floor; measured ~20x). With sym off
-   the stats must report no groups. *)
+   the stats must report no groups. The engine fills the group
+   statistics for every model, so SC, TSO, push/pull and Promising are
+   all checked. *)
 let test_sym_reduces () =
   List.iter
     (fun (e : Sekvm.Kernel_progs.entry) ->
       let p = e.Sekvm.Kernel_progs.prog in
       let name what = Printf.sprintf "%s %s" e.Sekvm.Kernel_progs.name what in
+      let groups model (on : Engine.stats) (off : Engine.stats) =
+        Alcotest.(check int) (name (model ^ " one group")) 1
+          on.Engine.sym_groups;
+        Alcotest.(check int)
+          (name (model ^ " off reports no groups"))
+          0 off.Engine.sym_groups;
+        Alcotest.(check bool)
+          (name (model ^ " collapses arrivals"))
+          true
+          (on.Engine.sym_collapsed > 0)
+      in
       let _, (sc_on : Engine.stats) = Sc.run_stats ~sym:true p in
       let _, (sc_off : Engine.stats) = Sc.run_stats ~sym:false p in
       let _, (rm_on : Engine.stats) =
@@ -603,14 +616,14 @@ let test_sym_reduces () =
         Promising.run_stats ~config:e.Sekvm.Kernel_progs.rm_config ~sym:false
           p
       in
-      Alcotest.(check int) (name "sc one group") 1 sc_on.Engine.sym_groups;
-      Alcotest.(check int)
-        (name "sc off reports no groups")
-        0 sc_off.Engine.sym_groups;
-      Alcotest.(check bool)
-        (name "sc collapses arrivals")
-        true
-        (sc_on.Engine.sym_collapsed > 0);
+      let tso sym = snd (Tso.run_stats ~fuel:3 ~sym p) in
+      let pushpull sym =
+        snd (Pushpull.check_stats ~exempt:e.Sekvm.Kernel_progs.exempt ~sym p)
+      in
+      groups "sc" sc_on sc_off;
+      groups "tso" (tso true) (tso false);
+      groups "pushpull" (pushpull true) (pushpull false);
+      groups "promising" rm_on rm_off;
       Alcotest.(check bool)
         (name "sc visits fewer states")
         true
@@ -639,15 +652,42 @@ let test_sym_reduces () =
    produces the same behavior-set digests AND the same sym-on visited
    count (the orbit representative sorts per-thread sub-keys, which
    never mention thread position, so the canonical state-key stream is
-   order-independent). *)
+   order-independent). The threads are identical up to their declared
+   tids, so the comparison alone would also pass a key that had lost
+   the quotient (a key salted with thread positions, say): each order
+   must therefore also show the quotient biting, sym-on SC visiting
+   fewer states than sym-off. [permutation_check ~config base perm]
+   compares the [perm]-reordered program against [base], Promising
+   under [config]; a Promising run that hit its state budget fails the
+   check, since a truncated search could hide a difference. *)
+let sym_perm_entry = List.nth Sekvm.Kernel_progs.sym_corpus 1
+
+let permutation_check ~config (base : Prog.t) =
+  let run p =
+    let sc, (on : Engine.stats) = Sc.run_stats ~sym:true p in
+    let _, (off : Engine.stats) = Sc.run_stats ~sym:false p in
+    let rm, (rm_s : Engine.stats) = Promising.run_stats ~config p in
+    ( on.Engine.visited < off.Engine.visited && not rm_s.Engine.budget_hit,
+      digest_behaviors sc,
+      on.Engine.visited,
+      digest_behaviors rm )
+  in
+  let want = lazy (run base) in
+  fun perm ->
+    let p =
+      { base with Prog.threads = List.map (List.nth base.Prog.threads) perm }
+    in
+    let ((ok, _, _, _) as want) = Lazy.force want in
+    ok && run p = want
+
+(* Tier-1 runs the property under the sym-stress-4 entry's own
+   [rm_config] (a few hundred Promising states per call); the
+   default-config check is [sym_permutation_wide] below. *)
 let qcheck_sym_permutation =
-  let base = Sekvm.Kernel_progs.sym_stress_prog 4 "sym-perm" in
-  let id_sc = lazy (digest_behaviors (Sc.run base)) in
-  let id_rm = lazy (digest_behaviors (Promising.run base)) in
-  let id_visited =
-    lazy
-      (let _, (s : Engine.stats) = Sc.run_stats base in
-       s.Engine.visited)
+  let e = sym_perm_entry in
+  let check =
+    permutation_check ~config:e.Sekvm.Kernel_progs.rm_config
+      e.Sekvm.Kernel_progs.prog
   in
   QCheck.Test.make ~count:15
     ~name:"thread permutations leave digests and canonical quotient unchanged"
@@ -664,14 +704,21 @@ let qcheck_sym_permutation =
         a.(i) <- a.(j);
         a.(j) <- tmp
       done;
-      let threads =
-        Array.to_list (Array.map (List.nth base.Prog.threads) a)
-      in
-      let p = { base with Prog.threads } in
-      let _, (s_on : Engine.stats) = Sc.run_stats ~sym:true p in
-      digest_behaviors (Sc.run p) = Lazy.force id_sc
-      && digest_behaviors (Promising.run p) = Lazy.force id_rm
-      && s_on.Engine.visited = Lazy.force id_visited)
+      check (Array.to_list a))
+
+(* Wide run outside the test suite: VRM_SYM_WIDE=1 (`make sym-wide`)
+   checks one reversed declaration order of sym-stress-4 with Promising
+   under [Promising.default_config] — about 1.8M states per run, just
+   under the 2M [max_states] valve — and exits non-zero on any
+   difference. *)
+let sym_permutation_wide () =
+  let ok =
+    permutation_check ~config:Promising.default_config
+      sym_perm_entry.Sekvm.Kernel_progs.prog [ 3; 2; 1; 0 ]
+  in
+  Format.printf "sym-stress-4 reversed, default config: %s@."
+    (if ok then "unchanged" else "DIFFERS (or no quotient, or budget hit)");
+  exit (if ok then 0 else 1)
 
 (* Stripe stability: the engine shards its shared seen set by the high
    bits of {!Statekey.hash}, and each stripe's open-addressing table
@@ -904,6 +951,7 @@ let test_witness_parity () =
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let () =
+  if Sys.getenv_opt "VRM_SYM_WIDE" <> None then sym_permutation_wide ();
   Alcotest.run "engine"
     [ ( "parity",
         [ Alcotest.test_case "behavior sets bit-identical to seed" `Quick
