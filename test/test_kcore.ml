@@ -300,6 +300,198 @@ let test_tlb_maintained_on_unmap () =
     (Option.map fst
        (Tlb.lookup kcore.Kcore.cpus.(1).Cpu.tlb ~vmid ~vp:(Page_table.va_page ipa)))
 
+(* ---- the invariant checker, pinned ----
+
+   Each case boots a clean system, corrupts exactly one thing through a
+   public API (a raw PTE store, an ownership-database edit, or the SMMU
+   enable bit) and asserts the exact (invariant, detail) list the checker
+   reports, so a faster checker must report the same violations, worded
+   the same, in the same order. *)
+
+let violations kcore =
+  List.map (fun v -> (v.Kcore.inv, v.Kcore.detail)) (Kcore.check_invariants kcore)
+
+let check_violations label expected kcore =
+  Alcotest.(check (list (pair string string))) label expected (violations kcore)
+
+(* A clean system with one booted VM; returns the VM's one image page,
+   mapped at guest page 0. *)
+let with_vm () =
+  let kcore, kserv = fresh () in
+  let vmid =
+    match Kserv.boot_vm kserv ~cpu:0 ~n_vcpus:1 ~image_pages:1 with
+    | Ok v -> v
+    | Error _ -> Alcotest.fail "boot"
+  in
+  let image = List.hd (List.assoc vmid kserv.Kserv.booted) in
+  check_violations "clean before corruption" [] kcore;
+  (kcore, kserv, vmid, image)
+
+let test_inv_table_pages () =
+  (* a raw table PTE in the VM's root pointing at a (zeroed) KServ page:
+     that page is now a table page KCore does not own *)
+  let kcore, kserv, vmid, _ = with_vm () in
+  let page = Kserv.alloc_page kserv in
+  let root = (Kcore.find_vm kcore vmid).Kcore.npt.Npt.root in
+  Phys_mem.write kcore.Kcore.mem ~pfn:root ~idx:511
+    (Pte.encode (Pte.Table page));
+  check_violations "one violation"
+    [ ("table-pages-kcore-owned",
+       Printf.sprintf "table page %d owned by S2page.Kserv" page) ]
+    kcore
+
+let test_inv_no_kcore_page_mapped () =
+  let kcore, _, vmid, image = with_vm () in
+  S2page.set_owner kcore.Kcore.s2page image S2page.Kcore;
+  check_violations "one violation"
+    [ ("no-kcore-page-mapped",
+       Printf.sprintf "vm-%d-s2 maps vp 0 -> KCore page %d" vmid image) ]
+    kcore
+
+let test_inv_kserv_s2 () =
+  (* a page in KServ's stage 2 that KServ no longer owns (and that is not
+     shared) *)
+  let kcore, kserv, vmid, _ = with_vm () in
+  let page = Kserv.alloc_page kserv in
+  (match Kserv.host_write kserv ~cpu:0 ~pfn:page ~idx:0 1 with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "host write");
+  check_violations "clean after host fault" [] kcore;
+  S2page.set_owner kcore.Kcore.s2page page (S2page.Vm vmid);
+  check_violations "one violation"
+    [ ("owner-consistent",
+       Printf.sprintf "kserv-s2 maps vp %d -> page %d owned by (S2page.Vm %d)"
+         page page vmid) ]
+    kcore
+
+let test_inv_vm_s2 () =
+  let kcore, _, vmid, image = with_vm () in
+  S2page.set_owner kcore.Kcore.s2page image S2page.Kserv;
+  check_violations "one violation"
+    [ ("owner-consistent",
+       Printf.sprintf "vm-%d-s2 maps vp 0 -> page %d owned by S2page.Kserv"
+         vmid image) ]
+    kcore
+
+(* A KServ device with one DMA mapping of a KServ page that is in no
+   stage-2 table. *)
+let with_dma () =
+  let kcore, kserv, vmid, _ = with_vm () in
+  let page = Kserv.alloc_page kserv in
+  (match Kcore.smmu_attach kcore ~cpu:0 ~device:3 ~owner:S2page.Kserv with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "attach");
+  (match Kcore.smmu_map kcore ~cpu:0 ~device:3 ~iova:0 ~pfn:page with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "dma map");
+  check_violations "clean with dma" [] kcore;
+  (kcore, vmid, page)
+
+let test_inv_smmu_owner () =
+  let kcore, vmid, page = with_dma () in
+  S2page.set_owner kcore.Kcore.s2page page (S2page.Vm vmid);
+  check_violations "one violation"
+    [ ("smmu-owner-consistent",
+       Printf.sprintf
+         "device 3 (owner S2page.Kserv) can DMA to page %d owned by \
+          (S2page.Vm %d)"
+         page vmid) ]
+    kcore
+
+let test_inv_no_kcore_page_dma () =
+  let kcore, _, page = with_dma () in
+  S2page.set_owner kcore.Kcore.s2page page S2page.Kcore;
+  check_violations "one violation"
+    [ ("no-kcore-page-dma",
+       Printf.sprintf "device 3 can DMA to KCore page %d" page) ]
+    kcore
+
+let test_inv_smmu_enabled () =
+  let kcore, _, _, _ = with_vm () in
+  kcore.Kcore.smmu_ops.Smmu_ops.smmu.Smmu.enabled <- false;
+  check_violations "one violation"
+    [ ("smmu-enabled", "SMMU has been disabled") ]
+    kcore
+
+let test_inv_map_count () =
+  let kcore, _, _, image = with_vm () in
+  S2page.decr_map kcore.Kcore.s2page image;
+  check_violations "one violation"
+    [ ("map-count-consistent",
+       Printf.sprintf "page %d: map_count 0 but 1 actual mappings" image) ]
+    kcore
+
+let test_inv_report_order () =
+  (* several corruptions at once: invariants report in checker order (1,
+     2-4 per table, 5, 6, 7), VMs and devices in the kernel's list order
+     (newest first), map counts by ascending frame *)
+  let kcore, kserv, vm1, image1 = with_vm () in
+  let vm2 =
+    match Kserv.boot_vm kserv ~cpu:0 ~n_vcpus:1 ~image_pages:1 with
+    | Ok v -> v
+    | Error _ -> Alcotest.fail "boot 2"
+  in
+  let image2 = List.hd (List.assoc vm2 kserv.Kserv.booted) in
+  let host = Kserv.alloc_page kserv in
+  (match Kserv.host_write kserv ~cpu:0 ~pfn:host ~idx:0 1 with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "host write");
+  let dma = Kserv.alloc_page kserv in
+  List.iter
+    (fun (device, owner) ->
+      match Kcore.smmu_attach kcore ~cpu:0 ~device ~owner with
+      | Ok () -> ()
+      | Error `Denied -> Alcotest.fail "attach")
+    [ (1, S2page.Vm vm1); (2, S2page.Kserv) ];
+  (match Kcore.smmu_map kcore ~cpu:0 ~device:1 ~iova:0 ~pfn:image1 with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "dma map 1");
+  (match Kcore.smmu_map kcore ~cpu:0 ~device:2 ~iova:0 ~pfn:dma with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "dma map 2");
+  check_violations "clean before corruption" [] kcore;
+  let root2 = (Kcore.find_vm kcore vm2).Kcore.npt.Npt.root in
+  let stray = Kserv.alloc_page kserv in
+  Phys_mem.write kcore.Kcore.mem ~pfn:root2 ~idx:511
+    (Pte.encode (Pte.Table stray));
+  S2page.set_owner kcore.Kcore.s2page image1 S2page.Kserv;
+  S2page.set_owner kcore.Kcore.s2page image2 S2page.Kcore;
+  S2page.set_owner kcore.Kcore.s2page host S2page.Kcore;
+  S2page.set_owner kcore.Kcore.s2page dma (S2page.Vm vm2);
+  kcore.Kcore.smmu_ops.Smmu_ops.smmu.Smmu.enabled <- false;
+  S2page.decr_map kcore.Kcore.s2page image2;
+  S2page.incr_map kcore.Kcore.s2page image1;
+  let lo, hi = (min image1 image2, max image1 image2) in
+  let count pfn =
+    if pfn = image1 then
+      Printf.sprintf "page %d: map_count 3 but 2 actual mappings" pfn
+    else Printf.sprintf "page %d: map_count 0 but 1 actual mappings" pfn
+  in
+  check_violations "all violations, in order"
+    [ ("table-pages-kcore-owned",
+       Printf.sprintf "table page %d owned by S2page.Kserv" stray);
+      ("no-kcore-page-mapped",
+       Printf.sprintf "kserv-s2 maps vp %d -> KCore page %d" host host);
+      ("no-kcore-page-mapped",
+       Printf.sprintf "vm-%d-s2 maps vp 0 -> KCore page %d" vm2 image2);
+      ("owner-consistent",
+       Printf.sprintf "vm-%d-s2 maps vp 0 -> page %d owned by S2page.Kserv"
+         vm1 image1);
+      ("smmu-owner-consistent",
+       Printf.sprintf
+         "device 2 (owner S2page.Kserv) can DMA to page %d owned by \
+          (S2page.Vm %d)"
+         dma vm2);
+      ("smmu-owner-consistent",
+       Printf.sprintf
+         "device 1 (owner (S2page.Vm %d)) can DMA to page %d owned by \
+          S2page.Kserv"
+         vm1 image1);
+      ("smmu-enabled", "SMMU has been disabled");
+      ("map-count-consistent", count lo);
+      ("map-count-consistent", count hi) ]
+    kcore
+
 let () =
   Alcotest.run "kcore"
     [ ( "boot",
@@ -322,4 +514,17 @@ let () =
       ( "devices",
         [ Alcotest.test_case "smmu hypercalls" `Quick test_smmu_hypercalls;
           Alcotest.test_case "tlb maintained" `Quick
-            test_tlb_maintained_on_unmap ] ) ]
+            test_tlb_maintained_on_unmap ] );
+      ( "invariants",
+        [ Alcotest.test_case "table pages kcore-owned" `Quick
+            test_inv_table_pages;
+          Alcotest.test_case "no kcore page mapped" `Quick
+            test_inv_no_kcore_page_mapped;
+          Alcotest.test_case "kserv stage 2 owner" `Quick test_inv_kserv_s2;
+          Alcotest.test_case "vm stage 2 owner" `Quick test_inv_vm_s2;
+          Alcotest.test_case "smmu owner" `Quick test_inv_smmu_owner;
+          Alcotest.test_case "no kcore page dma" `Quick
+            test_inv_no_kcore_page_dma;
+          Alcotest.test_case "smmu enabled" `Quick test_inv_smmu_enabled;
+          Alcotest.test_case "map counts" `Quick test_inv_map_count;
+          Alcotest.test_case "report order" `Quick test_inv_report_order ] ) ]
