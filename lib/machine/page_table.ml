@@ -165,24 +165,29 @@ let apply_writes mem ws = List.iter (apply_write mem) ws
 let revert_write mem (w : pt_write) = Phys_mem.write mem ~pfn:w.w_pfn ~idx:w.w_idx w.w_old
 let revert_writes mem ws = List.iter (revert_write mem) (List.rev ws)
 
+(* Every valid leaf or block entry under [root], in address order:
+   [f vp out perms level]. Tables are scanned with {!Phys_mem.iter_nonzero},
+   so empty entries (and never-written table pages) cost nothing. *)
+let iter_leaves mem g ~root f =
+  let rec go pfn level va_prefix =
+    Phys_mem.iter_nonzero mem pfn (fun idx w ->
+        let va_part = va_prefix lor (idx lsl (page_shift + (level * bits_per_level))) in
+        match Pte.decode w with
+        | Pte.Invalid -> ()
+        | Pte.Table next -> if level > 0 then go next (level - 1) va_part
+        | Pte.Page (out, perms) -> f (va_page va_part) out perms level)
+  in
+  go root (g.levels - 1) 0
+
 (** All (vp, pfn, perms) page mappings reachable from [root] — block
     mappings are expanded to their constituent 4 KB pages, so invariant
     checkers see every reachable frame. *)
 let mappings mem g ~root =
   let acc = ref [] in
-  let rec go pfn level va_prefix =
-    for idx = 0 to Phys_mem.entries_per_page - 1 do
-      let va_part = va_prefix lor (idx lsl (page_shift + (level * bits_per_level))) in
-      match Pte.decode (Phys_mem.read mem ~pfn ~idx) with
-      | Pte.Invalid -> ()
-      | Pte.Table next -> if level > 0 then go next (level - 1) va_part
-      | Pte.Page (out, perms) ->
-          for k = 0 to block_pages ~level - 1 do
-            acc := (va_page va_part + k, out + k, perms) :: !acc
-          done
-    done
-  in
-  go root (g.levels - 1) 0;
+  iter_leaves mem g ~root (fun vp out perms level ->
+      for k = 0 to block_pages ~level - 1 do
+        acc := (vp + k, out + k, perms) :: !acc
+      done);
   List.rev !acc
 
 (** Leaf-entry granularity view: one record per PTE, blocks unexpanded. *)
@@ -190,20 +195,10 @@ type extent = { e_vp : int; e_pfn : int; e_perms : Pte.perms; e_pages : int }
 
 let extents mem g ~root =
   let acc = ref [] in
-  let rec go pfn level va_prefix =
-    for idx = 0 to Phys_mem.entries_per_page - 1 do
-      let va_part = va_prefix lor (idx lsl (page_shift + (level * bits_per_level))) in
-      match Pte.decode (Phys_mem.read mem ~pfn ~idx) with
-      | Pte.Invalid -> ()
-      | Pte.Table next -> if level > 0 then go next (level - 1) va_part
-      | Pte.Page (out, perms) ->
-          acc :=
-            { e_vp = va_page va_part; e_pfn = out; e_perms = perms;
-              e_pages = block_pages ~level }
-            :: !acc
-    done
-  in
-  go root (g.levels - 1) 0;
+  iter_leaves mem g ~root (fun vp out perms level ->
+      acc :=
+        { e_vp = vp; e_pfn = out; e_perms = perms; e_pages = block_pages ~level }
+        :: !acc);
   List.rev !acc
 
 (** Pfns of every table page in the tree (root included). *)
@@ -211,13 +206,12 @@ let table_pages mem g ~root =
   let acc = ref [ root ] in
   let rec go pfn level =
     if level > 0 then
-      for idx = 0 to Phys_mem.entries_per_page - 1 do
-        match Pte.decode (Phys_mem.read mem ~pfn ~idx) with
-        | Pte.Table next ->
-            acc := next :: !acc;
-            go next (level - 1)
-        | Pte.Invalid | Pte.Page _ -> ()
-      done
+      Phys_mem.iter_nonzero mem pfn (fun _ w ->
+          match Pte.decode w with
+          | Pte.Table next ->
+              acc := next :: !acc;
+              go next (level - 1)
+          | Pte.Invalid | Pte.Page _ -> ())
   in
   go root (g.levels - 1);
   List.rev !acc

@@ -1,7 +1,13 @@
 (** Physical memory: an array of 4 KB pages, each page an array of 512
     word-sized entries. This is the single backing store for data pages,
     stage-2 page-table pages, SMMU page-table pages and KCore's own memory;
-    the ownership database ({!S2page}) tracks who may touch what. *)
+    the ownership database ({!S2page}) tracks who may touch what.
+
+    Every frame starts out as one shared immutable [zero_page]: a frame
+    gets its own array on the first store of a non-zero word, and goes
+    back to [zero_page] when scrubbed (or filled with 0). Most frames of
+    a booted system are never written, so boot allocates one page instead
+    of one per frame, and {!iter_nonzero} skips such frames outright. *)
 
 let page_size = 4096
 let entries_per_page = 512
@@ -11,8 +17,11 @@ type t = {
   pages : int array array;
 }
 
-let create n_pages =
-  { n_pages; pages = Array.init n_pages (fun _ -> Array.make entries_per_page 0) }
+(* Never written: every store that would change it allocates a private
+   array for its frame first. *)
+let zero_page = Array.make entries_per_page 0
+
+let create n_pages = { n_pages; pages = Array.make n_pages zero_page }
 
 let n_pages t = t.n_pages
 
@@ -26,22 +35,31 @@ let read t ~pfn ~idx =
 
 let write t ~pfn ~idx v =
   check_pfn t pfn;
-  t.pages.(pfn).(idx) <- v
+  let page = t.pages.(pfn) in
+  if page != zero_page then page.(idx) <- v
+  else if v <> 0 then begin
+    let page = Array.make entries_per_page 0 in
+    page.(idx) <- v;
+    t.pages.(pfn) <- page
+  end
+  else ignore page.(idx) (* a no-op store, still bounds-checked *)
 
 (** Zero a whole page (scrubbing freed/granted memory). *)
 let scrub t pfn =
   check_pfn t pfn;
-  Array.fill t.pages.(pfn) 0 entries_per_page 0
+  t.pages.(pfn) <- zero_page
 
 let fill t pfn v =
   check_pfn t pfn;
-  Array.fill t.pages.(pfn) 0 entries_per_page v
+  t.pages.(pfn) <-
+    (if v = 0 then zero_page else Array.make entries_per_page v)
 
 (** Copy page contents (VM image loading, snapshots). *)
 let copy_page t ~src ~dst =
   check_pfn t src;
   check_pfn t dst;
-  Array.blit t.pages.(src) 0 t.pages.(dst) 0 entries_per_page
+  let s = t.pages.(src) in
+  t.pages.(dst) <- (if s == zero_page then zero_page else Array.copy s)
 
 let page_equal t a b =
   check_pfn t a;
@@ -53,3 +71,18 @@ let page_equal t a b =
 let digest_page t pfn =
   check_pfn t pfn;
   Array.fold_left (fun acc w -> (acc * 1_000_003) lxor w) 0x811c9dc5 t.pages.(pfn)
+
+let iter_nonzero t pfn f =
+  check_pfn t pfn;
+  let page = t.pages.(pfn) in
+  if page != zero_page then
+    (* table pages are mostly empty: test eight words at a time *)
+    for blk = 0 to (entries_per_page / 8) - 1 do
+      let b = blk * 8 in
+      let w k = Array.unsafe_get page (b + k) in
+      if w 0 lor w 1 lor w 2 lor w 3 lor w 4 lor w 5 lor w 6 lor w 7 <> 0 then
+        for idx = b to b + 7 do
+          let v = Array.unsafe_get page idx in
+          if v <> 0 then f idx v
+        done
+    done

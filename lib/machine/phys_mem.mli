@@ -27,3 +27,9 @@ val page_equal : t -> int -> int -> bool
 val digest_page : t -> int -> int
 (** A cheap stand-in for a cryptographic page digest (the paper's Ed25519
     VM-image authentication): order-sensitive rolling hash. *)
+
+val iter_nonzero : t -> int -> (int -> int -> unit) -> unit
+(** [iter_nonzero t pfn f] calls [f idx w] for every non-zero word [w] of
+    frame [pfn], in index order; a page that was never written (or was
+    scrubbed since) costs nothing. The one scan primitive the page-table
+    walkers build on. *)

@@ -604,12 +604,21 @@ let teardown_vm t ~cpu ~vmid =
 
 type invariant_violation = { inv : string; detail : string }
 
+(* The checker is an oracle: every call re-derives what each stage-2 and
+   SMMU table reaches from the live tables (each tree's mappings collected
+   once and shared by invariants 2-5 and 7) and trusts none of KCore's
+   own bookkeeping beyond the ownership database it checks against. *)
 let check_invariants t : invariant_violation list =
   let bad = ref [] in
   let report inv fmt =
     Format.kasprintf (fun detail -> bad := { inv; detail } :: !bad) fmt
   in
-  let kcore_owned pfn = S2page.owner t.s2page pfn = S2page.Kcore in
+  let owner pfn = S2page.owner t.s2page pfn in
+  (* matches, not polymorphic compares: these run once per mapping *)
+  let kcore_owned pfn =
+    match owner pfn with S2page.Kcore -> true | S2page.Kserv | S2page.Vm _ -> false
+  in
+  let smmu = t.smmu_ops.Smmu_ops.smmu in
   (* 1. every page-table page (EL2, stage-2, SMMU) is KCore-owned *)
   let all_table_pages =
     El2_pt.table_pages t.el2
@@ -621,73 +630,77 @@ let check_invariants t : invariant_violation list =
     (fun pfn ->
       if not (kcore_owned pfn) then
         report "table-pages-kcore-owned" "table page %d owned by %s" pfn
-          (S2page.show_owner (S2page.owner t.s2page pfn)))
+          (S2page.show_owner (owner pfn)))
     all_table_pages;
+  let kserv_maps = Npt.mappings t.kserv_npt in
+  let vm_maps = List.map (fun (vmid, vm) -> (vmid, Npt.mappings vm.npt)) t.vms in
+  let dma =
+    List.map
+      (fun (device, dev_owner) ->
+        (device, dev_owner, Smmu.reachable_pfns smmu ~device))
+      t.smmu_owners
+  in
   (* 2. no KCore-owned page is mapped in any stage-2 or SMMU table *)
-  let check_npt label npt allowed =
+  let check_npt vmid maps allowed =
+    let label () =
+      if vmid = kserv_vmid then "kserv-s2" else Printf.sprintf "vm-%d-s2" vmid
+    in
     List.iter
       (fun (vp, pfn, _) ->
         if kcore_owned pfn then
           report "no-kcore-page-mapped" "%s maps vp %d -> KCore page %d"
-            label vp pfn
+            (label ()) vp pfn
         else if not (allowed pfn) then
           report "owner-consistent" "%s maps vp %d -> page %d owned by %s"
-            label vp pfn
-            (S2page.show_owner (S2page.owner t.s2page pfn)))
-      (Npt.mappings npt)
+            (label ()) vp pfn
+            (S2page.show_owner (owner pfn)))
+      maps
   in
   (* 3. KServ's stage 2 maps only KServ pages or shared VM pages *)
-  check_npt "kserv-s2" t.kserv_npt (fun pfn ->
-      S2page.owner t.s2page pfn = S2page.Kserv || S2page.is_shared t.s2page pfn);
+  check_npt kserv_vmid kserv_maps (fun pfn ->
+      match owner pfn with
+      | S2page.Kserv -> true
+      | S2page.Kcore | S2page.Vm _ -> S2page.is_shared t.s2page pfn);
   (* 4. a VM's stage 2 maps only its own pages *)
   List.iter
-    (fun (vmid, vm) ->
-      check_npt
-        (Printf.sprintf "vm-%d-s2" vmid)
-        vm.npt
-        (fun pfn -> S2page.owner t.s2page pfn = S2page.Vm vmid))
-    t.vms;
+    (fun (vmid, maps) ->
+      check_npt vmid maps (fun pfn ->
+          match owner pfn with
+          | S2page.Vm v -> v = vmid
+          | S2page.Kcore | S2page.Kserv -> false))
+    vm_maps;
   (* 5. SMMU tables map only pages of the device's assigned owner *)
   List.iter
-    (fun (device, owner) ->
+    (fun (device, dev_owner, pfns) ->
       List.iter
         (fun pfn ->
           if kcore_owned pfn then
             report "no-kcore-page-dma" "device %d can DMA to KCore page %d"
               device pfn
-          else if S2page.owner t.s2page pfn <> owner then
+          else if not (S2page.equal_owner (owner pfn) dev_owner) then
             report "smmu-owner-consistent"
               "device %d (owner %s) can DMA to page %d owned by %s" device
-              (S2page.show_owner owner) pfn
-              (S2page.show_owner (S2page.owner t.s2page pfn)))
-        (Smmu.reachable_pfns t.smmu_ops.Smmu_ops.smmu ~device))
-    t.smmu_owners;
+              (S2page.show_owner dev_owner) pfn
+              (S2page.show_owner (owner pfn)))
+        pfns)
+    dma;
   (* 6. the SMMU stays enabled *)
-  if not t.smmu_ops.Smmu_ops.smmu.Smmu.enabled then
-    report "smmu-enabled" "SMMU has been disabled";
+  if not smmu.Smmu.enabled then report "smmu-enabled" "SMMU has been disabled";
   (* 7. the ownership database's reference counts agree with the actual
-     number of stage-2 + SMMU mappings of each frame *)
-  let counted = Hashtbl.create 64 in
-  let bump pfn =
-    Hashtbl.replace counted pfn
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counted pfn))
-  in
-  List.iter (fun (_, pfn, _) -> bump pfn) (Npt.mappings t.kserv_npt);
-  List.iter
-    (fun (_, vm) ->
-      List.iter (fun (_, pfn, _) -> bump pfn) (Npt.mappings vm.npt))
-    t.vms;
-  List.iter
-    (fun (device, _) ->
-      List.iter bump (Smmu.reachable_pfns t.smmu_ops.Smmu_ops.smmu ~device))
-    t.smmu_owners;
-  for pfn = 0 to S2page.n_pages t.s2page - 1 do
-    let recorded = S2page.map_count t.s2page pfn in
-    let actual = Option.value ~default:0 (Hashtbl.find_opt counted pfn) in
-    if recorded <> actual then
-      report "map-count-consistent"
-        "page %d: map_count %d but %d actual mappings" pfn recorded actual
-  done;
+     number of stage-2 + SMMU mappings of each frame (every mapped frame
+     was range-checked by the owner lookups above) *)
+  let counted = Array.make (S2page.n_pages t.s2page) 0 in
+  let bump pfn = counted.(pfn) <- counted.(pfn) + 1 in
+  List.iter (fun (_, pfn, _) -> bump pfn) kserv_maps;
+  List.iter (fun (_, maps) -> List.iter (fun (_, pfn, _) -> bump pfn) maps) vm_maps;
+  List.iter (fun (_, _, pfns) -> List.iter bump pfns) dma;
+  Array.iteri
+    (fun pfn actual ->
+      let recorded = S2page.map_count t.s2page pfn in
+      if recorded <> actual then
+        report "map-count-consistent"
+          "page %d: map_count %d but %d actual mappings" pfn recorded actual)
+    counted;
   List.rev !bad
 
 (* ------------------------------------------------------------------ *)

@@ -231,7 +231,8 @@ module Rng = struct
 end
 
 (* Replay a random mix of spec-covered hypercalls against both machines,
-   requiring commutation after every step. *)
+   requiring commutation after every step. The SMMU actions map pages
+   KServ is about to donate, so "DMA-map, then donate" comes up often. *)
 let refinement_run seed steps : bool =
   let rng = Rng.create seed in
   let kcore, kserv = fresh () in
@@ -244,95 +245,114 @@ let refinement_run seed steps : bool =
     end
   in
   let abs () = Abs_spec.abstract kcore in
+  (* one hypercall on both sides, started from the abstract state [a0]:
+     same verdict, and the same state after it *)
+  let agree label a0 impl spec =
+    match (impl, spec) with
+    | Ok (), Ok a -> check_point label a
+    | Error `Denied, Error `Denied -> check_point ("denied " ^ label) a0
+    | Ok (), Error `Denied ->
+        Format.eprintf "seed %d: %s: impl allowed, spec denied@." seed label;
+        ok := false
+    | Error `Denied, Ok _ ->
+        Format.eprintf "seed %d: %s: impl denied, spec allowed@." seed label;
+        ok := false
+  in
+  let pick_live () = List.nth !live (Rng.below rng (List.length !live)) in
   (try
      for _ = 1 to steps do
        if not !ok then raise Exit;
-       match Rng.below rng 7 with
+       match Rng.below rng 10 with
        | 0 when List.length !live < 4 -> (
            let a0 = abs () in
-           match Kserv.boot_vm kserv ~cpu:0 ~n_vcpus:1 ~image_pages:1 with
-           | Ok vmid ->
+           (* a one-page image is the next free page (a short run never
+              exhausts KServ's memory) *)
+           let pfn = List.hd kserv.Kserv.free_pfns in
+           let boot = Kserv.boot_vm kserv ~cpu:0 ~n_vcpus:1 ~image_pages:1 in
+           let a, _ = Abs_spec.spec_register_vm a0 in
+           let a = Result.get_ok (Abs_spec.spec_kserv_fault a ~pfn) in
+           let vmid = a0.Abs_spec.next_vmid in
+           let image = Abs_spec.spec_set_vm_image a ~vmid ~pfns:[ pfn ] in
+           match boot with
+           | Ok _ ->
                live := vmid :: !live;
-               let pfns = List.assoc vmid kserv.Kserv.booted in
-               let a, _ = Abs_spec.spec_register_vm a0 in
-               let a =
-                 List.fold_left
-                   (fun a pfn ->
-                     Result.get_ok (Abs_spec.spec_kserv_fault a ~pfn))
-                   a pfns
-               in
-               let a =
-                 Result.get_ok (Abs_spec.spec_set_vm_image a ~vmid ~pfns)
-               in
-               check_point "boot" a
-           | Error _ -> ()
-           | exception Kserv.Out_of_memory -> ())
-       | 1 when !live <> [] -> (
-           let vmid = List.nth !live (Rng.below rng (List.length !live)) in
+               agree "boot" a (Ok ()) image
+           | Error `Denied -> agree "boot" a (Error `Denied) image
+           | Error `Bad_hash -> Alcotest.fail "honest image rejected")
+       | 1 when !live <> [] ->
+           let vmid = pick_live () in
            let vp = 32 + Rng.below rng 16 in
            let pfn = Kserv.alloc_page kserv in
            let a0 = abs () in
-           match
+           let r =
              Kcore.map_page_to_vm kcore ~cpu:0 ~vmid
                ~ipa:(Machine.Page_table.page_va vp) ~pfn
-           with
-           | Ok () ->
-               check_point "donate"
-                 (Result.get_ok (Abs_spec.spec_map_page_to_vm a0 ~vmid ~vp ~pfn))
-           | Error `Denied ->
-               (match Abs_spec.spec_map_page_to_vm a0 ~vmid ~vp ~pfn with
-               | Error `Denied -> check_point "denied donate" a0
-               | Ok _ ->
-                   Format.eprintf "seed %d: impl denied, spec allowed@." seed;
-                   ok := false);
-               Kserv.free_page kserv pfn)
-       | 2 when !live <> [] -> (
-           let vmid = List.nth !live (Rng.below rng (List.length !live)) in
+           in
+           agree "donate" a0 r (Abs_spec.spec_map_page_to_vm a0 ~vmid ~vp ~pfn);
+           if r = Error `Denied then Kserv.free_page kserv pfn
+       | 2 when !live <> [] ->
+           let vmid = pick_live () in
            let vp = 32 + Rng.below rng 16 in
            let a0 = abs () in
-           match Kcore.vm_share_page kcore ~cpu:0 ~vmid ~ipa:(Machine.Page_table.page_va vp) with
-           | Ok () ->
-               check_point "share"
-                 (Result.get_ok (Abs_spec.spec_share a0 ~vmid ~vp))
-           | Error `Denied -> (
-               match Abs_spec.spec_share a0 ~vmid ~vp with
-               | Error `Denied -> check_point "denied share" a0
-               | Ok _ ->
-                   Format.eprintf "seed %d: share disagreement@." seed;
-                   ok := false))
-       | 3 when !live <> [] -> (
-           let vmid = List.nth !live (Rng.below rng (List.length !live)) in
+           agree "share" a0
+             (Kcore.vm_share_page kcore ~cpu:0 ~vmid
+                ~ipa:(Machine.Page_table.page_va vp))
+             (Abs_spec.spec_share a0 ~vmid ~vp)
+       | 3 when !live <> [] ->
+           let vmid = pick_live () in
            let vp = 32 + Rng.below rng 16 in
            let a0 = abs () in
-           match Kcore.vm_unshare_page kcore ~cpu:0 ~vmid ~ipa:(Machine.Page_table.page_va vp) with
-           | Ok () ->
-               check_point "unshare"
-                 (Result.get_ok (Abs_spec.spec_unshare a0 ~vmid ~vp))
-           | Error `Denied -> (
-               match Abs_spec.spec_unshare a0 ~vmid ~vp with
-               | Error `Denied -> check_point "denied unshare" a0
-               | Ok _ ->
-                   Format.eprintf "seed %d: unshare disagreement@." seed;
-                   ok := false))
+           agree "unshare" a0
+             (Kcore.vm_unshare_page kcore ~cpu:0 ~vmid
+                ~ipa:(Machine.Page_table.page_va vp))
+             (Abs_spec.spec_unshare a0 ~vmid ~vp)
        | 4 when !live <> [] ->
-           let vmid = List.nth !live (Rng.below rng (List.length !live)) in
+           let vmid = pick_live () in
            live := List.filter (fun v -> v <> vmid) !live;
            let a0 = abs () in
            Kcore.teardown_vm kcore ~cpu:0 ~vmid;
            check_point "teardown" (Abs_spec.spec_teardown a0 ~vmid)
-       | 5 -> (
+       | 5 ->
            let pfn = Rng.below rng cfg.Kcore.n_pages in
            let a0 = abs () in
-           match Kcore.kserv_fault kcore ~cpu:0 ~addr:(Machine.Page_table.page_va pfn) with
-           | Ok () ->
-               check_point "kserv fault"
-                 (Result.get_ok (Abs_spec.spec_kserv_fault a0 ~pfn))
-           | Error `Denied -> (
-               match Abs_spec.spec_kserv_fault a0 ~pfn with
-               | Error `Denied -> check_point "denied fault" a0
-               | Ok _ ->
-                   Format.eprintf "seed %d: fault disagreement@." seed;
-                   ok := false))
+           agree "kserv fault" a0
+             (Kcore.kserv_fault kcore ~cpu:0
+                ~addr:(Machine.Page_table.page_va pfn))
+             (Abs_spec.spec_kserv_fault a0 ~pfn)
+       | 6 ->
+           let device = Rng.below rng 3 in
+           let owner, a_owner =
+             if !live = [] || Rng.below rng 2 = 0 then
+               (Machine.S2page.Kserv, Abs_spec.O_kserv)
+             else
+               let vmid = pick_live () in
+               (Machine.S2page.Vm vmid, Abs_spec.O_vm vmid)
+           in
+           let a0 = abs () in
+           agree "smmu attach" a0
+             (Kcore.smmu_attach kcore ~cpu:0 ~device ~owner)
+             (Abs_spec.spec_smmu_attach a0 ~device ~owner:a_owner)
+       | 7 ->
+           let device = Rng.below rng 3 in
+           let iova_page = Rng.below rng 4 in
+           (* often the page KServ will donate next *)
+           let pfn =
+             if Rng.below rng 2 = 0 then List.hd kserv.Kserv.free_pfns
+             else Rng.below rng cfg.Kcore.n_pages
+           in
+           let a0 = abs () in
+           agree "smmu map" a0
+             (Kcore.smmu_map kcore ~cpu:0 ~device
+                ~iova:(Machine.Page_table.page_va iova_page) ~pfn)
+             (Abs_spec.spec_smmu_map a0 ~device ~iova_page ~pfn)
+       | 8 ->
+           let device = Rng.below rng 3 in
+           let iova_page = Rng.below rng 4 in
+           let a0 = abs () in
+           agree "smmu unmap" a0
+             (Kcore.smmu_unmap kcore ~cpu:0 ~device
+                ~iova:(Machine.Page_table.page_va iova_page))
+             (Abs_spec.spec_smmu_unmap a0 ~device ~iova_page)
        | _ -> (
            (* abstract invariant must also hold at every point *)
            match Abs_spec.invariant (abs ()) with
@@ -365,33 +385,61 @@ let test_spec_invariant_induction () =
   in
   check ();
   let vms = ref [] in
+  let pick_vm () = List.nth !vms (Rng.below rng (List.length !vms)) in
+  (* half the frames come from a small window at the bottom of KServ's
+     memory, so the same page is often DMA-mapped and then donated *)
+  let pfn () =
+    if Rng.below rng 2 = 0 then Rng.below rng 1024
+    else Kcore.kserv_base cfg + Rng.below rng 8
+  in
   for _ = 1 to 300 do
-    (match Rng.below rng 6 with
+    (match Rng.below rng 9 with
     | 0 ->
         let a, vmid = Abs_spec.spec_register_vm !st in
         st := a;
         vms := vmid :: !vms
     | 1 when !vms <> [] -> (
-        let vmid = List.nth !vms (Rng.below rng (List.length !vms)) in
-        let pfn = Rng.below rng 1024 in
-        match Abs_spec.spec_map_page_to_vm !st ~vmid ~vp:(Rng.below rng 64) ~pfn with
+        let vmid = pick_vm () in
+        match Abs_spec.spec_map_page_to_vm !st ~vmid ~vp:(Rng.below rng 64) ~pfn:(pfn ()) with
         | Ok a -> st := a
         | Error `Denied -> ())
     | 2 when !vms <> [] -> (
-        let vmid = List.nth !vms (Rng.below rng (List.length !vms)) in
+        let vmid = pick_vm () in
         match Abs_spec.spec_share !st ~vmid ~vp:(Rng.below rng 64) with
         | Ok a -> st := a
         | Error `Denied -> ())
     | 3 when !vms <> [] -> (
-        let vmid = List.nth !vms (Rng.below rng (List.length !vms)) in
+        let vmid = pick_vm () in
         match Abs_spec.spec_unshare !st ~vmid ~vp:(Rng.below rng 64) with
         | Ok a -> st := a
         | Error `Denied -> ())
     | 4 when !vms <> [] ->
-        let vmid = List.nth !vms (Rng.below rng (List.length !vms)) in
+        let vmid = pick_vm () in
         st := Abs_spec.spec_teardown !st ~vmid
+    | 6 -> (
+        let owner =
+          if !vms = [] || Rng.below rng 2 = 0 then Abs_spec.O_kserv
+          else Abs_spec.O_vm (pick_vm ())
+        in
+        match Abs_spec.spec_smmu_attach !st ~device:(Rng.below rng 3) ~owner with
+        | Ok a -> st := a
+        | Error `Denied -> ())
+    | 7 -> (
+        match
+          Abs_spec.spec_smmu_map !st ~device:(Rng.below rng 3)
+            ~iova_page:(Rng.below rng 4) ~pfn:(pfn ())
+        with
+        | Ok a -> st := a
+        | Error `Denied -> ())
+    | 8 -> (
+        match
+          Abs_spec.spec_smmu_unmap !st ~device:(Rng.below rng 3)
+            ~iova_page:(Rng.below rng 4)
+        with
+        | Ok a -> st := a
+        | Error `Denied -> ())
     | _ -> (
-        match Abs_spec.spec_kserv_fault !st ~pfn:(Rng.below rng 1024) with
+        match Abs_spec.spec_kserv_fault !st ~pfn:(pfn ()) with
         | Ok a -> st := a
         | Error `Denied -> ()));
     check ()

@@ -211,12 +211,17 @@ let test_stress_4level () =
   Alcotest.(check bool) "clean" true (s.Vrm.Scenario.st_guest_ops > 0)
 
 (* Wide run outside the test suite: VRM_FUZZ_SEEDS=n sweeps storms
-   0 .. n-1 (`make fuzz`) and exits non-zero if any storm fails. *)
+   0 .. n-1 (`make fuzz`), reports its wall time and rate, and exits
+   non-zero if any storm fails. *)
 let sweep n =
+  let t0 = Unix.gettimeofday () in
   let failed = List.filter (fun seed -> not (storm seed)) (List.init n Fun.id) in
+  let elapsed = Unix.gettimeofday () -. t0 in
   Format.printf "%d storms, %d failed%s@." n (List.length failed)
     (if failed = [] then ""
      else ": " ^ String.concat " " (List.map string_of_int failed));
+  Format.printf "%.1f s elapsed, %.0f storms/s@." elapsed
+    (float_of_int n /. elapsed);
   exit (if failed = [] then 0 else 1)
 
 let () =

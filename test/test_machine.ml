@@ -40,6 +40,143 @@ let test_phys_mem () =
     (Invalid_argument "Phys_mem: pfn 9 out of range") (fun () ->
       ignore (Phys_mem.read mem ~pfn:9 ~idx:0))
 
+(* ---- Phys_mem against a naive model ----
+
+   The implementation shares one zero page among all never-written frames
+   and allocates a frame's array on its first non-zero store; the model is
+   a plain [int array array]. Every operation must return the same result
+   (or raise the same exception) on both, and the memories must agree
+   word for word afterwards. *)
+
+type mem_op =
+  | Op_write of int * int * int
+  | Op_read of int * int
+  | Op_scrub of int
+  | Op_fill of int * int
+  | Op_copy of int * int
+  | Op_equal of int * int
+  | Op_digest of int
+  | Op_nonzero of int
+
+let show_mem_op = function
+  | Op_write (p, i, v) -> Printf.sprintf "write %d[%d] <- %d" p i v
+  | Op_read (p, i) -> Printf.sprintf "read %d[%d]" p i
+  | Op_scrub p -> Printf.sprintf "scrub %d" p
+  | Op_fill (p, v) -> Printf.sprintf "fill %d %d" p v
+  | Op_copy (s, d) -> Printf.sprintf "copy %d -> %d" s d
+  | Op_equal (a, b) -> Printf.sprintf "equal %d %d" a b
+  | Op_digest p -> Printf.sprintf "digest %d" p
+  | Op_nonzero p -> Printf.sprintf "nonzero %d" p
+
+let model_pages = 4
+
+module Model = struct
+  let check_pfn pfn =
+    if pfn < 0 || pfn >= model_pages then
+      invalid_arg (Printf.sprintf "Phys_mem: pfn %d out of range" pfn)
+
+  let page m pfn = check_pfn pfn; m.(pfn)
+
+  let run m = function
+    | Op_write (p, i, v) -> (page m p).(i) <- v; `Unit
+    | Op_read (p, i) -> `Int (page m p).(i)
+    | Op_scrub p -> Array.fill (page m p) 0 512 0; `Unit
+    | Op_fill (p, v) -> Array.fill (page m p) 0 512 v; `Unit
+    | Op_copy (s, d) ->
+        let src = page m s in
+        Array.blit src 0 (page m d) 0 512;
+        `Unit
+    | Op_equal (a, b) ->
+        let pa = page m a in
+        `Bool (pa = page m b)
+    | Op_digest p ->
+        `Int (Array.fold_left (fun acc w -> (acc * 1_000_003) lxor w) 0x811c9dc5 (page m p))
+    | Op_nonzero p ->
+        let acc = ref [] in
+        Array.iteri (fun i w -> if w <> 0 then acc := (i, w) :: !acc) (page m p);
+        `Words (List.rev !acc)
+end
+
+let run_impl mem = function
+  | Op_write (pfn, idx, v) -> Phys_mem.write mem ~pfn ~idx v; `Unit
+  | Op_read (pfn, idx) -> `Int (Phys_mem.read mem ~pfn ~idx)
+  | Op_scrub p -> Phys_mem.scrub mem p; `Unit
+  | Op_fill (p, v) -> Phys_mem.fill mem p v; `Unit
+  | Op_copy (src, dst) -> Phys_mem.copy_page mem ~src ~dst; `Unit
+  | Op_equal (a, b) -> `Bool (Phys_mem.page_equal mem a b)
+  | Op_digest p -> `Int (Phys_mem.digest_page mem p)
+  | Op_nonzero p ->
+      let acc = ref [] in
+      Phys_mem.iter_nonzero mem p (fun i w -> acc := (i, w) :: !acc);
+      `Words (List.rev !acc)
+
+let outcome f = try f () with Invalid_argument msg -> `Raised msg
+
+(* Run [ops] on both; the first disagreement, if any. *)
+let model_mismatch ops =
+  let mem = Phys_mem.create model_pages in
+  let m = Array.init model_pages (fun _ -> Array.make 512 0) in
+  let rec go = function
+    | [] ->
+        let differs = ref None in
+        for p = 0 to model_pages - 1 do
+          for i = 0 to 511 do
+            if !differs = None && Phys_mem.read mem ~pfn:p ~idx:i <> m.(p).(i)
+            then differs := Some (Printf.sprintf "final word %d[%d]" p i)
+          done
+        done;
+        !differs
+    | op :: rest ->
+        if outcome (fun () -> run_impl mem op) = outcome (fun () -> Model.run m op)
+        then go rest
+        else Some (show_mem_op op)
+  in
+  go ops
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  (* mostly valid frames and indices, sometimes one past either end *)
+  let pfn = frequency [ (12, int_bound (model_pages - 1)); (1, return (-1)); (1, return model_pages) ] in
+  let idx = frequency [ (6, int_bound 15); (2, int_bound 511); (1, oneofl [ -1; 512 ]) ] in
+  let value = frequency [ (3, return 0); (4, int_range (-5) 9); (1, int) ] in
+  frequency
+    [ (6, map3 (fun p i v -> Op_write (p, i, v)) pfn idx value);
+      (3, map2 (fun p i -> Op_read (p, i)) pfn idx);
+      (1, map (fun p -> Op_scrub p) pfn);
+      (1, map2 (fun p v -> Op_fill (p, v)) pfn value);
+      (2, map2 (fun s d -> Op_copy (s, d)) pfn pfn);
+      (1, map2 (fun a b -> Op_equal (a, b)) pfn pfn);
+      (1, map (fun p -> Op_digest p) pfn);
+      (1, map (fun p -> Op_nonzero p) pfn) ]
+
+let qcheck_phys_mem_model =
+  QCheck.Test.make ~name:"phys mem agrees with a naive page array" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) gen_mem_op))
+    (fun ops ->
+      match model_mismatch ops with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "mismatch at %s" what)
+
+let test_phys_mem_zero_page_cases () =
+  let agree label ops =
+    Alcotest.(check (option string)) label None (model_mismatch ops)
+  in
+  agree "write 0 to a fresh page"
+    [ Op_write (1, 5, 0); Op_read (1, 5); Op_nonzero 1; Op_equal (1, 2); Op_digest 1 ];
+  agree "copy from a never-written page"
+    [ Op_write (2, 7, 3); Op_copy (0, 2); Op_read (2, 7); Op_write (2, 7, 4); Op_read (0, 7) ];
+  agree "a write to src after a copy leaves dst alone"
+    [ Op_write (0, 1, 9); Op_copy (0, 3); Op_write (0, 1, 10); Op_read (3, 1); Op_equal (0, 3) ];
+  agree "out-of-range frames and indices raise"
+    [ Op_read (-1, 0); Op_write (4, 0, 1); Op_write (1, 512, 0); Op_write (1, -1, 7);
+      Op_read (1, 512); Op_scrub 4; Op_fill (-1, 0); Op_copy (0, 4); Op_nonzero 4 ];
+  agree "scrub and fill 0 after writes"
+    [ Op_write (1, 0, 1); Op_scrub 1; Op_write (2, 0, 1); Op_fill (2, 0); Op_equal (1, 2);
+      Op_fill (3, 6); Op_nonzero 3; Op_write (3, 511, 0); Op_digest 3 ]
+
 let test_page_pool () =
   let mem = Phys_mem.create 16 in
   Phys_mem.write mem ~pfn:5 ~idx:0 99;
@@ -183,6 +320,11 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_pte_roundtrip ] );
       ( "memory",
         [ Alcotest.test_case "phys mem" `Quick test_phys_mem;
+          Alcotest.test_case "phys mem zero-page cases" `Quick
+            test_phys_mem_zero_page_cases;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 17 |])
+            qcheck_phys_mem_model;
           Alcotest.test_case "page pool" `Quick test_page_pool;
           Alcotest.test_case "s2page" `Quick test_s2page ] );
       ( "page-table-4level",
