@@ -1,5 +1,5 @@
 .PHONY: all build test litmus examples smoke lint fuzz sym-wide bmc check bench \
-	bench-smoke service-smoke bench-serve bench-serve-smoke clean
+	bench-smoke service-smoke bench-serve bench-serve-smoke loc clean
 
 all: build
 
@@ -84,6 +84,16 @@ bench-serve-smoke: build
 	dune exec --no-build bin/vrm_cli.exe -- bench-serve \
 	  --requests 200 --clients 4 --json BENCH_service.json
 	sh scripts/bench_digest_check.sh --service BENCH_service.json
+
+# Non-blank .ml/.mli line counts per library directory, for the
+# executables, benchmarks, tests and scripts, and in total: the one way
+# a change's net-lines figure is measured.
+loc:
+	@total=0; for d in lib/* bin bench test scripts; do \
+	  n=$$(find $$d -name '*.ml' -o -name '*.mli' | sort | xargs -r cat \
+	    | grep -c -v '^[[:space:]]*$$'); \
+	  total=$$((total + n)); printf '%-16s %6d\n' $$d $$n; \
+	done; printf '%-16s %6d\n' total $$total
 
 clean:
 	dune clean

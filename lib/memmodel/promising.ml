@@ -327,7 +327,14 @@ let step_thread ?(fp = false) ?(silent_ok = false) ?(obs = any_reg)
   | Cont.Cons { instr; rest; _ } -> (
       try
         match instr with
-        | Instr.Nop | Instr.Pull _ | Instr.Push _ | Instr.Tlbi _ ->
+        | Instr.Nop | Instr.Pull _ | Instr.Push _ ->
+            [ Next (set_thread st i { t with code = rest }, quiet_lbl ()) ]
+        | Instr.Tlbi scope ->
+            (* the scope is evaluated, as in the SC-family models: a
+               faulting scope panics the thread *)
+            Option.iter
+              (fun a -> ignore (Expr.eval_addr (lookup_reg t.regs) a))
+              scope;
             [ Next (set_thread st i { t with code = rest }, quiet_lbl ()) ]
         | Instr.Panic -> raise Thread_panic
         | Instr.Move (r, e) ->

@@ -64,12 +64,10 @@ type check_result =
       (** the program itself panicked (e.g. explicit [Panic]) — reported
           separately from ownership violations *)
 
-type tstate = { code : Cont.t; regs : int Reg.Map.t; fuel : int }
-
 type state = {
   mem : int Loc.Map.t;
   owners : (string * int) list;  (** base -> owning tid *)
-  threads : tstate array;
+  threads : Interp.thread array;
   poison : violation option;
       (** a transition into this state violated the ownership discipline;
           expanding the state raises, so the violation surfaces at the
@@ -77,15 +75,6 @@ type state = {
           in-sequence raise did *)
 }
 
-let lookup_reg regs r =
-  match Reg.Map.find_opt r regs with Some v -> v | None -> 0
-
-let lookup_rv regs r = (lookup_reg regs r, 0)
-
-let read_mem mem loc =
-  match Loc.Map.find_opt loc mem with Some v -> v | None -> 0
-
-exception Thread_panic
 exception Ownership of violation
 
 module Base_set = Set.Make (String)
@@ -98,162 +87,73 @@ let tracked_set ~shared ~exempt =
   Base_set.diff (Base_set.of_list shared) (Base_set.of_list exempt)
 
 let is_tracked ~tracked base = Base_set.mem base tracked
+let tracked_of ~tracked = List.filter (fun b -> is_tracked ~tracked b)
 
-let check_access ~tracked st tid base =
-  if is_tracked ~tracked base then
-    match List.assoc_opt base st.owners with
-    | Some o when o = tid -> ()
-    | Some _ | None ->
+let violation v_tid v_base v_kind v_detail =
+  Ownership { v_tid; v_base; v_kind; v_detail }
+
+(* The ownership discipline on thread [i]'s request: the owner map
+   after it, or [Ownership] when it pulls an owned base, pushes a base
+   it does not own, or accesses a tracked base it does not own. *)
+let owners_after ~tracked st i (req : Interp.request) =
+  match req with
+  | Interp.Pull bases ->
+      let tr = tracked_of ~tracked bases in
+      List.iter
+        (fun b ->
+          if List.mem_assoc b st.owners then
+            raise (violation i b `Pull_owned "base already owned"))
+        tr;
+      List.map (fun b -> (b, i)) tr @ st.owners
+  | Interp.Push bases ->
+      let tr = tracked_of ~tracked bases in
+      List.iter
+        (fun b ->
+          if List.assoc_opt b st.owners <> Some i then
+            raise
+              (violation i b `Push_not_owned "base not owned by pushing CPU"))
+        tr;
+      List.filter (fun (b, _) -> not (List.mem b tr)) st.owners
+  | Interp.Read (_, loc) | Interp.Write (loc, _) | Interp.Rmw (_, loc, _) ->
+      let b = Loc.base loc in
+      if is_tracked ~tracked b && List.assoc_opt b st.owners <> Some i then
         raise
-          (Ownership
-             { v_tid = tid;
-               v_base = base;
-               v_kind = `Access_not_owned;
-               v_detail = "shared base accessed outside pull/push section" })
+          (violation i b `Access_not_owned
+             "shared base accessed outside pull/push section");
+      st.owners
+  | Interp.Local | Interp.Assign _ | Interp.Fence _ | Interp.Tlbi _ ->
+      st.owners
 
-let step_thread ~tracked (st : state) (i : int) :
-    (state * event option) option =
-  let t = st.threads.(i) in
-  match t.code with
-  | Cont.Nil -> invalid_arg "Pushpull.step_thread: thread done"
-  | Cont.Cons { instr; rest; _ } -> (
-      let with_thread t' = { st with threads = (let a = Array.copy st.threads in a.(i) <- t'; a) } in
-      try
-        match instr with
-        | Instr.Nop -> Some (with_thread { t with code = rest }, None)
-        | Instr.Tlbi a ->
-            let scope =
-              Option.map (fun a -> fst (Expr.eval_addr (lookup_rv t.regs) a)) a
-            in
-            Some (with_thread { t with code = rest }, Some (Ev_tlbi (i, scope)))
-        | Instr.Barrier b ->
-            Some (with_thread { t with code = rest }, Some (Ev_barrier (i, b)))
-        | Instr.Panic -> raise Thread_panic
-        | Instr.Pull bases ->
-            let tracked =
-              List.filter (fun b -> is_tracked ~tracked b) bases
-            in
-            List.iter
-              (fun b ->
-                match List.assoc_opt b st.owners with
-                | Some _ ->
-                    raise
-                      (Ownership
-                         { v_tid = i;
-                           v_base = b;
-                           v_kind = `Pull_owned;
-                           v_detail = "base already owned" })
-                | None -> ())
-              tracked;
-            let owners = List.map (fun b -> (b, i)) tracked @ st.owners in
-            Some
-              ( { (with_thread { t with code = rest }) with owners },
-                Some (Ev_pull (i, bases)) )
-        | Instr.Push bases ->
-            let tracked =
-              List.filter (fun b -> is_tracked ~tracked b) bases
-            in
-            List.iter
-              (fun b ->
-                match List.assoc_opt b st.owners with
-                | Some o when o = i -> ()
-                | _ ->
-                    raise
-                      (Ownership
-                         { v_tid = i;
-                           v_base = b;
-                           v_kind = `Push_not_owned;
-                           v_detail = "base not owned by pushing CPU" }))
-              tracked;
-            let owners =
-              List.filter (fun (b, _) -> not (List.mem b tracked)) st.owners
-            in
-            Some
-              ( { (with_thread { t with code = rest }) with owners },
-                Some (Ev_push (i, bases)) )
-        | Instr.Move (r, e) ->
-            let v, _ = Expr.eval_v (lookup_rv t.regs) e in
-            Some
-              ( with_thread
-                  { t with code = rest; regs = Reg.Map.add r v t.regs },
-                None )
-        | Instr.Load (r, a, _) ->
-            let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-            check_access ~tracked st i (Loc.base loc);
-            let v = read_mem st.mem loc in
-            Some
-              ( with_thread
-                  { t with code = rest; regs = Reg.Map.add r v t.regs },
-                Some (Ev_read (i, loc, v)) )
-        | Instr.Store (a, e, _) ->
-            let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-            check_access ~tracked st i (Loc.base loc);
-            let v, _ = Expr.eval_v (lookup_rv t.regs) e in
-            Some
-              ( { (with_thread { t with code = rest }) with
-                  mem = Loc.Map.add loc v st.mem },
-                Some (Ev_write (i, loc, v)) )
-        | Instr.Faa (r, a, e, _) ->
-            let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-            check_access ~tracked st i (Loc.base loc);
-            let delta, _ = Expr.eval_v (lookup_rv t.regs) e in
-            let old = read_mem st.mem loc in
-            Some
-              ( { (with_thread
-                     { t with code = rest; regs = Reg.Map.add r old t.regs })
-                  with
-                  mem = Loc.Map.add loc (old + delta) st.mem },
-                Some (Ev_rmw (i, loc, old, old + delta)) )
-        | Instr.Xchg (r, a, e, _) ->
-            let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-            check_access ~tracked st i (Loc.base loc);
-            let v, _ = Expr.eval_v (lookup_rv t.regs) e in
-            let old = read_mem st.mem loc in
-            Some
-              ( { (with_thread
-                     { t with code = rest; regs = Reg.Map.add r old t.regs })
-                  with
-                  mem = Loc.Map.add loc v st.mem },
-                Some (Ev_rmw (i, loc, old, v)) )
-        | Instr.Cas (r, a, expected, desired, _) ->
-            let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-            check_access ~tracked st i (Loc.base loc);
-            let exp_v, _ = Expr.eval_v (lookup_rv t.regs) expected in
-            let des_v, _ = Expr.eval_v (lookup_rv t.regs) desired in
-            let old = read_mem st.mem loc in
-            let mem =
-              if old = exp_v then Loc.Map.add loc des_v st.mem else st.mem
-            in
-            Some
-              ( { (with_thread
-                     { t with code = rest; regs = Reg.Map.add r old t.regs })
-                  with
-                  mem },
-                Some (Ev_rmw (i, loc, old, (if old = exp_v then des_v else old))) )
-        | Instr.If (c, br_then, br_else) ->
-            let b, _ = Expr.eval_b (lookup_rv t.regs) c in
-            Some
-              ( with_thread
-                  { t with
-                    code = Cont.prepend (if b then br_then else br_else) rest },
-                None )
-        | Instr.While (c, body) ->
-            let b, _ = Expr.eval_b (lookup_rv t.regs) c in
-            if not b then Some (with_thread { t with code = rest }, None)
-            else if t.fuel <= 0 then None
-            else
-              Some
-                ( with_thread
-                    { t with
-                      code = Cont.prepend body t.code;
-                      fuel = t.fuel - 1 },
-                  None )
-      with Expr.Eval_panic _ -> raise Thread_panic)
+(* One SC step of thread [i] under the ownership discipline: the
+   interpreter's request and the successor state. [None] when the
+   thread ran out of fuel; raises [Interp.Thread_panic] or
+   [Ownership]. *)
+let step_thread ~tracked (st : state) i :
+    (Interp.request * state) option =
+  match Interp.step st.threads.(i) with
+  | None -> None
+  | Some (req, t) ->
+      let owners = owners_after ~tracked st i req in
+      let mem, t = Interp.access st.mem t req in
+      let threads = Array.copy st.threads in
+      threads.(i) <- t;
+      Some (req, { st with mem; owners; threads })
 
-let observe (prog : Prog.t) (st : state) status : Behavior.outcome =
-  Behavior.observe prog
-    ~reg:(fun i r -> lookup_reg st.threads.(i).regs r)
-    ~loc:(read_mem st.mem) status
+(* The event thread [i]'s request records, read against the memory
+   [mem] it is applied to. *)
+let event i mem (req : Interp.request) =
+  match req with
+  | Interp.Read (_, loc) -> Some (Ev_read (i, loc, Interp.read_mem mem loc))
+  | Interp.Write (loc, v) -> Some (Ev_write (i, loc, v))
+  | Interp.Rmw (_, loc, op) ->
+      let old = Interp.read_mem mem loc in
+      Some
+        (Ev_rmw (i, loc, old, Option.value (Interp.rmw op old) ~default:old))
+  | Interp.Fence b -> Some (Ev_barrier (i, b))
+  | Interp.Pull bases -> Some (Ev_pull (i, bases))
+  | Interp.Push bases -> Some (Ev_push (i, bases))
+  | Interp.Tlbi scope -> Some (Ev_tlbi (i, scope))
+  | Interp.Local | Interp.Assign _ -> None
 
 let hash_poison h (st : state) =
   match st.poison with
@@ -269,109 +169,29 @@ let hash_poison h (st : state) =
         | `Access_not_owned -> 2);
       Statekey.str h v.v_detail
 
-let hash_mem_owners h (st : state) =
-  Statekey.int h (Loc.Map.cardinal st.mem);
-  Loc.Map.iter
-    (fun l v ->
-      Statekey.loc h l;
-      Statekey.int h v)
-    st.mem;
-  List.iter
-    (fun (b, o) ->
-      Statekey.str h b;
-      Statekey.int h o)
-    (List.sort compare st.owners)
-
-let hash_thread h (t : tstate) =
-  Statekey.char h 'T';
-  Statekey.int h t.fuel;
-  Statekey.int h (Reg.Map.cardinal t.regs);
-  Reg.Map.iter
-    (fun r v ->
-      Statekey.str h (Reg.name r);
-      Statekey.int h v)
-    t.regs;
-  Statekey.absorb h (Cont.key t.code)
-
-let state_key (st : state) : Statekey.t =
-  let h = Statekey.fresh () in
-  hash_poison h st;
-  hash_mem_owners h st;
-  Array.iter (fun t -> hash_thread h t) st.threads;
-  Statekey.finish h
-
-(* Orbit-canonical key. Only used when the tracked set is empty (see
-   [check_stats]): then [poison] is always [None] and [owners] never
-   changes from its initial value, so neither can leak a concrete tid
-   that the canonical order would have to remap. *)
-let canonical_key sym (st : state) : Statekey.t =
-  let h = Statekey.fresh () in
-  hash_poison h st;
-  hash_mem_owners h st;
-  let sub =
-    Array.map
-      (fun t ->
-        let th = Statekey.fresh () in
-        hash_thread th t;
-        Statekey.finish th)
-      st.threads
-  in
-  Symmetry.fold_threads sym h sub;
-  Statekey.finish h
-
 let initial_state ~fuel ~initial_owners (prog : Prog.t) : state =
-  let mem =
-    List.fold_left (fun m (l, v) -> Loc.Map.add l v m) Loc.Map.empty
-      prog.Prog.init
-  in
-  let threads =
-    Array.of_list
-      (List.map
-         (fun th ->
-           { code = Cont.of_list th.Prog.code; regs = Reg.Map.empty; fuel })
-         prog.Prog.threads)
-  in
-  { mem; owners = initial_owners; threads; poison = None }
+  { mem = Interp.init_mem prog;
+    owners = initial_owners;
+    threads = Interp.init_threads ~fuel prog;
+    poison = None }
 
-(* POR footprint of thread [i]'s (unique, SC) next transition. Tracked
-   accesses consult ownership ([obases]); pulls and pushes change it
-   ([otransfer]), which is what makes them dependent on every access and
-   pull/push of the same base — the orders that differ on whether a
-   violation fires are never pruned. *)
-let label_of ~tracked (prog : Prog.t) (st : state) i (instr : Instr.t) :
+(* POR footprint of thread [i]'s (unique, SC) next transition: the SC
+   footprint, plus ownership. Tracked accesses consult ownership
+   ([obases]); pulls and pushes change it ([otransfer]), which is what
+   makes them dependent on every access and pull/push of the same base
+   — the orders that differ on whether a violation fires are never
+   pruned. *)
+let label_of ~tracked (prog : Prog.t) i (req : Interp.request) :
     Porlabel.t =
-  let t = st.threads.(i) in
-  let owned b acc = if is_tracked ~tracked b then b :: acc else acc in
-  try
-    match instr with
-    | Instr.Nop | Instr.Tlbi _ | Instr.Barrier _ | Instr.If _
-    | Instr.While _ | Instr.Panic ->
-        Porlabel.silent ~tid:i
-    | Instr.Pull bases | Instr.Push bases -> (
-        match List.filter (fun b -> is_tracked ~tracked b) bases with
-        | [] -> Porlabel.silent ~tid:i
-        | tr ->
-            { (Porlabel.empty ~tid:i) with obases = tr; otransfer = tr })
-    | Instr.Move (r, _) ->
-        if Prog.observable_reg prog i r then Porlabel.private_ ~tid:i
-        else Porlabel.silent ~tid:i
-    | Instr.Load (_, a, _) ->
-        let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-        { (Porlabel.read ~tid:i loc) with
-          obases = owned (Loc.base loc) [] }
-    | Instr.Store (a, _, _) ->
-        let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-        { (Porlabel.write ~tid:i loc) with
-          obases = owned (Loc.base loc) [] }
-    | Instr.Faa (_, a, _, _)
-    | Instr.Xchg (_, a, _, _)
-    | Instr.Cas (_, a, _, _, _) ->
-        let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-        { (Porlabel.rmw ~tid:i loc) with
-          obases = owned (Loc.base loc) [] }
-  with Expr.Eval_panic _ ->
-    (* the step itself panicked and emitted; label is never used *)
-    Porlabel.silent ~tid:i
+  match req with
+  | Interp.Pull bases | Interp.Push bases -> (
+      match tracked_of ~tracked bases with
+      | [] -> Porlabel.silent ~tid:i
+      | tr -> { (Porlabel.empty ~tid:i) with obases = tr; otransfer = tr })
+  | Interp.Read (_, loc) | Interp.Write (loc, _) | Interp.Rmw (_, loc, _)
+    when is_tracked ~tracked (Loc.base loc) ->
+      { (Interp.label prog i req) with obases = [ Loc.base loc ] }
+  | _ -> Interp.label prog i req
 
 (* The ownership-instrumented executor is an instance of the shared
    exploration engine. An [Ownership] violation does not escape from the
@@ -397,42 +217,44 @@ module Model = struct
 
   let sym ctx = ctx.sym
 
+  (* Orbit-canonical under [sym], which is only set when the tracked
+     set is empty (see [check_stats]): then [poison] is always [None]
+     and [owners] never changes from its initial value, so neither can
+     leak a concrete tid that the canonical order would have to
+     remap. *)
   let key ctx st =
-    match ctx.sym with
-    | None -> state_key st
-    | Some s -> canonical_key s st
-
-  let dummy i = Porlabel.silent ~tid:i
+    let h = Statekey.fresh () in
+    hash_poison h st;
+    Interp.hash_mem h st.mem;
+    List.iter
+      (fun (b, o) ->
+        Statekey.str h b;
+        Statekey.int h o)
+      (List.sort compare st.owners);
+    Interp.key ctx.sym h Interp.hash_thread st.threads
 
   let expand { prog; tracked; sym = _ } ~labels (st : state) :
       (state, Porlabel.t) Engine.expansion =
     match st.poison with
     | Some v -> raise (Ownership v)
     | None -> (
-        let runnable = ref [] in
-        Array.iteri
-          (fun i t ->
-            if not (Cont.is_empty t.code) then runnable := i :: !runnable)
-          st.threads;
-        match !runnable with
-        | [] -> Engine.Terminal (Some (observe prog st Behavior.Normal))
+        let observe = Interp.observe prog st.threads st.mem in
+        match Interp.runnable st.threads with
+        | [] -> Engine.Terminal (Some (observe Behavior.Normal))
         | rs ->
             Engine.Steps
               (List.to_seq rs
               |> Seq.map (fun i ->
                      match step_thread ~tracked st i with
-                     | Some (st', _) ->
+                     | Some (req, st') ->
                          let lbl =
-                           if labels then
-                             label_of ~tracked prog st i
-                               (Cont.head st.threads.(i).code)
-                           else dummy i
+                           if labels then label_of ~tracked prog i req
+                           else Porlabel.silent ~tid:i
                          in
                          Engine.Step (lbl, st')
-                     | None ->
-                         Engine.Emit (observe prog st Behavior.Fuel_exhausted)
-                     | exception Thread_panic ->
-                         Engine.Emit (observe prog st Behavior.Panicked)
+                     | None -> Engine.Emit (observe Behavior.Fuel_exhausted)
+                     | exception Interp.Thread_panic ->
+                         Engine.Emit (observe Behavior.Panicked)
                      | exception Ownership v ->
                          (* global label: dependent on everything, never
                             slept or ample-pruned *)
@@ -491,21 +313,18 @@ let traces ?(fuel = 16) ?(exempt = []) ?(initial_owners = [])
      ownership-violating paths, so exceptions are absorbed per
      transition rather than propagated. *)
   let expand (st : state) : (state, event option) Engine.expansion =
-    let runnable = ref [] in
-    Array.iteri
-      (fun i t ->
-        if not (Cont.is_empty t.code) then runnable := i :: !runnable)
-      st.threads;
-    match !runnable with
+    match Interp.runnable st.threads with
     | [] -> Engine.Terminal None
     | rs ->
         Engine.Steps
           (List.to_seq rs
           |> Seq.filter_map (fun i ->
                  match step_thread ~tracked st i with
-                 | Some (st', ev) -> Some (Engine.Step (ev, st'))
-                 | None | (exception Thread_panic) | (exception Ownership _)
-                   ->
+                 | Some (req, st') ->
+                     Some (Engine.Step (event i st.mem req, st'))
+                 | None
+                 | (exception Interp.Thread_panic)
+                 | (exception Ownership _) ->
                      None))
   in
   Engine.enumerate_paths ~expand ~max_paths:max_traces

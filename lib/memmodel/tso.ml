@@ -17,21 +17,11 @@
     act as MFENCE. *)
 
 type tstate = {
-  code : Cont.t;
-  regs : int Reg.Map.t;
+  th : Interp.thread;
   buffer : (Loc.t * int) list;  (** oldest first *)
-  fuel : int;
 }
 
 type state = { mem : int Loc.Map.t; threads : tstate array }
-
-let lookup_reg regs r =
-  match Reg.Map.find_opt r regs with Some v -> v | None -> 0
-
-let lookup_rv regs r = (lookup_reg regs r, 0)
-
-let read_mem mem loc =
-  match Loc.Map.find_opt loc mem with Some v -> v | None -> 0
 
 (* newest buffered store to [loc], if any *)
 let forwarded buffer loc =
@@ -39,119 +29,45 @@ let forwarded buffer loc =
     (fun acc (l, v) -> if Loc.equal l loc then Some v else acc)
     None buffer
 
-let read st (t : tstate) loc =
-  match forwarded t.buffer loc with
-  | Some v -> v
-  | None -> read_mem st.mem loc
-
-exception Thread_panic
-
 let set_thread st i t' =
   let threads = Array.copy st.threads in
   threads.(i) <- t';
   { st with threads }
 
-(* drain the whole buffer of thread [i] into memory (fences, RMWs) *)
-let flush st i =
+(* Apply thread [i]'s request ([th] is the thread after the
+   instruction): stores enqueue, loads forward from the thread's own
+   buffer, fences and atomic RMWs (x86 LOCK) drain the whole buffer to
+   memory first. *)
+let apply (st : state) i th (req : Interp.request) : state =
   let t = st.threads.(i) in
-  let mem =
-    List.fold_left (fun m (l, v) -> Loc.Map.add l v m) st.mem t.buffer
-  in
-  set_thread { st with mem } i { t with buffer = [] }
+  match req with
+  | Interp.Write (loc, v) ->
+      set_thread st i { th; buffer = t.buffer @ [ (loc, v) ] }
+  | Interp.Read (r, loc) ->
+      let v =
+        match forwarded t.buffer loc with
+        | Some v -> v
+        | None -> Interp.read_mem st.mem loc
+      in
+      set_thread st i { t with th = Interp.set_reg th r v }
+  | Interp.Fence _ | Interp.Rmw _ ->
+      let mem =
+        List.fold_left (fun m (l, v) -> Loc.Map.add l v m) st.mem t.buffer
+      in
+      let mem, th = Interp.access mem th req in
+      set_thread { st with mem } i { th; buffer = [] }
+  | Interp.Local | Interp.Assign _ | Interp.Pull _ | Interp.Push _
+  | Interp.Tlbi _ ->
+      set_thread st i { t with th }
 
-type step = Next of state | Fuel_out
-
-let step_thread (st : state) (i : int) : step =
-  let t = st.threads.(i) in
-  match t.code with
-  | Cont.Nil -> invalid_arg "Tso.step_thread: thread done"
-  | Cont.Cons { instr; rest; _ } -> (
-      try
-        match instr with
-        | Instr.Nop | Instr.Pull _ | Instr.Push _ | Instr.Tlbi _ ->
-            Next (set_thread st i { t with code = rest })
-        | Instr.Panic -> raise Thread_panic
-        | Instr.Move (r, e) ->
-            let v, _ = Expr.eval_v (lookup_rv t.regs) e in
-            Next
-              (set_thread st i
-                 { t with code = rest; regs = Reg.Map.add r v t.regs })
-        | Instr.Load (r, a, _) ->
-            let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-            let v = read st t loc in
-            Next
-              (set_thread st i
-                 { t with code = rest; regs = Reg.Map.add r v t.regs })
-        | Instr.Store (a, e, _) ->
-            let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-            let v, _ = Expr.eval_v (lookup_rv t.regs) e in
-            Next
-              (set_thread st i
-                 { t with code = rest; buffer = t.buffer @ [ (loc, v) ] })
-        | Instr.Barrier _ ->
-            (* all fences drain the local buffer on TSO *)
-            let st = flush st i in
-            let t = st.threads.(i) in
-            Next (set_thread st i { t with code = rest })
-        | Instr.Faa (r, a, e, _) ->
-            (* atomic RMW: implicitly fenced on x86 (LOCK prefix) *)
-            let st = flush st i in
-            let t = st.threads.(i) in
-            let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-            let delta, _ = Expr.eval_v (lookup_rv t.regs) e in
-            let old = read_mem st.mem loc in
-            Next
-              (set_thread
-                 { st with mem = Loc.Map.add loc (old + delta) st.mem }
-                 i
-                 { t with code = rest; regs = Reg.Map.add r old t.regs })
-        | Instr.Xchg (r, a, e, _) ->
-            let st = flush st i in
-            let t = st.threads.(i) in
-            let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-            let v, _ = Expr.eval_v (lookup_rv t.regs) e in
-            let old = read_mem st.mem loc in
-            Next
-              (set_thread
-                 { st with mem = Loc.Map.add loc v st.mem }
-                 i
-                 { t with code = rest; regs = Reg.Map.add r old t.regs })
-        | Instr.Cas (r, a, expected, desired, _) ->
-            let st = flush st i in
-            let t = st.threads.(i) in
-            let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-            let exp_v, _ = Expr.eval_v (lookup_rv t.regs) expected in
-            let des_v, _ = Expr.eval_v (lookup_rv t.regs) desired in
-            let old = read_mem st.mem loc in
-            let mem =
-              if old = exp_v then Loc.Map.add loc des_v st.mem else st.mem
-            in
-            Next
-              (set_thread { st with mem } i
-                 { t with code = rest; regs = Reg.Map.add r old t.regs })
-        | Instr.If (c, br_then, br_else) ->
-            let b, _ = Expr.eval_b (lookup_rv t.regs) c in
-            Next
-              (set_thread st i
-                 { t with
-                   code = Cont.prepend (if b then br_then else br_else) rest })
-        | Instr.While (c, body) ->
-            let b, _ = Expr.eval_b (lookup_rv t.regs) c in
-            if not b then Next (set_thread st i { t with code = rest })
-            else if t.fuel <= 0 then Fuel_out
-            else
-              Next
-                (set_thread st i
-                   { t with
-                     code = Cont.prepend body t.code;
-                     fuel = t.fuel - 1 })
-      with Expr.Eval_panic _ -> raise Thread_panic)
-
+(* Observation reads a location as the highest-index thread's newest
+   buffered store to it, else memory. Terminal states have empty
+   buffers, but fuel-exhausted and panicked paths are observed
+   mid-execution, with buffers still live. *)
 let observe (prog : Prog.t) (st : state) status : Behavior.outcome =
   Behavior.observe prog
-    ~reg:(fun i r -> lookup_reg st.threads.(i).regs r)
+    ~reg:(fun i r -> Interp.lookup_reg st.threads.(i).th.Interp.regs r)
     ~loc:(fun l ->
-      (* terminal states have empty buffers, but be defensive *)
       match
         Array.fold_left
           (fun acc t ->
@@ -159,59 +75,21 @@ let observe (prog : Prog.t) (st : state) status : Behavior.outcome =
           None st.threads
       with
       | Some v -> v
-      | None -> read_mem st.mem l)
+      | None -> Interp.read_mem st.mem l)
     status
 
+(* Store buffers are thread-local, so the per-thread sub-key (the
+   interpreter's part plus the buffer contents) captures everything a
+   within-group permutation moves; memory is shared and
+   permutation-invariant. *)
 let hash_thread h (t : tstate) =
-  Statekey.char h 'T';
-  Statekey.int h t.fuel;
-  Statekey.int h (Reg.Map.cardinal t.regs);
-  Reg.Map.iter
-    (fun r v ->
-      Statekey.str h (Reg.name r);
-      Statekey.int h v)
-    t.regs;
+  Interp.hash_thread h t.th;
   Statekey.int h (List.length t.buffer);
   List.iter
     (fun (l, v) ->
       Statekey.loc h l;
       Statekey.int h v)
-    t.buffer;
-  Statekey.absorb h (Cont.key t.code)
-
-let state_key (st : state) : Statekey.t =
-  let h = Statekey.fresh () in
-  Statekey.int h (Loc.Map.cardinal st.mem);
-  Loc.Map.iter
-    (fun l v ->
-      Statekey.loc h l;
-      Statekey.int h v)
-    st.mem;
-  Array.iter (fun t -> hash_thread h t) st.threads;
-  Statekey.finish h
-
-(* Orbit-canonical key: store buffers are thread-local, so the
-   per-thread sub-key (registers, buffer contents, continuation)
-   captures everything a within-group permutation moves; memory is
-   shared and permutation-invariant. *)
-let canonical_key sym (st : state) : Statekey.t =
-  let h = Statekey.fresh () in
-  Statekey.int h (Loc.Map.cardinal st.mem);
-  Loc.Map.iter
-    (fun l v ->
-      Statekey.loc h l;
-      Statekey.int h v)
-    st.mem;
-  let sub =
-    Array.map
-      (fun t ->
-        let th = Statekey.fresh () in
-        hash_thread th t;
-        Statekey.finish th)
-      st.threads
-  in
-  Symmetry.fold_threads sym h sub;
-  Statekey.finish h
+    t.buffer
 
 (* POR footprint of thread [i]'s next {e instruction} transition (drain
    transitions are labelled as writes at their location directly in
@@ -221,27 +99,22 @@ let canonical_key sym (st : state) : Statekey.t =
    private. Stores are private, not writes: they touch only the issuing
    thread's buffer (observation forwards from buffers, so they are not
    invisible). Fences and RMWs flush the whole buffer: global. *)
-let label_of (prog : Prog.t) (st : state) i (instr : Instr.t) : Porlabel.t =
-  let t = st.threads.(i) in
+let label_of (prog : Prog.t) (st : state) i (req : Interp.request) :
+    Porlabel.t =
+  let empty = st.threads.(i).buffer = [] in
   let local () =
-    if t.buffer = [] then Porlabel.silent ~tid:i else Porlabel.private_ ~tid:i
+    if empty then Porlabel.silent ~tid:i else Porlabel.private_ ~tid:i
   in
-  try
-    match instr with
-    | Instr.Nop | Instr.Pull _ | Instr.Push _ | Instr.Tlbi _
-    | Instr.If _ | Instr.While _ | Instr.Panic ->
-        local ()
-    | Instr.Move (r, _) ->
-        if Prog.observable_reg prog i r then Porlabel.private_ ~tid:i
-        else local ()
-    | Instr.Barrier _ ->
-        if t.buffer = [] then Porlabel.silent ~tid:i else Porlabel.sync ~tid:i
-    | Instr.Load (_, a, _) ->
-        let loc, _ = Expr.eval_addr (lookup_rv t.regs) a in
-        Porlabel.read ~tid:i loc
-    | Instr.Store _ -> Porlabel.private_ ~tid:i
-    | Instr.Faa _ | Instr.Xchg _ | Instr.Cas _ -> Porlabel.sync ~tid:i
-  with Expr.Eval_panic _ -> Porlabel.private_ ~tid:i
+  match req with
+  | Interp.Local | Interp.Pull _ | Interp.Push _ | Interp.Tlbi _ -> local ()
+  | Interp.Assign r ->
+      if Prog.observable_reg prog i r then Porlabel.private_ ~tid:i
+      else local ()
+  | Interp.Fence _ ->
+      if empty then Porlabel.silent ~tid:i else Porlabel.sync ~tid:i
+  | Interp.Read (_, loc) -> Porlabel.read ~tid:i loc
+  | Interp.Write _ -> Porlabel.private_ ~tid:i
+  | Interp.Rmw _ -> Porlabel.sync ~tid:i
 
 (* The executor is an instance of the shared exploration engine: per
    thread, one transition draining the oldest buffered store plus one
@@ -254,9 +127,9 @@ module Model = struct
   let sym ctx = ctx.sym
 
   let key ctx st =
-    match ctx.sym with
-    | None -> state_key st
-    | Some s -> canonical_key s st
+    let h = Statekey.fresh () in
+    Interp.hash_mem h st.mem;
+    Interp.key ctx.sym h hash_thread st.threads
 
   let dummy i = Porlabel.silent ~tid:i
 
@@ -267,7 +140,8 @@ module Model = struct
     let all_done = ref true in
     for i = 0 to n - 1 do
       let t = st.threads.(i) in
-      if (not (Cont.is_empty t.code)) || t.buffer <> [] then all_done := false
+      if (not (Cont.is_empty t.th.Interp.code)) || t.buffer <> [] then
+        all_done := false
     done;
     if !all_done then
       Engine.Terminal (Some (observe prog st Behavior.Normal))
@@ -289,20 +163,19 @@ module Model = struct
           | [] -> Seq.empty
         in
         let instr =
-          if Cont.is_empty t.code then Seq.empty
+          if Cont.is_empty t.th.Interp.code then Seq.empty
           else
             fun () ->
               Seq.Cons
-                ( (match step_thread st i with
-                  | Next st' ->
+                ( (match Interp.step t.th with
+                  | Some (req, th) ->
                       let lbl =
-                        if labels then label_of prog st i (Cont.head t.code)
-                        else dummy i
+                        if labels then label_of prog st i req else dummy i
                       in
-                      Engine.Step (lbl, st')
-                  | Fuel_out ->
+                      Engine.Step (lbl, apply st i th req)
+                  | None ->
                       Engine.Emit (observe prog st Behavior.Fuel_exhausted)
-                  | exception Thread_panic ->
+                  | exception Interp.Thread_panic ->
                       Engine.Emit (observe prog st Behavior.Panicked)),
                   Seq.empty )
         in
@@ -321,24 +194,18 @@ module E = Engine.Make (Model)
     thread groups — same behavior set either way. *)
 let run_stats ?(fuel = 8) ?(jobs = 1) ?deadline ?por ?(sym = true)
     (prog : Prog.t) : Behavior.t * Engine.stats =
-  let mem =
-    List.fold_left (fun m (l, v) -> Loc.Map.add l v m) Loc.Map.empty
-      prog.Prog.init
-  in
   let threads =
-    Array.of_list
-      (List.map
-         (fun th ->
-           { code = Cont.of_list th.Prog.code;
-             regs = Reg.Map.empty;
-             buffer = [];
-             fuel })
-         prog.Prog.threads)
+    Array.map
+      (fun th -> { th; buffer = [] })
+      (Interp.init_threads ~fuel prog)
   in
   let ctx =
     { Model.prog; sym = (if sym then Symmetry.detect prog else None) }
   in
-  let r = E.explore ?deadline ?por ~jobs ~ctx { mem; threads } in
+  let r =
+    E.explore ?deadline ?por ~jobs ~ctx
+      { mem = Interp.init_mem prog; threads }
+  in
   (r.E.behaviors, r.E.stats)
 
 (** Explore all TSO executions and return the behavior set. *)
