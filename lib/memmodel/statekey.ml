@@ -36,14 +36,17 @@ let int h n =
 
 let char h c = int h (Char.code c + 0x100)
 
+(* raw bytes, one step per byte, no length prefix *)
+let str_bytes h s =
+  for i = 0 to String.length s - 1 do
+    let n = Char.code (String.unsafe_get s i) in
+    h.a <- (h.a lxor n) * p0;
+    h.b <- (h.b lxor (n + 1)) * p1
+  done
+
 let str h s =
   int h (String.length s);
-  String.iter
-    (fun c ->
-      let n = Char.code c in
-      h.a <- (h.a lxor n) * p0;
-      h.b <- (h.b lxor (n + 1)) * p1)
-    s
+  str_bytes h s
 
 (* splitmix64-style finalizer, constants truncated to OCaml's 63-bit
    ints (still large odd multipliers, which is all the mix needs) *)
@@ -88,14 +91,7 @@ let buffer_sink buf =
 
 let hash_sink h =
   { put_char = char h;
-    put_str =
-      (fun s ->
-        String.iter
-          (fun c ->
-            let n = Char.code c in
-            h.a <- (h.a lxor n) * p0;
-            h.b <- (h.b lxor (n + 1)) * p1)
-          s);
+    put_str = str_bytes h;
     put_int = int h }
 
 let emit_str k s =
