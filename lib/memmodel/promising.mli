@@ -105,6 +105,9 @@ val run_full :
 
 type message = {
   mloc : Loc.t;
+  mbase : int;
+      (** id of [mloc]'s base in the exploration's layout: the program's
+          base names, sorted, numbered from 0 *)
   mval : int;
   ts : int;  (** position in the append-only memory; 0 = initial *)
   wtid : int;  (** writing thread; -1 for initial messages *)
