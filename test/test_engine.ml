@@ -1284,6 +1284,50 @@ let promising_directed =
         Prog.thread 1
           [ Instr.store (Expr.at "b05") (Expr.c 1); Instr.load r1 (Expr.at "b69") ] ] ]
 
+(* Load buffering with both stores dependent on their thread's load,
+   through one dependency kind per program. Every dependency is false
+   (it never changes a value), so only the view it carries forbids
+   r0 = r1 = 1: a model that drops that view lets a promised store be
+   fulfilled after the load it depends on has read the other thread's
+   store. One program per kind:
+   - [lb-dep-move]: the load's register is copied by a [Move] and the
+     store's data reads the copy;
+   - [lb-dep-while]: a [While] guard on the loaded value that never
+     holds, followed by a constant store (a control dependency);
+   - [lb-dep-store-addr]: the store's address index is [r - r];
+   - [lb-dep-faa]: a fetch-and-add of [r - r] on a private location,
+     whose result feeds the store's data;
+   - [lb-dep-cas]: a compare-and-swap whose expected value is [r - r],
+     whose result feeds the store's data. *)
+let dependency_lb =
+  let x = Expr.at "x" and y = Expr.at "y" in
+  let lb name side =
+    let r0 = Reg.v "r0" and r1 = Reg.v "r1" in
+    Prog.make ~name
+      ~observables:[ Prog.Obs_reg (0, r0); Prog.Obs_reg (1, r1) ]
+      [ Prog.thread 0 (Instr.load r0 x :: side r0 "a" "y");
+        Prog.thread 1 (Instr.load r1 y :: side r1 "b" "x") ]
+  in
+  (* [src - src]: always 0, carrying [src]'s view *)
+  let zero src = Expr.Sub (Expr.Reg src, Expr.Reg src) in
+  let plus_one e = Expr.Add (e, Expr.c 1) in
+  [ lb "lb-dep-move" (fun src own dst ->
+        let t = Reg.v (own ^ "_t") in
+        [ Instr.move t (Expr.r src); Instr.store (Expr.at dst) (plus_one (zero t)) ]);
+    lb "lb-dep-while" (fun src _ dst ->
+        [ Instr.while_ (Expr.Cmp (Expr.Eq, Expr.r src, Expr.c 2)) [ Instr.Nop ];
+          Instr.store (Expr.at dst) (Expr.c 1) ]);
+    lb "lb-dep-store-addr" (fun src _ dst ->
+        [ Instr.store (Expr.at ~offset:(zero src) dst) (Expr.c 1) ]);
+    lb "lb-dep-faa" (fun src own dst ->
+        let t = Reg.v (own ^ "_t") in
+        [ Instr.faa t (Expr.at own) (zero src);
+          Instr.store (Expr.at dst) (plus_one (Expr.r t)) ]);
+    lb "lb-dep-cas" (fun src own dst ->
+        let t = Reg.v (own ^ "_t") in
+        [ Instr.cas t (Expr.at own) ~expected:(zero src) ~desired:(Expr.c 1);
+          Instr.store (Expr.at dst) (plus_one (Expr.r t)) ]) ]
+
 (* (entry, digest, visited, jobs=1 por_pruned, cert_calls, cert_hits with
    sym on, the same four with sym off) of Promising under each entry's
    [rm_config]; the directed programs run under [default_config]. *)
@@ -1306,7 +1350,9 @@ let promising_rows () =
         row e.Sekvm.Kernel_progs.name (Some e.Sekvm.Kernel_progs.rm_config)
           e.Sekvm.Kernel_progs.prog)
       kernel
-  @ List.map (fun (p : Prog.t) -> row p.Prog.name None p) promising_directed
+  @ List.map
+      (fun (p : Prog.t) -> row p.Prog.name None p)
+      (promising_directed @ dependency_lb)
 
 let promising_pin =
   [
@@ -1358,6 +1404,11 @@ let promising_pin =
     ("index-extremes", "23585d57", (241, 115, 74, 64), (241, 115, 74, 64));
     ("observables-only", "1fb25446", (15, 0, 5, 3), (15, 0, 5, 3));
     ("many-bases", "36df7790", (371, 166, 65, 41), (371, 166, 65, 41));
+    ("lb-dep-move", "ccab9144", (335, 89, 407, 363), (335, 89, 407, 363));
+    ("lb-dep-while", "ccab9144", (335, 89, 407, 363), (335, 89, 407, 363));
+    ("lb-dep-store-addr", "ccab9144", (212, 29, 186, 152), (212, 29, 186, 152));
+    ("lb-dep-faa", "ccab9144", (1302, 241, 1026, 978), (1302, 241, 1026, 978));
+    ("lb-dep-cas", "ccab9144", (1302, 241, 1026, 978), (1302, 241, 1026, 978));
   ]
 
 let test_promising_pin () =
@@ -1375,6 +1426,29 @@ let test_promising_pin () =
       Alcotest.check counts (n ^ " sym off visited/pruned/cert")
         (split off) (split off'))
     promising_pin got
+
+(* Each dependency program forbids r0 = r1 = 1, and Promising's outcome
+   set is the Armv8 axiomatic model's. The axiomatic model has no CAS,
+   so the CAS program is compared against SC instead: with the load
+   buffering outcome forbidden, every outcome of the shape is an SC
+   one. *)
+let test_dependency_lb () =
+  List.iter
+    (fun (p : Prog.t) ->
+      let name = p.Prog.name in
+      let pr = Promising.run p in
+      let reference =
+        if name = "lb-dep-cas" then Sc.run p else Axiomatic.run p
+      in
+      Alcotest.(check bool) (name ^ ": r0 = r1 = 1 forbidden") false
+        (Behavior.satisfiable
+           (fun get -> get (Prog.Obs_reg (0, Reg.v "r0")) = Some 1
+                       && get (Prog.Obs_reg (1, Reg.v "r1")) = Some 1)
+           pr);
+      if not (Behavior.equal reference pr) then
+        Alcotest.failf "%s: reference %a@.promising %a" name Behavior.pp
+          reference Behavior.pp pr)
+    dependency_lb
 
 (* A TLBI whose scope faults (division by zero in the index) panics the
    thread in every model: the scope is evaluated once by the SC-family
@@ -1458,6 +1532,8 @@ let () =
             `Quick test_sc_family_pin;
           Alcotest.test_case "promising digests and counts pinned" `Quick
             test_promising_pin;
+          Alcotest.test_case "dependency views forbid load buffering"
+            `Quick test_dependency_lb;
           Alcotest.test_case "faulting TLBI scope panics in every model"
             `Quick test_tlbi_scope_fault ] );
       ( "state-keys",
