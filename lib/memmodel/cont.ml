@@ -28,3 +28,4 @@ let rec fold f acc = function
 
 let is_empty = function Nil -> true | Cons _ -> false
 let head = function Nil -> invalid_arg "Cont.head" | Cons c -> c.instr
+let tail = function Nil -> invalid_arg "Cont.tail" | Cons c -> c.rest

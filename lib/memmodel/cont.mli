@@ -33,5 +33,9 @@ val fold : ('a -> Instr.t -> 'a) -> 'a -> t -> 'a
 val head : t -> Instr.t
 (** The next instruction. @raise Invalid_argument on [Nil]. *)
 
+val tail : t -> t
+(** The instructions after the next one. @raise Invalid_argument on
+    [Nil]. *)
+
 val key : t -> Statekey.t
 (** Key of the instruction list. *)

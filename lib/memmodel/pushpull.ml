@@ -114,38 +114,33 @@ let owners_after ~tracked st i (req : Interp.request) =
               (violation i b `Push_not_owned "base not owned by pushing CPU"))
         tr;
       List.filter (fun (b, _) -> not (List.mem b tr)) st.owners
-  | Interp.Read (_, loc) | Interp.Write (loc, _) | Interp.Rmw (_, loc, _) ->
+  | Interp.Read { loc; _ } | Interp.Write { loc; _ } | Interp.Rmw { loc; _ } ->
       let b = Loc.base loc in
       if is_tracked ~tracked b && List.assoc_opt b st.owners <> Some i then
         raise
           (violation i b `Access_not_owned
              "shared base accessed outside pull/push section");
       st.owners
-  | Interp.Local | Interp.Assign _ | Interp.Fence _ | Interp.Tlbi _ ->
+  | Interp.Local _ | Interp.Assign _ | Interp.Fence _ | Interp.Tlbi _ ->
       st.owners
 
-(* One SC step of thread [i] under the ownership discipline: the
-   interpreter's request and the successor state. [None] when the
-   thread ran out of fuel; raises [Interp.Thread_panic] or
+(* Thread [i]'s SC transition for request [req] under the ownership
+   discipline, [t] being the thread advanced past it; raises
    [Ownership]. *)
-let step_thread ~tracked (st : state) i :
-    (Interp.request * state) option =
-  match Interp.step st.threads.(i) with
-  | None -> None
-  | Some (req, t) ->
-      let owners = owners_after ~tracked st i req in
-      let mem, t = Interp.access st.mem t req in
-      let threads = Array.copy st.threads in
-      threads.(i) <- t;
-      Some (req, { st with mem; owners; threads })
+let apply ~tracked (st : state) i req t =
+  let owners = owners_after ~tracked st i req in
+  let mem, t = Interp.access st.mem t req in
+  let threads = Array.copy st.threads in
+  threads.(i) <- t;
+  { st with mem; owners; threads }
 
 (* The event thread [i]'s request records, read against the memory
    [mem] it is applied to. *)
 let event i mem (req : Interp.request) =
   match req with
-  | Interp.Read (_, loc) -> Some (Ev_read (i, loc, Interp.read_mem mem loc))
-  | Interp.Write (loc, v) -> Some (Ev_write (i, loc, v))
-  | Interp.Rmw (_, loc, op) ->
+  | Interp.Read { loc; _ } -> Some (Ev_read (i, loc, Interp.read_mem mem loc))
+  | Interp.Write { loc; value; _ } -> Some (Ev_write (i, loc, value))
+  | Interp.Rmw { loc; op; _ } ->
       let old = Interp.read_mem mem loc in
       Some
         (Ev_rmw (i, loc, old, Option.value (Interp.rmw op old) ~default:old))
@@ -153,7 +148,7 @@ let event i mem (req : Interp.request) =
   | Interp.Pull bases -> Some (Ev_pull (i, bases))
   | Interp.Push bases -> Some (Ev_push (i, bases))
   | Interp.Tlbi scope -> Some (Ev_tlbi (i, scope))
-  | Interp.Local | Interp.Assign _ -> None
+  | Interp.Local _ | Interp.Assign _ -> None
 
 let hash_poison h (st : state) =
   match st.poison with
@@ -188,7 +183,7 @@ let label_of ~tracked (prog : Prog.t) i (req : Interp.request) :
       match tracked_of ~tracked bases with
       | [] -> Porlabel.silent ~tid:i
       | tr -> { (Porlabel.empty ~tid:i) with obases = tr; otransfer = tr })
-  | Interp.Read (_, loc) | Interp.Write (loc, _) | Interp.Rmw (_, loc, _)
+  | Interp.Read { loc; _ } | Interp.Write { loc; _ } | Interp.Rmw { loc; _ }
     when is_tracked ~tracked (Loc.base loc) ->
       { (Interp.label prog i req) with obases = [ Loc.base loc ] }
   | _ -> Interp.label prog i req
@@ -237,29 +232,21 @@ module Model = struct
       (state, Porlabel.t) Engine.expansion =
     match st.poison with
     | Some v -> raise (Ownership v)
-    | None -> (
-        let observe = Interp.observe prog st.threads st.mem in
-        match Interp.runnable st.threads with
-        | [] -> Engine.Terminal (Some (observe Behavior.Normal))
-        | rs ->
-            Engine.Steps
-              (List.to_seq rs
-              |> Seq.map (fun i ->
-                     match step_thread ~tracked st i with
-                     | Some (req, st') ->
-                         let lbl =
-                           if labels then label_of ~tracked prog i req
-                           else Porlabel.silent ~tid:i
-                         in
-                         Engine.Step (lbl, st')
-                     | None -> Engine.Emit (observe Behavior.Fuel_exhausted)
-                     | exception Interp.Thread_panic ->
-                         Engine.Emit (observe Behavior.Panicked)
-                     | exception Ownership v ->
-                         (* global label: dependent on everything, never
-                            slept or ample-pruned *)
-                         Engine.Step
-                           (Porlabel.sync ~tid:i, { st with poison = Some v }))))
+    | None ->
+        Interp.expand st.threads
+          ~observe:(Interp.observe prog st.threads st.mem)
+          (fun i req t ->
+            match apply ~tracked st i req t with
+            | st' ->
+                let lbl =
+                  if labels then label_of ~tracked prog i req
+                  else Porlabel.silent ~tid:i
+                in
+                Engine.Step (lbl, st')
+            | exception Ownership v ->
+                (* global label: dependent on everything, never slept or
+                   ample-pruned *)
+                Engine.Step (Porlabel.sync ~tid:i, { st with poison = Some v }))
 end
 
 module E = Engine.Make (Model)
@@ -309,23 +296,15 @@ let check ?fuel ?exempt ?initial_owners ?jobs ?por ?sym (prog : Prog.t) :
 let traces ?(fuel = 16) ?(exempt = []) ?(initial_owners = [])
     ?(max_traces = 512) (prog : Prog.t) : event list list =
   let tracked = tracked_set ~shared:(Prog.shared_bases prog) ~exempt in
-  (* Trace collection drops panicking, fuel-exhausted and
-     ownership-violating paths, so exceptions are absorbed per
-     transition rather than propagated. *)
+  (* Only paths that terminate normally are traces: path enumeration
+     drops emitted outcomes, so a panicking, fuel-exhausted or
+     ownership-violating step ends its path unrecorded. *)
   let expand (st : state) : (state, event option) Engine.expansion =
-    match Interp.runnable st.threads with
-    | [] -> Engine.Terminal None
-    | rs ->
-        Engine.Steps
-          (List.to_seq rs
-          |> Seq.filter_map (fun i ->
-                 match step_thread ~tracked st i with
-                 | Some (req, st') ->
-                     Some (Engine.Step (event i st.mem req, st'))
-                 | None
-                 | (exception Interp.Thread_panic)
-                 | (exception Ownership _) ->
-                     None))
+    let observe = Interp.observe prog st.threads st.mem in
+    Interp.expand st.threads ~observe (fun i req t ->
+        match apply ~tracked st i req t with
+        | st' -> Engine.Step (event i st.mem req, st')
+        | exception Ownership _ -> Engine.Emit (observe Behavior.Panicked))
   in
   Engine.enumerate_paths ~expand ~max_paths:max_traces
     (initial_state ~fuel ~initial_owners prog)

@@ -41,22 +41,22 @@ let set_thread st i t' =
 let apply (st : state) i th (req : Interp.request) : state =
   let t = st.threads.(i) in
   match req with
-  | Interp.Write (loc, v) ->
-      set_thread st i { th; buffer = t.buffer @ [ (loc, v) ] }
-  | Interp.Read (r, loc) ->
+  | Interp.Write { loc; value; _ } ->
+      set_thread st i { th; buffer = t.buffer @ [ (loc, value) ] }
+  | Interp.Read { dst; loc; _ } ->
       let v =
         match forwarded t.buffer loc with
         | Some v -> v
         | None -> Interp.read_mem st.mem loc
       in
-      set_thread st i { t with th = Interp.set_reg th r v }
+      set_thread st i { t with th = Interp.set_reg th dst v }
   | Interp.Fence _ | Interp.Rmw _ ->
       let mem =
         List.fold_left (fun m (l, v) -> Loc.Map.add l v m) st.mem t.buffer
       in
       let mem, th = Interp.access mem th req in
       set_thread { st with mem } i { th; buffer = [] }
-  | Interp.Local | Interp.Assign _ | Interp.Pull _ | Interp.Push _
+  | Interp.Local _ | Interp.Assign _ | Interp.Pull _ | Interp.Push _
   | Interp.Tlbi _ ->
       set_thread st i { t with th }
 
@@ -106,13 +106,13 @@ let label_of (prog : Prog.t) (st : state) i (req : Interp.request) :
     if empty then Porlabel.silent ~tid:i else Porlabel.private_ ~tid:i
   in
   match req with
-  | Interp.Local | Interp.Pull _ | Interp.Push _ | Interp.Tlbi _ -> local ()
-  | Interp.Assign r ->
-      if Prog.observable_reg prog i r then Porlabel.private_ ~tid:i
+  | Interp.Local _ | Interp.Pull _ | Interp.Push _ | Interp.Tlbi _ -> local ()
+  | Interp.Assign { dst; _ } ->
+      if Prog.observable_reg prog i dst then Porlabel.private_ ~tid:i
       else local ()
   | Interp.Fence _ ->
       if empty then Porlabel.silent ~tid:i else Porlabel.sync ~tid:i
-  | Interp.Read (_, loc) -> Porlabel.read ~tid:i loc
+  | Interp.Read { loc; _ } -> Porlabel.read ~tid:i loc
   | Interp.Write _ -> Porlabel.private_ ~tid:i
   | Interp.Rmw _ -> Porlabel.sync ~tid:i
 
