@@ -1,5 +1,6 @@
-.PHONY: all build test litmus examples smoke lint fuzz sym-wide bmc check bench \
-	bench-smoke service-smoke bench-serve bench-serve-smoke loc clean
+.PHONY: all build test litmus examples smoke lint fuzz sym-wide cands-wide \
+	bmc check bench bench-smoke service-smoke bench-serve bench-serve-smoke \
+	loc clean
 
 all: build
 
@@ -45,6 +46,13 @@ fuzz:
 sym-wide:
 	VRM_SYM_WIDE=1 dune exec test/test_engine.exe
 
+# Wide promise-candidate check, outside the test suite: on the random
+# two-thread programs of seeds 0-4,999, every solo run's candidate set
+# must equal the stores a walk of all its solo paths finds. Exits
+# non-zero and names the seeds on any difference.
+cands-wide:
+	VRM_CANDS_WIDE=1 dune exec test/test_engine.exe
+
 # Cross-validate the SAT-based BMC backend against the explicit-state
 # engines: digest equality on every litmus-suite entry, both memory
 # models. Exits non-zero on any divergence.
@@ -52,7 +60,7 @@ bmc:
 	dune exec bin/vrm_cli.exe -- litmus --suite --backend=both
 
 # The tier-1 gate: what CI runs. (CI additionally runs bench-smoke,
-# service-smoke, fuzz and sym-wide in their own jobs.)
+# service-smoke, fuzz, sym-wide and cands-wide in their own jobs.)
 check: build test examples litmus smoke lint bmc
 
 bench:

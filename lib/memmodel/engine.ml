@@ -3,7 +3,11 @@
     parallel-search determinism argument. *)
 
 (* Bump on any change to exploration semantics: the verification cache
-   keys every stored result on this string. vrm-engine/6: thread-
+   keys every stored result on this string. vrm-engine/7: the Promising
+   promise-candidate search walks every solo path; its old table of
+   states seen ignored depth and dropped candidates on some programs, so
+   their visited counts, and possibly their behavior sets, change.
+   vrm-engine/6: thread-
    symmetry reduction (orbit-canonical state keys, context-aware
    MODEL.key) plus seen-set contention / allocation counters (the stats
    payload stored in cache entries changed shape again).
@@ -12,7 +16,7 @@
    vrm-engine/4: memoized promise certification with
    cert_calls/cert_hits stats. vrm-engine/3: hashed state interning,
    shared work-stealing parallel search, sleep-set POR. *)
-let version = "vrm-engine/6"
+let version = "vrm-engine/7"
 
 type stats = {
   visited : int;

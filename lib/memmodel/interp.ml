@@ -56,16 +56,14 @@ let decode env code ~fuel =
         | Instr.Push bases -> Push bases
         | Instr.Tlbi None -> Tlbi None
         | Instr.Tlbi (Some a) -> Tlbi (Some (fst (Expr.eval_addr env a)))
-        | Instr.If (c, br_then, br_else) ->
+        | Instr.If (c, _, _) ->
             let holds, guard = Expr.eval_b env c in
-            let branch = if holds then br_then else br_else in
-            Local { guard; code = Cont.prepend branch rest; fuel }
-        | Instr.While (c, body) ->
+            Local { guard; code = Cont.branch code holds; fuel }
+        | Instr.While (c, _) ->
             let holds, guard = Expr.eval_b env c in
             if not holds then Local { guard; code = rest; fuel }
             else if fuel <= 0 then raise Out_of_fuel
-            else
-              Local { guard; code = Cont.prepend body code; fuel = fuel - 1 }
+            else Local { guard; code = Cont.loop code; fuel = fuel - 1 }
       with Expr.Eval_panic _ -> raise Thread_panic)
 
 let rmw op old =
@@ -136,18 +134,19 @@ let observe prog threads mem status =
     ~reg:(fun i r -> lookup_reg threads.(i).regs r)
     ~loc:(read_mem mem) status
 
+let transition t ~observe apply =
+  match step t with
+  | Some (req, t) -> apply req t
+  | None -> Engine.Emit (observe Behavior.Fuel_exhausted)
+  | exception Thread_panic -> Engine.Emit (observe Behavior.Panicked)
+
 let expand threads ~observe apply =
   match runnable threads with
   | [] -> Engine.Terminal (Some (observe Behavior.Normal))
   | rs ->
       Engine.Steps
         (List.to_seq rs
-        |> Seq.map (fun i ->
-               match step threads.(i) with
-               | Some (req, t) -> apply i req t
-               | None -> Engine.Emit (observe Behavior.Fuel_exhausted)
-               | exception Thread_panic ->
-                   Engine.Emit (observe Behavior.Panicked)))
+        |> Seq.map (fun i -> transition threads.(i) ~observe (apply i)))
 
 let hash_mem h mem =
   Statekey.int h (Loc.Map.cardinal mem);

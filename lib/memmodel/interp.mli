@@ -110,17 +110,28 @@ val observe :
   Behavior.outcome
 (** Observation over one flat memory map. *)
 
+val transition :
+  thread -> observe:(Behavior.status -> Behavior.outcome) ->
+  (request -> thread -> ('s, 'l) Engine.step) -> ('s, 'l) Engine.step
+(** One thread's instruction transition: [apply req t] for its request
+    [req], [t] being the thread advanced past it ({!step}); for a thread
+    out of fuel or panicking, the [Fuel_exhausted] or [Panicked] outcome
+    instead. *)
+
 val expand :
   thread array -> observe:(Behavior.status -> Behavior.outcome) ->
   (int -> request -> thread -> ('s, 'l) Engine.step) ->
   ('s, 'l) Engine.expansion
 (** The expansion of an SC-family state with these threads: [Terminal]
     with the [Normal] outcome once no thread has code left, otherwise
-    one transition per thread with code left, highest index first.
-    [apply i req t] makes thread [i]'s transition for request [req], [t]
-    being the thread advanced past it ({!step}); a thread out of fuel or
-    panicking emits its [Fuel_exhausted] or [Panicked] outcome
-    instead. *)
+    one {!transition} per thread with code left, highest index first,
+    thread [i]'s made by [apply i].
+
+    {!Tso} does not use it: its threads also drain store buffers, and
+    it offers them lowest index first, each thread's drain before its
+    instruction. The order a search takes transitions in moves its
+    visited and POR-pruned counts, so Tso builds its own sequence around
+    {!transition}. *)
 
 val hash_mem : Statekey.h -> int Loc.Map.t -> unit
 

@@ -35,9 +35,16 @@
     Instructions are decoded by {!Interp}, shared with the SC-family
     models: it evaluates operands under the register views, runs control
     flow with loop fuel and panics a thread on an evaluation fault. A
-    step here applies the decoded request to this model's state: the
+    step here ({!apply}) applies the decoded request to one thread: the
     readable messages of a read, fulfil or append for a write, the
-    atomic read-modify-write, barrier views, and POR labels.
+    atomic read-modify-write, barrier views, and POR labels. It returns
+    thread-local successors, each the thread's new state and the
+    message it appends, if any. The main search puts them back into the
+    whole state; the solo runs that find promise candidates and certify
+    promises keep only the thread, the memory and the next timestamp.
+    The thread's code is a {!Cont}, whose nodes carry the store and
+    access bases the promise pre-filters and the certification key
+    need.
 
     Thread state is laid out over a per-exploration {!layout} that
     numbers the program's registers and location bases: registers and
@@ -241,13 +248,13 @@ let virtual_init loc b = { mloc = loc; mbase = b; mval = 0; ts = 0; wtid = -1 }
     coherent ([ts >= coh]), not superseded below the floor, and not one
     of the thread's own unfulfilled promises — newest first, then the
     virtual initial message. *)
-let readable st (t : tstate) loc b ~floor =
+let readable mem (t : tstate) loc b ~floor =
   let i = loc.Loc.index in
   let rec bound = function
     | [] -> 0
     | m :: rest -> if m.ts <= floor && on m b i then m.ts else bound rest
   in
-  let lo = max (coh_get t.coh b i) (bound st.mem) in
+  let lo = max (coh_get t.coh b i) (bound mem) in
   let rec collect has_init = function
     | m :: rest when m.ts >= lo ->
         if on m b i then
@@ -257,7 +264,7 @@ let readable st (t : tstate) loc b ~floor =
     | _ :: _ -> []
     | [] -> if has_init || lo > 0 then [] else [ virtual_init loc b ]
   in
-  collect false st.mem
+  collect false mem
 
 (** One line of a witness schedule: which CPU did what. *)
 type step = {
@@ -352,6 +359,14 @@ let append st m =
    never consulted, never compared. *)
 let dummy_fp = Porlabel.empty ~tid:(-1)
 
+(* does a thread other than [i] hold an outstanding promise at [ts]? *)
+let promised_by_other threads i ts =
+  let rec go j =
+    j < Array.length threads
+    && ((j <> i && List.mem ts threads.(j).promises) || go (j + 1))
+  in
+  go 0
+
 (* Atomic read-modify-writes (FAA, XCHG, CAS) read the coherence-latest
    message and, when [Interp.rmw op] yields a write, append the new
    message adjacent to it (the append-only memory keeps the pair
@@ -365,17 +380,15 @@ let dummy_fp = Porlabel.empty ~tid:(-1)
    certifications look at; [cert_read] — its own enabledness depends on
    whether the latest message is anyone's outstanding promise, which a
    fulfil of the same base can change). *)
-let rmw_step ~fp lay st i t rest ~loc ~va ~vd ~ord ~dst ~op =
+let rmw_step ~fp lay ~mem ~next_ts ~promised i t rest ~loc ~va ~vd ~ord ~dst
+    ~op =
   let b = base_id lay (Loc.base loc) and idx = loc.Loc.index in
   let latest =
-    match List.find_opt (fun m -> on m b idx) st.mem with
+    match List.find_opt (fun m -> on m b idx) mem with
     | Some m -> m
     | None -> virtual_init loc b
   in
-  let is_promise =
-    Array.exists (fun th -> List.mem latest.ts th.promises) st.threads
-  in
-  if is_promise then []
+  if List.mem latest.ts t.promises || promised latest.ts then []
   else
     let acq = ord = Instr.Acquire || ord = Instr.Acq_rel in
     let rel = ord = Instr.Release || ord = Instr.Acq_rel in
@@ -385,7 +398,7 @@ let rmw_step ~fp lay st i t rest ~loc ~va ~vd ~ord ~dst ~op =
     and regs = set_reg lay t.regs dst latest.mval view in
     match Interp.rmw op latest.mval with
     | Some v ->
-        let ts = st.next_ts in
+        let ts = next_ts in
         let m = { mloc = loc; mbase = b; mval = v; ts; wtid = i } in
         let t' =
           { t with
@@ -407,7 +420,7 @@ let rmw_step ~fp lay st i t rest ~loc ~va ~vd ~ord ~dst ~op =
               cert_write = [ Loc.base loc ] }
           else dummy_fp
         in
-        [ (set_thread (append st m) i t', lbl) ]
+        [ (t', Some m, lbl) ]
     | None ->
         let t' =
           { t with
@@ -425,7 +438,7 @@ let rmw_step ~fp lay st i t rest ~loc ~va ~vd ~ord ~dst ~op =
               cert_read = [ Loc.base loc ] }
           else dummy_fp
         in
-        [ (set_thread st i t', lbl) ]
+        [ (t', None, lbl) ]
 
 (* Conservative default observability: every register counts as
    observable, so locally-invisible steps are never marked ample unless
@@ -436,19 +449,25 @@ let any_reg : Reg.t -> bool = fun _ -> true
 let request lay (t : tstate) =
   Interp.decode (lookup lay t.regs) t.code ~fuel:t.fuel
 
-(** Successor states of thread [i] carrying out its decoded request,
-    each with its POR footprint: several for a load (one per readable
-    message) or a store (the append and each fulfillable promise), none
-    for an RMW on an outstanding promise. [fp] asks for real POR
-    footprints on each successor (solo certification runs leave it off
-    and get a shared dummy); [silent_ok] additionally allows invisible
-    deterministic steps to claim the singleton-ample property — the
-    caller must guarantee the thread has no promise-step siblings at
-    this state; [obs] tells which registers observation can see. *)
-let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay
-    (st : state) (i : int) (req : Interp.request) :
-    (state * Porlabel.t) list =
-  let t = st.threads.(i) in
+(** Thread [i] in state [t] carrying out its decoded request [req],
+    against memory [mem] whose next free timestamp is [next_ts], where
+    [promised ts] tells whether another thread holds an outstanding
+    promise at [ts]. Thread-local successors: the thread's new state,
+    the message the step appends, if any, and the step's POR footprint.
+    Several for a load (one per readable message) or a store (the append
+    and each fulfillable promise), none for an RMW on an outstanding
+    promise. The main search puts each successor back into the whole
+    state ({!step_thread}); solo runs keep the thread and memory alone
+    ({!solo_apply}).
+
+    [fp] asks for real POR footprints on each successor (solo runs leave
+    it off and get a shared dummy); [silent_ok] additionally allows
+    invisible deterministic steps to claim the singleton-ample property
+    — the caller must guarantee the thread has no promise-step siblings
+    at this state; [obs] tells which registers observation can see. *)
+let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay ~mem
+    ~next_ts ~promised (i : int) (t : tstate) (req : Interp.request) :
+    (tstate * message option * Porlabel.t) list =
   let rest = Cont.tail t.code in
   (* invisible, deterministic, thread-local step *)
   let quiet t' =
@@ -457,7 +476,7 @@ let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay
       else if silent_ok then Porlabel.silent ~tid:i
       else Porlabel.empty ~tid:i
     in
-    [ (set_thread st i t', lbl) ]
+    [ (t', None, lbl) ]
   in
   match req with
   | Interp.Local { guard; code; fuel } ->
@@ -468,8 +487,7 @@ let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay
       let t' =
         { t with code = rest; regs = set_reg lay t.regs dst value view }
       in
-      if fp && obs dst then
-        [ (set_thread st i t', Porlabel.private_ ~tid:i) ]
+      if fp && obs dst then [ (t', None, Porlabel.private_ ~tid:i) ]
       else quiet t'
   | Interp.Fence b ->
       quiet
@@ -508,15 +526,15 @@ let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay
             if fp then { (Porlabel.read ~tid:i loc) with disc = m.ts }
             else dummy_fp
           in
-          (set_thread st i t', lbl))
-        (readable st t loc b ~floor)
+          (t', None, lbl))
+        (readable mem t loc b ~floor)
   | Interp.Write { loc; value = v; ord; va; vd } ->
       let b = base_id lay (Loc.base loc) and idx = loc.Loc.index in
       let lower =
         max (coh_get t.coh b idx) (max va (max vd (max t.vctrl t.vwnew)))
       in
       let is_release = ord = Instr.Release || ord = Instr.Acq_rel in
-      let commit ts st' promises lbl =
+      let commit ts m promises lbl =
         let t' =
           { t with
             code = rest;
@@ -526,15 +544,13 @@ let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay
             vrel = (if is_release then max t.vrel ts else t.vrel);
             promises }
         in
-        (set_thread st' i t', lbl)
+        (t', m, lbl)
       in
       (* fulfill one of our promises... *)
       let fulfills =
         List.filter_map
           (fun p ->
-            match
-              List.find_opt (fun m -> m.ts = p && m.wtid = i) st.mem
-            with
+            match List.find_opt (fun m -> m.ts = p && m.wtid = i) mem with
             | Some m
               when on m b idx && m.mval = v && m.ts > lower
                    && ((not is_release) || m.ts > t.vall) ->
@@ -549,7 +565,7 @@ let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay
                   else dummy_fp
                 in
                 Some
-                  (commit m.ts st
+                  (commit m.ts None
                      (List.filter (fun q -> q <> p) t.promises)
                      lbl)
             | _ -> None)
@@ -557,7 +573,7 @@ let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay
       in
       (* ... or append a fresh message at the end of memory. *)
       let append =
-        let ts = st.next_ts in
+        let ts = next_ts in
         let m = { mloc = loc; mbase = b; mval = v; ts; wtid = i } in
         let lbl =
           if fp then
@@ -566,17 +582,24 @@ let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay
               cert_write = [ Loc.base loc ] }
           else dummy_fp
         in
-        commit ts (append st m) t.promises lbl
+        commit ts (Some m) t.promises lbl
       in
       append :: fulfills
   | Interp.Rmw { dst; loc; op; ord; va; vd } ->
-      rmw_step ~fp lay st i t rest ~loc ~va ~vd ~ord ~dst ~op
+      rmw_step ~fp lay ~mem ~next_ts ~promised i t rest ~loc ~va ~vd ~ord
+        ~dst ~op
 
 (** Successor states of executing the next instruction of thread [i].
     @raise Interp.Thread_panic when the thread panics.
     @raise Interp.Out_of_fuel when a loop has no fuel left. *)
 let step_thread ?fp ?silent_ok ?obs lay (st : state) (i : int) =
-  apply ?fp ?silent_ok ?obs lay st i (request lay st.threads.(i))
+  let t = st.threads.(i) in
+  List.map
+    (fun (t', m, lbl) ->
+      let st' = match m with None -> st | Some m -> append st m in
+      (set_thread st' i t', lbl))
+    (apply ?fp ?silent_ok ?obs lay ~mem:st.mem ~next_ts:st.next_ts
+       ~promised:(promised_by_other st.threads i) i t (request lay t))
 
 (* Human-readable label for thread [i]'s request [req], taken from [st]
    to [st']. Loads/stores are annotated with the concrete location,
@@ -625,8 +648,8 @@ let describe_step lay (st : state) (st' : state) (i : int)
 (* ------------------------------------------------------------------ *)
 (* State keys                                                          *)
 (* ------------------------------------------------------------------ *)
-(* The full-state key and the per-thread solo-exploration key are both
-   compositions of the memory key and the memoised thread keys. *)
+(* The full-state key composes the memory key with the memoised thread
+   keys. *)
 
 let hash_mem h (st : state) =
   Statekey.int h st.next_ts;
@@ -689,77 +712,55 @@ let canonical_key sym (st : state) : Statekey.t =
   Array.iter (fun i -> Statekey.absorb h sub.(i)) ord;
   Statekey.finish h
 
-(* key for thread [i]'s solo exploration: shared memory + that thread *)
-let thread_key (st : state) i : Statekey.t =
-  let h = Statekey.fresh () in
-  hash_mem h st;
-  Statekey.absorb h (thread_key_memo st i);
-  Statekey.finish h
-
 (* ------------------------------------------------------------------ *)
 (* Certification and promise candidates                                *)
 (* ------------------------------------------------------------------ *)
+(* A solo run steps one thread against memory and nothing else: the
+   other threads stand still, so all it needs of them is which
+   timestamps they have promised, a predicate fixed for the whole run.
+   Each solo step is one {!apply}, its successors kept as a thread, a
+   memory and a timestamp counter, with no thread arrays copied and no
+   keys folded. *)
 
-(* Solo-run transitions of thread [i]: the architectural steps only (a
-   solo run never promises), with panicking and fuel-exhausted paths
-   absorbed. *)
-let solo_steps lay st i =
-  try step_thread lay st i
-  with Interp.Thread_panic | Interp.Out_of_fuel -> []
+type solo = { thread : tstate; mem : message list; next_ts : int }
 
-(* Does [code] contain a store, in a branch or loop body included? A
-   thread without one has no promise candidates at all. *)
-let rec instr_has_store (instr : Instr.t) =
-  match instr with
-  | Instr.Store _ -> true
-  | Instr.If (_, br_then, br_else) ->
-      List.exists instr_has_store br_then
-      || List.exists instr_has_store br_else
-  | Instr.While (_, body) -> List.exists instr_has_store body
-  | _ -> false
+let solo_of (st : state) i =
+  { thread = st.threads.(i); mem = st.mem; next_ts = st.next_ts }
 
-let rec has_store = function
-  | Cont.Nil -> false
-  | Cont.Cons { instr; rest; _ } -> instr_has_store instr || has_store rest
+(* The request the thread makes next, or [None] where a solo run ends:
+   the thread is done, panics or has run out of fuel. *)
+let solo_request lay s =
+  if Cont.is_empty s.thread.code then None
+  else
+    match request lay s.thread with
+    | req -> Some req
+    | exception (Interp.Thread_panic | Interp.Out_of_fuel) -> None
 
-(* Base ids of the addresses [code] can reach that satisfy [pick],
-   recursing into branch and loop bodies. [Interp.decode] always yields
-   a location on the address expression's static [abase], so these sets
-   over-approximate the locations any solo run can touch. *)
-let code_bases lay pick code =
-  let rec instr acc (i : Instr.t) =
-    match i with
-    | Instr.Load (_, a, _) | Instr.Store (a, _, _)
-    | Instr.Faa (_, a, _, _) | Instr.Xchg (_, a, _, _)
-    | Instr.Cas (_, a, _, _, _)
-      when pick i ->
-        let b = base_id lay a.Expr.abase in
-        if List.mem b acc then acc else b :: acc
-    | Instr.If (_, br_then, br_else) ->
-        List.fold_left instr (List.fold_left instr acc br_then) br_else
-    | Instr.While (_, body) -> List.fold_left instr acc body
-    | _ -> acc
-  in
-  Cont.fold instr [] code
+(* Thread [i]'s steps for request [req] in solo run [s] (a solo run
+   never promises), each made a run by {!solo_next}. *)
+let solo_apply lay ~promised i s req =
+  apply lay ~mem:s.mem ~next_ts:s.next_ts ~promised i s.thread req
 
-(* Store bases: promises are fulfilled by [Store] only, hence a promise
-   on a base outside this footprint can never be fulfilled. The prune is
-   verdict-preserving — it only skips solo searches whose outcome is
-   already forced. *)
-let store_bases lay code =
-  code_bases lay (function Instr.Store _ -> true | _ -> false) code
+let solo_next s (thread, m, _) =
+  match m with
+  | None -> { s with thread }
+  | Some m -> { thread; mem = m :: s.mem; next_ts = m.ts + 1 }
 
-(* All bases thread code can address: a solo run can only ever read or
-   write locations on these bases. *)
-let access_bases lay code = code_bases lay (fun _ -> true) code
+(* The ids of the base names [bases]. *)
+let base_ids lay bases = List.map (base_id lay) bases
 
 (** Can thread [i], running solo (no new promises), reach a state with all
-    its promises fulfilled, within [depth] steps? *)
+    its promises fulfilled, within [depth] steps?
+
+    Promises are fulfilled by [Store] only, hence a promise on a base
+    outside the code's store bases can never be fulfilled. The prune is
+    verdict-preserving — it only skips solo searches whose outcome is
+    already forced. *)
 let certifiable cfg lay st i =
   let t0 = st.threads.(i) in
   if t0.promises = [] then true
   else
-    let bases = store_bases lay t0.code in
+    let bases = base_ids lay (Cont.stores t0.code) in
     let fulfillable p =
       match List.find_opt (fun m -> m.ts = p && m.wtid = i) st.mem with
       | Some m -> List.mem m.mbase bases
@@ -767,51 +768,51 @@ let certifiable cfg lay st i =
     in
     if not (List.for_all fulfillable t0.promises) then false
     else
-      let rec go st depth =
-        let t = st.threads.(i) in
-        if t.promises = [] then true
-        else if depth <= 0 || Cont.is_empty t.code then false
-        else
-          List.exists
-            (fun (st', _) -> go st' (depth - 1))
-            (solo_steps lay st i)
+      let promised = promised_by_other st.threads i in
+      let rec go s depth =
+        s.thread.promises = []
+        || depth > 0
+           &&
+           match solo_request lay s with
+           | None -> false
+           | Some req ->
+               List.exists
+                 (fun succ -> go (solo_next s succ) (depth - 1))
+                 (solo_apply lay ~promised i s req)
       in
-      go st cfg.cert_depth
+      go (solo_of st i) cfg.cert_depth
 
-(** Store values thread [i] may produce along some solo run: the candidate
-    set for promises, as (base id, index, value) triples, sorted and
-    without duplicates. Base ids follow base names, so the triples sort
-    as the (location, value) pairs they stand for. Over-approximate;
-    certification filters. *)
-let solo_write_candidates cfg lay st i =
-  if not (has_store st.threads.(i).code) then []
-  else begin
-    let found = ref [] in
-    let seen = Statekey.Table.create ~initial:16 ~dummy:() () in
-    let rec go st depth =
-      if depth <= 0 then ()
-      else
-        let k = thread_key st i in
-        match Statekey.Table.find_or_add seen k () with
-        | `Found () -> ()
-        | `Added -> (
-            if not (Cont.is_empty st.threads.(i).code) then
-              match request lay st.threads.(i) with
-              | exception (Interp.Thread_panic | Interp.Out_of_fuel) -> ()
-              | req ->
-                  (match req with
-                  | Interp.Write { loc; value; _ } ->
-                      found :=
-                        (base_id lay (Loc.base loc), loc.Loc.index, value)
-                        :: !found
-                  | _ -> ());
-                  List.iter
-                    (fun (st', _) -> go st' (depth - 1))
-                    (apply lay st i req))
-    in
-    go st cfg.cert_depth;
-    List.sort_uniq compare !found
-  end
+(** Store values thread [i] may produce along some solo run of at most
+    [cfg.cert_depth] steps from [s]: the candidate set for promises, as
+    (base id, index, value) triples, sorted and without duplicates. Base
+    ids follow base names, so the triples sort as the (location, value)
+    pairs they stand for. Over-approximate; certification filters.
+
+    Every solo path is walked, with no table of states already seen.
+    None would pay: a solo run's coherence entries and views only grow,
+    so two paths almost never meet in one state, and over every pinned
+    program none did. And a table that ignores depth is inexact: a state
+    first met with less depth left would hide the stores a later visit
+    with more depth left can still reach, which [certifiable] (no table
+    either) accepts. *)
+let write_candidates cfg lay ~promised i s =
+  let found = ref [] in
+  let rec go s depth =
+    if depth > 0 then
+      match solo_request lay s with
+      | None -> ()
+      | Some req ->
+          (match req with
+          | Interp.Write { loc; value; _ } ->
+              found :=
+                (base_id lay (Loc.base loc), loc.Loc.index, value) :: !found
+          | _ -> ());
+          List.iter
+            (fun succ -> go (solo_next s succ) (depth - 1))
+            (solo_apply lay ~promised i s req)
+  in
+  go s cfg.cert_depth;
+  List.sort_uniq compare !found
 
 (* ------------------------------------------------------------------ *)
 (* Certification memoization                                           *)
@@ -844,7 +845,7 @@ let solo_write_candidates cfg lay st i =
    of the exploration's layout, which every state of it shares. *)
 let cert_key lay (st : state) i : Statekey.t =
   let t = st.threads.(i) in
-  let bases = access_bases lay t.code in
+  let bases = base_ids lay (Cont.accesses t.code) in
   let in_fp b = List.mem b bases in
   let msgs = List.filter (fun m -> in_fp m.mbase) st.mem in
   let n_coh = Array.length t.coh / 3 in
@@ -936,13 +937,7 @@ let cert_key lay (st : state) i : Statekey.t =
   List.iter (Statekey.int h)
     (List.sort Int.compare (List.map rank t.promises));
   Statekey.char h 'M';
-  let promised_by_other ts =
-    let rec go j =
-      j < Array.length st.threads
-      && ((j <> i && List.mem ts st.threads.(j).promises) || go (j + 1))
-    in
-    go 0
-  in
+  let promised = promised_by_other st.threads i in
   List.iter
     (fun m ->
       Statekey.int h m.mbase;
@@ -950,7 +945,7 @@ let cert_key lay (st : state) i : Statekey.t =
       Statekey.int h m.mval;
       Statekey.int h (rank m.ts);
       Statekey.int h (if m.wtid = i then 1 else 0);
-      Statekey.int h (if promised_by_other m.ts then 1 else 0))
+      Statekey.int h (if promised m.ts then 1 else 0))
     msgs;
   Statekey.finish h
 
@@ -1075,7 +1070,7 @@ let observe (prog : Prog.t) lay (st : state) status : Behavior.outcome =
    fulfil steps record the affected base in [cert_write] (they change the
    promise set other threads' RMW enabledness and certification verdicts
    consult), promise steps record the promising thread's whole
-   [access_bases] footprint in [cert_read] (the candidate set and the
+   access bases ({!Cont.accesses}) in [cert_read] (the candidate set and the
    certification verdict read that history), and both promise and
    append-store steps set [alloc] (they take the next global timestamp).
    A thread's architectural step may only claim the singleton-ample
@@ -1139,7 +1134,7 @@ module Model = struct
         else
           (* can this thread take a promise step here? (cheap syntactic
              over-approximation: budget left and a store in its code) *)
-          let may_promise = t.promise_budget > 0 && has_store t.code in
+          let may_promise = t.promise_budget > 0 && Cont.stores t.code <> [] in
           (* ordinary architectural steps *)
           let arch () =
             (match
@@ -1164,14 +1159,12 @@ module Model = struct
           let promises () =
             if not may_promise then Seq.Nil
             else
-              let cands = solo_write_candidates cfg lay st i in
-              let cert_read =
-                if labels then
-                  List.map
-                    (fun b -> lay.base_names.(b))
-                    (access_bases lay t.code)
-                else []
+              let cands =
+                write_candidates cfg lay
+                  ~promised:(promised_by_other st.threads i)
+                  i (solo_of st i)
               in
+              let cert_read = if labels then Cont.accesses t.code else [] in
               (List.to_seq cands
               |> Seq.mapi (fun idx cand -> (idx, cand))
               |> Seq.filter_map (fun (idx, (b, index, v)) ->
@@ -1327,3 +1320,48 @@ let run_stats ?(config = default_config) ?(jobs = 1) ?deadline ?por ?sym
     [prog] (bounded by the configuration) and returns its behavior set. *)
 let run ?config ?jobs ?deadline ?por ?sym (prog : Prog.t) : Behavior.t =
   fst (run_stats ?config ?jobs ?deadline ?por ?sym prog)
+
+(* ------------------------------------------------------------------ *)
+(* Promise candidates, exposed for the candidate tests                 *)
+(* ------------------------------------------------------------------ *)
+
+type probe = {
+  initial : state;
+  key : state -> Statekey.t;
+  successors : state -> state list;
+  step : state -> int -> ((Loc.t * int) option * state list) option;
+  candidates : state -> int -> (Loc.t * int) list;
+}
+
+let probe ?(config = default_config) prog =
+  let ctx = make_ctx ~sym:false prog config in
+  let lay = ctx.Model.lay in
+  let successors st =
+    match Model.expand ctx ~labels:false st with
+    | Engine.Terminal _ -> []
+    | Engine.Steps steps ->
+        List.of_seq
+          (Seq.filter_map
+             (function Engine.Step (_, st') -> Some st' | Engine.Emit _ -> None)
+             steps)
+  in
+  let step st i =
+    Option.map
+      (fun req ->
+        let written =
+          match req with
+          | Interp.Write { loc; value; _ } -> Some (loc, value)
+          | _ -> None
+        in
+        (written, List.map fst (step_thread lay st i)))
+      (solo_request lay (solo_of st i))
+  in
+  let candidates st i =
+    List.map
+      (fun (b, index, v) -> (Loc.v ~index lay.base_names.(b), v))
+      (write_candidates config lay
+         ~promised:(promised_by_other st.threads i)
+         i (solo_of st i))
+  in
+  { initial = initial_state config lay prog; key = state_key; successors; step;
+    candidates }

@@ -119,3 +119,35 @@ val mem_key : message list -> Statekey.t
 val mem_key_add : Statekey.t -> message -> Statekey.t
 (** [mem_key_add (mem_key mem) m] is [mem_key (m :: mem)]: how a state
     updates its memory key when [m] is appended. *)
+
+(** {2 Promise candidates}
+
+    A thread's promise candidates are the stores it makes within
+    [cert_depth] steps of running solo: stepping alone against memory
+    while the other threads stand still. Exposed for the candidate-set
+    tests, which walk the same solo paths through the main search's
+    whole-state step and compare. *)
+
+type state
+(** A state of the search. *)
+
+type probe = {
+  initial : state;
+  key : state -> Statekey.t;  (** the state's key, symmetry off *)
+  successors : state -> state list;
+      (** every successor the search takes from a state, promise steps
+          included *)
+  step : state -> int -> ((Loc.t * int) option * state list) option;
+      (** [step st i]: [None] where thread [i] cannot step (it is done,
+          panics or runs out of fuel); otherwise the location and value
+          its next instruction writes, when that is a store, and the
+          states after each of its successors, made as the main search
+          makes them *)
+  candidates : state -> int -> (Loc.t * int) list;
+      (** [candidates st i]: the promise candidates the search offers
+          thread [i] at [st], as (location, value) pairs, sorted, without
+          duplicates *)
+}
+
+val probe : ?config:config -> Prog.t -> probe
+(** The program's search under [config], symmetry off. *)

@@ -167,16 +167,12 @@ module Model = struct
           else
             fun () ->
               Seq.Cons
-                ( (match Interp.step t.th with
-                  | Some (req, th) ->
+                ( Interp.transition t.th ~observe:(observe prog st)
+                    (fun req th ->
                       let lbl =
                         if labels then label_of prog st i req else dummy i
                       in
-                      Engine.Step (lbl, apply st i th req)
-                  | None ->
-                      Engine.Emit (observe prog st Behavior.Fuel_exhausted)
-                  | exception Interp.Thread_panic ->
-                      Engine.Emit (observe prog st Behavior.Panicked)),
+                      Engine.Step (lbl, apply st i th req)),
                   Seq.empty )
         in
         Seq.append drain instr

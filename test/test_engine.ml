@@ -914,6 +914,242 @@ let qcheck_mem_key =
       && List.length (List.sort_uniq Statekey.compare keys)
          = List.length keys)
 
+(* Continuation footprints and entries. The references are the walkers
+   Promising used before footprints were cached: [walk_bases] folds the
+   base of every access [pick] accepts, branch and loop bodies
+   included, and [walk_has_store] looks for a [Store] the same way.
+   Every node reachable from random code and from the kernel corpus's
+   threads, by tails and by entering branches and loop bodies, must
+   carry the footprint the walkers find; each [If]/[While] entry must
+   key like the [prepend] it caches and come back physically equal when
+   asked for again. *)
+let walk_bases pick code =
+  let rec instr acc (i : Instr.t) =
+    match i with
+    | Instr.Load (_, a, _) | Instr.Store (a, _, _)
+    | Instr.Faa (_, a, _, _) | Instr.Xchg (_, a, _, _)
+    | Instr.Cas (_, a, _, _, _)
+      when pick i ->
+        a.Expr.abase :: acc
+    | Instr.If (_, br_then, br_else) ->
+        List.fold_left instr (List.fold_left instr acc br_then) br_else
+    | Instr.While (_, body) -> List.fold_left instr acc body
+    | _ -> acc
+  in
+  List.sort_uniq String.compare (Cont.fold instr [] code)
+
+let rec walk_instr_has_store (i : Instr.t) =
+  match i with
+  | Instr.Store _ -> true
+  | Instr.If (_, br_then, br_else) ->
+      List.exists walk_instr_has_store br_then
+      || List.exists walk_instr_has_store br_else
+  | Instr.While (_, body) -> List.exists walk_instr_has_store body
+  | _ -> false
+
+let walk_has_store code =
+  Cont.fold (fun acc i -> acc || walk_instr_has_store i) false code
+
+(* every node reachable from [k] by tails and entries, each once *)
+let rec cont_nodes seen k =
+  if Cont.is_empty k || List.memq k seen then seen
+  else
+    let seen = cont_nodes (k :: seen) (Cont.tail k) in
+    match Cont.head k with
+    | Instr.If _ ->
+        cont_nodes (cont_nodes seen (Cont.branch k true)) (Cont.branch k false)
+    | Instr.While _ -> cont_nodes seen (Cont.loop k)
+    | _ -> seen
+
+let cont_facts_hold code =
+  List.for_all
+    (fun k ->
+      let entry_ok entered flat =
+        entered () == entered ()
+        && Statekey.equal (Cont.key (entered ())) (Cont.key flat)
+      in
+      Cont.stores k
+      = walk_bases (function Instr.Store _ -> true | _ -> false) k
+      && Cont.accesses k = walk_bases (fun _ -> true) k
+      && (Cont.stores k <> []) = walk_has_store k
+      &&
+      match Cont.head k with
+      | Instr.If (_, br_then, br_else) ->
+          entry_ok
+            (fun () -> Cont.branch k true)
+            (Cont.prepend br_then (Cont.tail k))
+          && entry_ok
+               (fun () -> Cont.branch k false)
+               (Cont.prepend br_else (Cont.tail k))
+      | Instr.While (_, body) ->
+          entry_ok (fun () -> Cont.loop k) (Cont.prepend body k)
+      | _ -> true)
+    (cont_nodes [] (Cont.of_list code))
+
+let qcheck_cont_facts =
+  QCheck.Test.make ~count:200
+    ~name:"continuation footprints = walk; entries cached and key-equal"
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, loops) ->
+      cont_facts_hold (Dsl_gen.gen_code (Dsl_gen.Rng.create seed) ~loops 1))
+
+let test_cont_facts_corpus () =
+  List.iter
+    (fun (e : Sekvm.Kernel_progs.entry) ->
+      List.iter
+        (fun (th : Prog.thread) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s thread %d" e.Sekvm.Kernel_progs.prog.Prog.name
+               th.Prog.tid)
+            true
+            (cont_facts_hold th.Prog.code))
+        e.Sekvm.Kernel_progs.prog.Prog.threads)
+    Sekvm.Kernel_progs.(corpus @ buggy_corpus @ sym_corpus)
+
+(* ---- promise candidates ------------------------------------------ *)
+
+(* Reference promise-candidate set of thread [i] at [st]: the location
+   and value of every store on every path of at most [depth] steps of
+   thread [i] alone, found by walking all of them with no table of
+   states seen. Each step is the main search's whole-state step, not the
+   solo stepping the candidate search does. *)
+let reference_candidates (p : Promising.probe) depth st i =
+  let rec go acc depth st =
+    if depth <= 0 then acc
+    else
+      match p.step st i with
+      | None -> acc
+      | Some (written, succs) ->
+          let acc = match written with Some c -> c :: acc | None -> acc in
+          List.fold_left (fun acc st -> go acc (depth - 1) st) acc succs
+  in
+  List.sort_uniq compare (go [] depth st)
+
+(* The (state, thread) pairs, states numbered in depth-first order over
+   the first [limit] distinct states of [prog]'s search (promise steps
+   included), whose candidate set differs from the reference's. Every
+   thread of each state is checked. *)
+let candidate_mismatches ?(config = Promising.default_config) ~limit prog =
+  let p = Promising.probe ~config prog in
+  let seen = Statekey.Table.create ~dummy:() () in
+  let n = List.length prog.Prog.threads in
+  let bad = ref [] and left = ref limit in
+  let rec visit st =
+    if !left > 0 then
+      match Statekey.Table.find_or_add seen (p.key st) () with
+      | `Found () -> ()
+      | `Added ->
+          let k = limit - !left in
+          decr left;
+          for i = 0 to n - 1 do
+            let expected = reference_candidates p config.cert_depth st i in
+            if p.candidates st i <> expected then bad := (k, i) :: !bad
+          done;
+          List.iter visit (p.successors st)
+  in
+  visit p.initial;
+  List.rev !bad
+
+(* Two read choices that meet again: thread 1 reads x (1 from thread 0,
+   or the initial 0), takes a branch one [Nop] longer on 1, then stores
+   and reloads x and branches on the reloaded value, which raises every
+   view both paths differ in to the new store's timestamp. Both paths
+   meet in one thread state, the read of 1 (explored first, newest
+   message first) a step later. Within [cert_depth] 8 only the shorter
+   path reaches the store to y, so a search that stops at a state it has
+   already seen, with less depth left, misses the candidate y = 1.
+   Thread 0 does the first store, so the depth-first sample of
+   [candidate_mismatches] meets that state early. *)
+let converging_reads =
+  let r1 = Reg.v "r1" and x = Expr.at "x" and y = Expr.at "y" in
+  Prog.make ~name:"solo-reads-converge"
+    ~observables:[ Prog.Obs_reg (0, Reg.v "r") ]
+    [ Prog.thread 0 [ Instr.store x (Expr.c 1); Instr.load (Reg.v "r") y ];
+      Prog.thread 1
+        [ Instr.load r1 x;
+          Instr.if_ Expr.(r r1 = c 1) [ Instr.Nop; Instr.Nop ] [ Instr.Nop ];
+          Instr.store x (Expr.c 5);
+          Instr.load r1 x;
+          Instr.if_ Expr.(r r1 = c 5) [ Instr.Nop ] [ Instr.Nop ];
+          Instr.store y (Expr.c 1) ] ]
+
+let converging_config = { Promising.default_config with cert_depth = 8 }
+
+(* Solo steps the candidate set depends on: thread 1 reloads z after
+   storing 1 and then 2 to it, so it reads 2 alone only when the second
+   store takes a later timestamp than the first; and its FAA on x is
+   refused while thread 0 holds x = 1 as an outstanding promise. A
+   candidate search whose solo runs reused a timestamp, or ignored the
+   other thread's promises, would offer w = 1 or y = 1 where the
+   whole-state step reaches neither. *)
+let solo_steps =
+  let r1 = Reg.v "r1" and r2 = Reg.v "r2" in
+  let x = Expr.at "x" and y = Expr.at "y" and z = Expr.at "z"
+  and w = Expr.at "w" in
+  Prog.make ~name:"solo-steps" ~observables:[]
+    [ Prog.thread 0 [ Instr.store x (Expr.c 1) ];
+      Prog.thread 1
+        [ Instr.store z (Expr.c 1);
+          Instr.store z (Expr.c 2);
+          Instr.load r2 z;
+          Instr.store w (Expr.r r2);
+          Instr.faa r1 x (Expr.c 1);
+          Instr.store y (Expr.r r1) ] ]
+
+(* Random two-thread programs for the candidate property: loops on,
+   small bounds so every solo tree stays small. *)
+let candidate_prog seed =
+  let rng = Dsl_gen.Rng.create seed in
+  Prog.make
+    ~name:(Printf.sprintf "dsl-%d" seed)
+    ~observables:[]
+    [ Prog.thread 0 (Dsl_gen.gen_code rng ~loops:true 0);
+      Prog.thread 1 (Dsl_gen.gen_code rng ~loops:true 1) ]
+
+let candidate_config =
+  { Promising.default_config with loop_fuel = 2; cert_depth = 12 }
+
+let test_candidates_reference () =
+  let check ?config ~limit (prog : Prog.t) =
+    Alcotest.(check (list (pair int int)))
+      (prog.Prog.name ^ ": (state, thread) pairs whose candidates differ")
+      []
+      (candidate_mismatches ?config ~limit prog)
+  in
+  List.iter
+    (fun (e : Sekvm.Kernel_progs.entry) ->
+      check ~config:e.Sekvm.Kernel_progs.rm_config ~limit:1_000
+        e.Sekvm.Kernel_progs.prog)
+    Sekvm.Kernel_progs.corpus;
+  for seed = 0 to 19 do
+    check ~config:candidate_config ~limit:1_000 (candidate_prog seed)
+  done;
+  check ~config:converging_config ~limit:1_000 converging_reads;
+  check ~limit:1_000 solo_steps
+
+(* Wide run outside the test suite: with VRM_CANDS_WIDE set (`make
+   cands-wide`), check the candidate property on the random programs of
+   seeds 0 to 4,999 and exit non-zero, naming the seeds, on any
+   difference. *)
+let candidates_wide () =
+  let seeds = 5_000 in
+  let t0 = Unix.gettimeofday () in
+  let bad =
+    List.filter
+      (fun seed ->
+        candidate_mismatches ~config:candidate_config ~limit:1_000
+          (candidate_prog seed)
+        <> [])
+      (List.init seeds Fun.id)
+  in
+  Format.printf
+    "candidate sets vs reference, seeds 0-%d: %d differ%s (%.1f s)@."
+    (seeds - 1) (List.length bad)
+    (if bad = [] then ""
+     else ": " ^ String.concat " " (List.map string_of_int bad))
+    (Unix.gettimeofday () -. t0);
+  exit (if bad = [] then 0 else 1)
+
 (* Witness text is rendered after the search by replaying each recorded
    footprint path. Over the litmus suite, the paper examples and the
    kernel, buggy and symmetry corpora, [run_full] visits exactly the
@@ -1481,6 +1717,7 @@ let test_tlbi_scope_fault () =
 
 let () =
   if Sys.getenv_opt "VRM_SYM_WIDE" <> None then sym_permutation_wide ();
+  if Sys.getenv_opt "VRM_CANDS_WIDE" <> None then candidates_wide ();
   Alcotest.run "engine"
     [ ( "parity",
         [ Alcotest.test_case "behavior sets bit-identical to seed" `Quick
@@ -1520,6 +1757,9 @@ let () =
           Alcotest.test_case "sym collapses the stress family" `Quick
             test_sym_reduces;
           QCheck_alcotest.to_alcotest qcheck_sym_permutation ] );
+      ( "candidates",
+        [ Alcotest.test_case "candidate sets = every solo path's stores"
+            `Quick test_candidates_reference ] );
       ( "seen-set",
         [ Alcotest.test_case "stripe assignment stable across growth" `Quick
             test_stripe_stability;
@@ -1543,5 +1783,10 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 15 |])
             qcheck_mem_key;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 15 |])
+            qcheck_cont_facts;
+          Alcotest.test_case "continuation facts on the kernel corpus" `Quick
+            test_cont_facts_corpus;
           Alcotest.test_case "witness text and visited counts unchanged"
             `Slow test_witness_parity ] ) ]
