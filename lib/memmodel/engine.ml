@@ -181,9 +181,9 @@ module Make (M : MODEL) = struct
   (* A sleep set is the list of labels whose transitions need not be
      explored from a state because an equivalent interleaving is covered
      through an already-explored sibling. Labels identify transitions
-     structurally (polymorphic equality on {!Porlabel} footprints). *)
+     structurally ({!Porlabel.equal}). *)
 
-  let mem_lbl l zs = List.exists (fun z -> z = l) zs
+  let mem_lbl l zs = List.exists (Porlabel.equal l) zs
   let subset a b = List.for_all (fun x -> mem_lbl x b) a
   let inter a b = List.filter (fun x -> mem_lbl x b) a
 
@@ -199,6 +199,12 @@ module Make (M : MODEL) = struct
 
   let dummy_seen : seen_v = (0, [])
 
+  (* The entry domain [owner] stores for [sleep]; [empty] is the one it
+     shares for every empty sleep set, so a search without POR, or a
+     state reached with nothing asleep, allocates no entry. *)
+  let seen_entry ~empty owner (sleep : Porlabel.t list) : seen_v =
+    match sleep with [] -> empty | _ :: _ -> (owner, sleep)
+
   (* May a label enter a sleep set? Not a symmetric thread's: a sleep
      set is history, and under orbit canonicalization a revisit may
      arrive with its grouped threads permuted, where a literal label
@@ -213,9 +219,10 @@ module Make (M : MODEL) = struct
 
   (* Expand one state and dispatch its successors through [child]
      (direct recursion when sequential, deque pushes when parallel).
-     Without POR the transition sequence stays lazy: the engine forces
-     the next transition only after [child] returns, preserving the
-     exception-surfacing and budget-laziness contract. Under POR the
+     Without POR the engine forces the next transition only after
+     [child] returns, preserving the exception-surfacing and
+     budget-laziness contract for models whose sequence is lazy
+     (Promising's is a list, built whole). Under POR the
      steps are materialized (the models enumerate transitions cheaply
      and totally) so sibling labels can feed sleep sets; [Emit]s are
      always recorded, never pruned. *)
@@ -303,14 +310,17 @@ module Make (M : MODEL) = struct
     in
     let rec go st path depth sleep =
       let key = M.key ctx st in
-      match Statekey.Table.find_or_add seen key (0, sleep) with
+      match
+        Statekey.Table.find_or_add seen key
+          (seen_entry ~empty:dummy_seen 0 sleep)
+      with
       | `Found (_, old_sleep) ->
           if (not por) || subset old_sleep sleep then
             acc.dedup <- acc.dedup + 1
           else begin
             (* weaker sleep set: re-explore under the intersection *)
             let z = inter old_sleep sleep in
-            Statekey.Table.update seen key (0, z);
+            Statekey.Table.update seen key (seen_entry ~empty:dummy_seen 0 z);
             check_deadline ();
             expand_state ~ctx ~witnesses ~labels ~por ~sym acc st path depth
               z ~child:go
@@ -468,6 +478,7 @@ module Make (M : MODEL) = struct
     Dq.push deques.(0) { f_st = init; f_path = []; f_depth = 0; f_sleep = [] };
     let worker me =
       let acc = new_acc () in
+      let empty = (me, []) in
       (* Gc counters are per-domain in OCaml 5: the delta below is this
          worker's own allocation, summed into [minor_words] at join. *)
       let mw0 = Gc.minor_words () in
@@ -490,13 +501,16 @@ module Make (M : MODEL) = struct
             Mutex.lock mx
           end;
           let verdict =
-            match Statekey.Table.find_or_add tbl key (me, fr.f_sleep) with
+            match
+              Statekey.Table.find_or_add tbl key
+                (seen_entry ~empty me fr.f_sleep)
+            with
             | `Added -> `Fresh
             | `Found (owner, old_sleep) ->
                 if (not por) || subset old_sleep fr.f_sleep then `Dup owner
                 else begin
                   let z = inter old_sleep fr.f_sleep in
-                  Statekey.Table.update tbl key (me, z);
+                  Statekey.Table.update tbl key (seen_entry ~empty me z);
                   `Again z
                 end
           in

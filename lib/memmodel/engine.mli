@@ -18,16 +18,27 @@
     {!Pushpull.check}'s ownership violations) surface at exactly the same
     point of the search as in a hand-rolled nested loop, and expensive
     transition enumeration (promise certification) is never done for
-    subtrees cut off by a budget. (Under POR the expansion is
-    materialized eagerly instead — the models enumerate transitions
-    cheaply and never raise from the sequence.)
+    subtrees cut off by a budget. (Under POR the engine materializes
+    the expansion eagerly instead — the models enumerate transitions
+    cheaply and never raise from the sequence.) A model may also build
+    the sequence eagerly itself: {!Promising} builds every state's
+    transitions as one list, with or without POR, certifying every
+    thread's promises before it explores the first successor. It
+    reaches the same states in the same order either way, so its
+    counts are those of a lazy sequence unless a state budget or
+    deadline stops the search part-way, when the certifications of
+    threads whose subtrees were never explored are already done and
+    counted.
 
     {2 State interning}
 
     The seen-set is keyed on 128-bit structural hashes ({!Statekey})
     instead of rendered key strings, stored unboxed in open-addressing
-    tables — the dedup hot path allocates nothing. This is hash
-    compaction: see {!Statekey} for the collision argument.
+    tables: an entry allocates no key. A lookup allocates the
+    [`Found] block when the state was seen, and a value only for a
+    state reached with a non-empty sleep set — an empty one (every
+    state when POR is off) shares one value. This is hash compaction:
+    see {!Statekey} for the collision argument.
 
     {2 Partial-order reduction}
 
@@ -205,8 +216,9 @@ type ('state, 'label) expansion =
       (** no transitions; [Some o] records the outcome, [None] discards
           the path (dead states, strict-certification pruning) *)
   | Steps of ('state, 'label) step Seq.t
-      (** lazy outgoing transitions, forced one at a time in order
-          (materialized eagerly only under POR) *)
+      (** outgoing transitions, forced one at a time in order
+          (materialized eagerly by the engine under POR, and by a
+          model that builds them as a list, as {!Promising} does) *)
 
 module type MODEL = sig
   type ctx

@@ -42,15 +42,36 @@ let sync ~tid = { (empty ~tid) with global = true }
    labels. [silent] labels are quiet by construction, but a quiet label
    need not be silent (e.g. an observable register move). *)
 let quiet l =
-  (not l.global) && (not l.alloc) && l.reads = [] && l.writes = []
-  && l.obases = [] && l.otransfer = [] && l.cert_read = []
-  && l.cert_write = []
+  match l with
+  | { global = false; alloc = false; reads = []; writes = []; obases = [];
+      otransfer = []; cert_read = []; cert_write = []; _ } ->
+      true
+  | _ -> false
 
-let disjoint_loc xs ys =
-  not (List.exists (fun x -> List.exists (Loc.equal x) ys) xs)
+let equal a b =
+  a == b
+  || a.tid = b.tid && a.disc = b.disc && a.silent = b.silent
+     && a.global = b.global && a.alloc = b.alloc
+     && List.equal Loc.equal a.reads b.reads
+     && List.equal Loc.equal a.writes b.writes
+     && List.equal String.equal a.obases b.obases
+     && List.equal String.equal a.otransfer b.otransfer
+     && List.equal String.equal a.cert_read b.cert_read
+     && List.equal String.equal a.cert_write b.cert_write
 
-let disjoint_str xs ys =
-  not (List.exists (fun x -> List.mem x ys) xs)
+let rec mem_loc x = function
+  | [] -> false
+  | y :: l -> Loc.equal x y || mem_loc x l
+
+let rec disjoint_loc xs ys =
+  match xs with [] -> true | x :: l -> (not (mem_loc x ys)) && disjoint_loc l ys
+
+let rec mem_str x = function
+  | [] -> false
+  | y :: l -> String.equal x y || mem_str x l
+
+let rec disjoint_str xs ys =
+  match xs with [] -> true | x :: l -> (not (mem_str x ys)) && disjoint_str l ys
 
 let independent a b =
   a.tid <> b.tid

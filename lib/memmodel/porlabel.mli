@@ -87,6 +87,11 @@ val rmw : tid:int -> Loc.t -> t
 val sync : tid:int -> t
 (** A [global] label. *)
 
+val equal : t -> t -> bool
+(** Structural equality, field by field: agrees with polymorphic [=] on
+    labels, without its generic traversal. The engine's sleep sets and
+    the witness replay compare labels with it. *)
+
 val quiet : t -> bool
 (** No footprint in any dimension (ignoring [silent]/[disc]). *)
 

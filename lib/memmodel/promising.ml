@@ -49,7 +49,10 @@
     Thread state is laid out over a per-exploration {!layout} that
     numbers the program's registers and location bases: registers and
     coherence timestamps are int arrays, messages carry their base id,
-    and every state key hashes ints only. *)
+    and every state key hashes ints only, the int arrays whole
+    ({!Statekey.ints}). A step resolves a register or base name to its
+    id by physical equality against the program text's own strings,
+    with no string comparison. *)
 
 type message = {
   mloc : Loc.t;
@@ -129,20 +132,57 @@ exception State_budget_exhausted
    as locations do. A location is the pair itself, never packed into one
    int, so distinct locations never share an id whatever their index.
    The layout is computed once per exploration and never changed, so
-   the parallel engine's domains share it freely. *)
-type layout = { reg_names : string array; base_names : string array }
+   the parallel engine's domains share it freely.
 
-let id_of names s =
-  let rec go lo hi =
-    if lo > hi then invalid_arg ("Promising: not in the program layout: " ^ s)
-    else
-      let mid = (lo + hi) lsr 1 in
-      let c = String.compare names.(mid) s in
-      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo (mid - 1)
+   Names resolve without comparing strings. A step's registers and
+   bases are the string objects of the program text itself: the decoder
+   takes them from the instructions, and [Cont]'s footprints and the
+   initial memory hold the same objects. So each table also lists every
+   string object the program text holds, with its id, and a lookup scans
+   those with [==]. The binary search over the sorted names only serves
+   a string built elsewhere. *)
+type names = {
+  sorted : string array;  (** the distinct names; an id indexes it *)
+  objs : string array;  (** the program text's string objects... *)
+  ids : int array;  (** ... and their ids *)
+}
+
+type layout = { regs : names; bases : names }
+
+let rec search sorted s lo hi =
+  if lo > hi then invalid_arg ("Promising: not in the program layout: " ^ s)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = String.compare sorted.(mid) s in
+    if c = 0 then mid
+    else if c < 0 then search sorted s (mid + 1) hi
+    else search sorted s lo (mid - 1)
+
+let rec scan n s k =
+  if k = Array.length n.objs then
+    search n.sorted s 0 (Array.length n.sorted - 1)
+  else if Array.unsafe_get n.objs k == s then Array.unsafe_get n.ids k
+  else scan n s (k + 1)
+
+let id_of n s = scan n s 0
+let base_id lay b = id_of lay.bases b
+let reg_id lay r = id_of lay.regs (Reg.name r)
+
+(* The table of the names [objs] are string objects of: each object
+   listed once, in first-seen order. *)
+let names_of objs =
+  let sorted = Array.of_list (List.sort_uniq String.compare objs) in
+  let objs =
+    Array.of_list
+      (List.rev
+         (List.fold_left
+            (fun seen s -> if List.memq s seen then seen else s :: seen)
+            [] objs))
   in
-  go 0 (Array.length names - 1)
-
-let base_id lay b = id_of lay.base_names b
+  { sorted;
+    objs;
+    ids =
+      Array.map (fun s -> search sorted s 0 (Array.length sorted - 1)) objs }
 
 let layout_of (prog : Prog.t) =
   let regs = ref [] and bases = ref [] in
@@ -176,8 +216,7 @@ let layout_of (prog : Prog.t) =
       | Prog.Obs_reg (_, r) -> reg r
       | Prog.Obs_loc l -> bases := Loc.base l :: !bases)
     prog.Prog.observables;
-  let sorted l = Array.of_list (List.sort_uniq String.compare l) in
-  { reg_names = sorted !regs; base_names = sorted !bases }
+  { regs = names_of (List.rev !regs); bases = names_of (List.rev !bases) }
 
 (* Views are timestamps, never negative, so a negative view marks a
    register never written: distinct state from one written with
@@ -188,10 +227,10 @@ let reg_get regs id =
   let w = regs.((2 * id) + 1) in
   if w = unwritten then (0, 0) else (regs.(2 * id), w)
 
-let lookup lay regs r = reg_get regs (id_of lay.reg_names (Reg.name r))
+let lookup lay regs r = reg_get regs (reg_id lay r)
 
-let set_reg lay regs r v w =
-  let id = id_of lay.reg_names (Reg.name r) in
+(* a copy of [regs] with register [id] set to value [v], view [w] *)
+let set_reg (regs : int array) id v w =
   let regs = Array.copy regs in
   regs.(2 * id) <- v;
   regs.((2 * id) + 1) <- w;
@@ -199,23 +238,23 @@ let set_reg lay regs r v w =
 
 (* An entry stays once set, even at timestamp 0: whether a location has
    been accessed is part of the thread's identity. *)
-let coh_get coh b i =
-  let rec go k =
-    if k >= Array.length coh then 0
-    else if coh.(k) = b && coh.(k + 1) = i then coh.(k + 2)
-    else go (k + 3)
-  in
-  go 0
+let rec coh_find (coh : int array) b i k =
+  if k >= Array.length coh then 0
+  else if coh.(k) = b && coh.(k + 1) = i then coh.(k + 2)
+  else coh_find coh b i (k + 3)
+
+let coh_get coh b i = coh_find coh b i 0
+
+(* the first triple not ordered before (b, i) *)
+let rec coh_slot (coh : int array) b i k =
+  if k < Array.length coh && (coh.(k) < b || (coh.(k) = b && coh.(k + 1) < i))
+  then coh_slot coh b i (k + 3)
+  else k
 
 (* the same array when [ts] is already the entry's timestamp *)
 let coh_set coh b i ts =
   let n = Array.length coh in
-  let rec slot k =
-    if k < n && (coh.(k) < b || (coh.(k) = b && coh.(k + 1) < i)) then
-      slot (k + 3)
-    else k
-  in
-  let k = slot 0 in
+  let k = coh_slot coh b i 0 in
   if k < n && coh.(k) = b && coh.(k + 1) = i then begin
     if coh.(k + 2) = ts then coh
     else
@@ -244,27 +283,39 @@ let on m b i = m.mbase = b && m.mloc.Loc.index = i
    message. *)
 let virtual_init loc b = { mloc = loc; mbase = b; mval = 0; ts = 0; wtid = -1 }
 
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: l -> x = y || mem_int x l
+
+let no_promises t = match t.promises with [] -> true | _ :: _ -> false
+
+(* the timestamp of the newest message on (b, i) at or below [floor] *)
+let rec floor_bound mem b i floor =
+  match mem with
+  | [] -> 0
+  | m :: rest ->
+      if m.ts <= floor && on m b i then m.ts else floor_bound rest b i floor
+
+(* the messages on (b, i) from [lo] up that are not in [promises], then
+   the virtual initial message if no message at ts 0 was met *)
+let rec readable_from promises loc b i lo has_init = function
+  | m :: rest when m.ts >= lo ->
+      if on m b i then
+        let has_init = has_init || m.ts = 0 in
+        let tail = readable_from promises loc b i lo has_init rest in
+        if mem_int m.ts promises then tail else m :: tail
+      else readable_from promises loc b i lo has_init rest
+  | _ :: _ -> []
+  | [] -> if has_init || lo > 0 then [] else [ virtual_init loc b ]
+
 (** Readable messages for a load of [loc] (base id [b]) by thread [t]:
     coherent ([ts >= coh]), not superseded below the floor, and not one
     of the thread's own unfulfilled promises — newest first, then the
     virtual initial message. *)
 let readable mem (t : tstate) loc b ~floor =
   let i = loc.Loc.index in
-  let rec bound = function
-    | [] -> 0
-    | m :: rest -> if m.ts <= floor && on m b i then m.ts else bound rest
-  in
-  let lo = max (coh_get t.coh b i) (bound mem) in
-  let rec collect has_init = function
-    | m :: rest when m.ts >= lo ->
-        if on m b i then
-          let tail = collect (has_init || m.ts = 0) rest in
-          if List.mem m.ts t.promises then tail else m :: tail
-        else collect has_init rest
-    | _ :: _ -> []
-    | [] -> if has_init || lo > 0 then [] else [ virtual_init loc b ]
-  in
-  collect false mem
+  let lo = max (coh_get t.coh b i) (floor_bound mem b i floor) in
+  readable_from t.promises loc b i lo false mem
 
 (** One line of a witness schedule: which CPU did what. *)
 type step = {
@@ -306,28 +357,24 @@ let mem_key mem = List.fold_right (fun m k -> mem_key_add k m) mem mem_key_nil
 (* never returned by [Statekey.finish]: compared physically *)
 let unkeyed = Statekey.finish (Statekey.fresh ())
 
+let rec hash_ints h = function
+  | [] -> ()
+  | n :: l ->
+      Statekey.int h n;
+      hash_ints h l
+
 let hash_thread h (t : tstate) =
   Statekey.char h 'T';
-  Statekey.int h t.vrnew;
-  Statekey.int h t.vwnew;
-  Statekey.int h t.vctrl;
-  Statekey.int h t.vrmax;
-  Statekey.int h t.vwmax;
-  Statekey.int h t.vall;
-  Statekey.int h t.vrel;
-  Statekey.int h t.fuel;
-  Statekey.int h t.promise_budget;
+  Statekey.ints h
+    [| t.vrnew; t.vwnew; t.vctrl; t.vrmax; t.vwmax; t.vall; t.vrel; t.fuel;
+       t.promise_budget |];
   (* one (value, view) pair per register id: fixed width, since every
      thread of a program has one slot per layout register *)
-  for k = 0 to Array.length t.regs - 1 do
-    Statekey.int h t.regs.(k)
-  done;
+  Statekey.ints h t.regs;
   Statekey.int h (Array.length t.coh);
-  for k = 0 to Array.length t.coh - 1 do
-    Statekey.int h t.coh.(k)
-  done;
+  Statekey.ints h t.coh;
   Statekey.int h (List.length t.promises);
-  List.iter (Statekey.int h) t.promises;
+  hash_ints h t.promises;
   Statekey.absorb h (Cont.key t.code)
 
 let thread_key_memo st i =
@@ -359,13 +406,25 @@ let append st m =
    never consulted, never compared. *)
 let dummy_fp = Porlabel.empty ~tid:(-1)
 
+(* The footprint of thread [i]'s memory access, in one allocation. *)
+let access_fp i ~disc ~alloc ~reads ~writes ~cert_read ~cert_write :
+    Porlabel.t =
+  { Porlabel.tid = i; disc; silent = false; global = false; alloc; reads;
+    writes; obases = []; otransfer = []; cert_read; cert_write }
+
 (* does a thread other than [i] hold an outstanding promise at [ts]? *)
-let promised_by_other threads i ts =
-  let rec go j =
-    j < Array.length threads
-    && ((j <> i && List.mem ts threads.(j).promises) || go (j + 1))
-  in
-  go 0
+let rec promised_from threads i ts j =
+  j < Array.length threads
+  && ((j <> i && mem_int ts threads.(j).promises)
+     || promised_from threads i ts (j + 1))
+
+let promised_by_other threads i ts = promised_from threads i ts 0
+
+(* the coherence-latest message on (b, idx), virtual if none *)
+let rec latest_on mem loc b idx =
+  match mem with
+  | [] -> virtual_init loc b
+  | m :: rest -> if on m b idx then m else latest_on rest loc b idx
 
 (* Atomic read-modify-writes (FAA, XCHG, CAS) read the coherence-latest
    message and, when [Interp.rmw op] yields a write, append the new
@@ -380,22 +439,19 @@ let promised_by_other threads i ts =
    certifications look at; [cert_read] — its own enabledness depends on
    whether the latest message is anyone's outstanding promise, which a
    fulfil of the same base can change). *)
-let rmw_step ~fp lay ~mem ~next_ts ~promised i t rest ~loc ~va ~vd ~ord ~dst
+let rmw_step ~fp lay ~mem ~next_ts ~others i t rest ~loc ~va ~vd ~ord ~dst
     ~op =
   let b = base_id lay (Loc.base loc) and idx = loc.Loc.index in
-  let latest =
-    match List.find_opt (fun m -> on m b idx) mem with
-    | Some m -> m
-    | None -> virtual_init loc b
-  in
-  if List.mem latest.ts t.promises || promised latest.ts then []
+  let latest = latest_on mem loc b idx in
+  if mem_int latest.ts t.promises || promised_by_other others i latest.ts
+  then []
   else
     let acq = ord = Instr.Acquire || ord = Instr.Acq_rel in
     let rel = ord = Instr.Release || ord = Instr.Acq_rel in
     let view = max latest.ts (max va vd) in
     let vrnew = if acq then max t.vrnew latest.ts else t.vrnew
     and vwnew = if acq then max t.vwnew latest.ts else t.vwnew
-    and regs = set_reg lay t.regs dst latest.mval view in
+    and regs = set_reg t.regs (reg_id lay dst) latest.mval view in
     match Interp.rmw op latest.mval with
     | Some v ->
         let ts = next_ts in
@@ -414,10 +470,9 @@ let rmw_step ~fp lay ~mem ~next_ts ~promised i t rest ~loc ~va ~vd ~ord ~dst
         in
         let lbl =
           if fp then
-            { (Porlabel.rmw ~tid:i loc) with
-              alloc = true;
-              cert_read = [ Loc.base loc ];
-              cert_write = [ Loc.base loc ] }
+            let here = [ loc ] and base = [ Loc.base loc ] in
+            access_fp i ~disc:0 ~alloc:true ~reads:here ~writes:here
+              ~cert_read:base ~cert_write:base
           else dummy_fp
         in
         [ (t', Some m, lbl) ]
@@ -434,63 +489,142 @@ let rmw_step ~fp lay ~mem ~next_ts ~promised i t rest ~loc ~va ~vd ~ord ~dst
         in
         let lbl =
           if fp then
-            { (Porlabel.read ~tid:i loc) with
-              cert_read = [ Loc.base loc ] }
+            access_fp i ~disc:0 ~alloc:false ~reads:[ loc ] ~writes:[]
+              ~cert_read:[ Loc.base loc ] ~cert_write:[]
           else dummy_fp
         in
         [ (t', None, lbl) ]
 
-(* Conservative default observability: every register counts as
-   observable, so locally-invisible steps are never marked ample unless
-   the caller supplies the program's real observation set. *)
-let any_reg : Reg.t -> bool = fun _ -> true
+(* Conservative default observability: every register of every thread
+   counts as observable, so locally-invisible steps are never marked
+   ample unless the caller supplies the program's real observation
+   set. *)
+let any_reg : int -> Reg.t -> bool = fun _ _ -> true
 
 (* Thread [t]'s next instruction, decoded with its registers' views. *)
 let request lay (t : tstate) =
   Interp.decode (lookup lay t.regs) t.code ~fuel:t.fuel
 
+(* an invisible, deterministic, thread-local step to [t'] *)
+let quiet ~fp ~silent_ok i t' =
+  let lbl =
+    if not fp then dummy_fp
+    else if silent_ok then Porlabel.silent ~tid:i
+    else Porlabel.empty ~tid:i
+  in
+  [ (t', None, lbl) ]
+
+(* one successor per readable message [ms] of a load into register
+   [dst] (id) of location [loc] = (b, idx), whose coherence entry is
+   [coh] *)
+let rec read_steps ~fp i (t : tstate) rest dst loc b idx coh ~acq ~va = function
+  | [] -> []
+  | m :: ms ->
+      let view = max m.ts va in
+      let t' =
+        { t with
+          code = rest;
+          regs = set_reg t.regs dst m.mval view;
+          coh = coh_set t.coh b idx (max coh m.ts);
+          vrmax = max t.vrmax view;
+          vall = max t.vall view;
+          vrnew = (if acq then max t.vrnew m.ts else t.vrnew);
+          vwnew = (if acq then max t.vwnew m.ts else t.vwnew) }
+      in
+      (* the read message's timestamp discriminates the choice —
+         intrinsic to the transition, stable across independent
+         other-thread moves *)
+      let lbl =
+        if fp then
+          access_fp i ~disc:m.ts ~alloc:false ~reads:[ loc ] ~writes:[]
+            ~cert_read:[] ~cert_write:[]
+        else dummy_fp
+      in
+      (t', None, lbl) :: read_steps ~fp i t rest dst loc b idx coh ~acq ~va ms
+
+(* thread [t] past a store of (b, idx) at timestamp [ts], left with
+   [promises] *)
+let wrote (t : tstate) rest b idx ~release ts promises =
+  { t with
+    code = rest;
+    coh = coh_set t.coh b idx ts;
+    vwmax = max t.vwmax ts;
+    vall = max t.vall ts;
+    vrel = (if release then max t.vrel ts else t.vrel);
+    promises }
+
+(* [l] without [x] *)
+let rec remove_int (x : int) = function
+  | [] -> []
+  | y :: l -> if x = y then remove_int x l else y :: remove_int x l
+
+(* thread [i]'s own message at timestamp [p] *)
+let rec own_message mem i p =
+  match mem with
+  | [] -> None
+  | m :: rest -> if m.ts = p && m.wtid = i then Some m else own_message rest i p
+
+(* One successor per promise [ps] the store of [v] to [loc] = (b, idx)
+   can fulfil: thread [i]'s message on the location with the value,
+   above [lower] and, for a release, above [t.vall]. *)
+let rec fulfil_steps ~fp mem i (t : tstate) rest loc b idx v ~lower ~release
+    = function
+  | [] -> []
+  | p :: ps -> (
+      let tail = fulfil_steps ~fp mem i t rest loc b idx v ~lower ~release ps in
+      match own_message mem i p with
+      | Some m
+        when on m b idx && m.mval = v && m.ts > lower
+             && ((not release) || m.ts > t.vall) ->
+          (* flips the message's outstanding-promise status: other
+             threads' RMW enabledness and certification keys on this
+             base can change *)
+          let lbl =
+            if fp then
+              access_fp i ~disc:m.ts ~alloc:false ~reads:[] ~writes:[ loc ]
+                ~cert_read:[] ~cert_write:[ Loc.base loc ]
+            else dummy_fp
+          in
+          let promises = remove_int p t.promises in
+          (wrote t rest b idx ~release m.ts promises, None, lbl) :: tail
+      | _ -> tail)
+
 (** Thread [i] in state [t] carrying out its decoded request [req],
-    against memory [mem] whose next free timestamp is [next_ts], where
-    [promised ts] tells whether another thread holds an outstanding
-    promise at [ts]. Thread-local successors: the thread's new state,
-    the message the step appends, if any, and the step's POR footprint.
-    Several for a load (one per readable message) or a store (the append
-    and each fulfillable promise), none for an RMW on an outstanding
-    promise. The main search puts each successor back into the whole
-    state ({!step_thread}); solo runs keep the thread and memory alone
-    ({!solo_apply}).
+    against memory [mem] whose next free timestamp is [next_ts], while
+    the threads [others] (thread [i]'s own entry is ignored) hold their
+    outstanding promises. Thread-local successors: the thread's new
+    state, the message the step appends, if any, and the step's POR
+    footprint. Several for a load (one per readable message) or a store
+    (the append and each fulfillable promise), none for an RMW on an
+    outstanding promise. The main search puts each successor back into
+    the whole state ({!whole}); solo runs keep the thread and memory
+    alone ({!solo_apply}).
 
     [fp] asks for real POR footprints on each successor (solo runs leave
     it off and get a shared dummy); [silent_ok] additionally allows
     invisible deterministic steps to claim the singleton-ample property
     — the caller must guarantee the thread has no promise-step siblings
-    at this state; [obs] tells which registers observation can see. *)
-let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay ~mem
-    ~next_ts ~promised (i : int) (t : tstate) (req : Interp.request) :
+    at this state; [obs i r] tells whether observation can see thread
+    [i]'s register [r]. *)
+let apply ~fp ~silent_ok ~obs lay ~mem ~next_ts ~others (i : int)
+    (t : tstate) (req : Interp.request) :
     (tstate * message option * Porlabel.t) list =
   let rest = Cont.tail t.code in
-  (* invisible, deterministic, thread-local step *)
-  let quiet t' =
-    let lbl =
-      if not fp then dummy_fp
-      else if silent_ok then Porlabel.silent ~tid:i
-      else Porlabel.empty ~tid:i
-    in
-    [ (t', None, lbl) ]
-  in
   match req with
   | Interp.Local { guard; code; fuel } ->
-      quiet { t with code; fuel; vctrl = max t.vctrl guard }
+      quiet ~fp ~silent_ok i { t with code; fuel; vctrl = max t.vctrl guard }
   | Interp.Pull _ | Interp.Push _ | Interp.Tlbi _ ->
-      quiet { t with code = rest }
+      quiet ~fp ~silent_ok i { t with code = rest }
   | Interp.Assign { dst; value; view } ->
       let t' =
-        { t with code = rest; regs = set_reg lay t.regs dst value view }
+        { t with
+          code = rest;
+          regs = set_reg t.regs (reg_id lay dst) value view }
       in
-      if fp && obs dst then [ (t', None, Porlabel.private_ ~tid:i) ]
-      else quiet t'
+      if fp && obs i dst then [ (t', None, Porlabel.private_ ~tid:i) ]
+      else quiet ~fp ~silent_ok i t'
   | Interp.Fence b ->
-      quiet
+      quiet ~fp ~silent_ok i
         (match b with
         | Instr.Dmb_full ->
             let v = max t.vall (max t.vrnew t.vwnew) in
@@ -506,100 +640,49 @@ let apply ?(fp = false) ?(silent_ok = false) ?(obs = any_reg) lay ~mem
       let b = base_id lay (Loc.base loc) and idx = loc.Loc.index in
       let acq = ord = Instr.Acquire || ord = Instr.Acq_rel in
       let floor = max (max t.vrnew va) (if acq then t.vrel else 0) in
-      List.map
-        (fun m ->
-          let view = max m.ts va in
-          let t' =
-            { t with
-              code = rest;
-              regs = set_reg lay t.regs dst m.mval view;
-              coh = coh_set t.coh b idx (max (coh_get t.coh b idx) m.ts);
-              vrmax = max t.vrmax view;
-              vall = max t.vall view;
-              vrnew = (if acq then max t.vrnew m.ts else t.vrnew);
-              vwnew = (if acq then max t.vwnew m.ts else t.vwnew) }
-          in
-          (* the read message's timestamp discriminates the choice —
-             intrinsic to the transition, stable across independent
-             other-thread moves *)
-          let lbl =
-            if fp then { (Porlabel.read ~tid:i loc) with disc = m.ts }
-            else dummy_fp
-          in
-          (t', None, lbl))
+      read_steps ~fp i t rest (reg_id lay dst) loc b idx (coh_get t.coh b idx)
+        ~acq ~va
         (readable mem t loc b ~floor)
   | Interp.Write { loc; value = v; ord; va; vd } ->
       let b = base_id lay (Loc.base loc) and idx = loc.Loc.index in
-      let lower =
-        max (coh_get t.coh b idx) (max va (max vd (max t.vctrl t.vwnew)))
-      in
-      let is_release = ord = Instr.Release || ord = Instr.Acq_rel in
-      let commit ts m promises lbl =
-        let t' =
-          { t with
-            code = rest;
-            coh = coh_set t.coh b idx ts;
-            vwmax = max t.vwmax ts;
-            vall = max t.vall ts;
-            vrel = (if is_release then max t.vrel ts else t.vrel);
-            promises }
-        in
-        (t', m, lbl)
-      in
-      (* fulfill one of our promises... *)
-      let fulfills =
-        List.filter_map
-          (fun p ->
-            match List.find_opt (fun m -> m.ts = p && m.wtid = i) mem with
-            | Some m
-              when on m b idx && m.mval = v && m.ts > lower
-                   && ((not is_release) || m.ts > t.vall) ->
-                (* flips the message's outstanding-promise status:
-                   other threads' RMW enabledness and certification
-                   keys on this base can change *)
-                let lbl =
-                  if fp then
-                    { (Porlabel.write ~tid:i loc) with
-                      cert_write = [ Loc.base loc ];
-                      disc = m.ts }
-                  else dummy_fp
-                in
-                Some
-                  (commit m.ts None
-                     (List.filter (fun q -> q <> p) t.promises)
-                     lbl)
-            | _ -> None)
-          t.promises
-      in
-      (* ... or append a fresh message at the end of memory. *)
+      let release = ord = Instr.Release || ord = Instr.Acq_rel in
+      (* append a fresh message at the end of memory... *)
       let append =
         let ts = next_ts in
         let m = { mloc = loc; mbase = b; mval = v; ts; wtid = i } in
         let lbl =
           if fp then
-            { (Porlabel.write ~tid:i loc) with
-              alloc = true;
-              cert_write = [ Loc.base loc ] }
+            access_fp i ~disc:0 ~alloc:true ~reads:[] ~writes:[ loc ]
+              ~cert_read:[] ~cert_write:[ Loc.base loc ]
           else dummy_fp
         in
-        commit ts (Some m) t.promises lbl
+        (wrote t rest b idx ~release ts t.promises, Some m, lbl)
       in
-      append :: fulfills
+      (* ... or fulfil one of our promises *)
+      append
+      ::
+      (match t.promises with
+      | [] -> []
+      | promises ->
+          let lower =
+            max (coh_get t.coh b idx) (max va (max vd (max t.vctrl t.vwnew)))
+          in
+          fulfil_steps ~fp mem i t rest loc b idx v ~lower ~release promises)
   | Interp.Rmw { dst; loc; op; ord; va; vd } ->
-      rmw_step ~fp lay ~mem ~next_ts ~promised i t rest ~loc ~va ~vd ~ord
-        ~dst ~op
+      rmw_step ~fp lay ~mem ~next_ts ~others i t rest ~loc ~va ~vd ~ord ~dst
+        ~op
 
-(** Successor states of executing the next instruction of thread [i].
+(* The whole state after thread [i]'s thread-local successor at [st]. *)
+let whole st i (t', m, _) =
+  set_thread (match m with None -> st | Some m -> append st m) i t'
+
+(** Thread [i]'s thread-local successors at [st].
     @raise Interp.Thread_panic when the thread panics.
     @raise Interp.Out_of_fuel when a loop has no fuel left. *)
-let step_thread ?fp ?silent_ok ?obs lay (st : state) (i : int) =
+let step_thread ~fp ~silent_ok ~obs lay (st : state) (i : int) =
   let t = st.threads.(i) in
-  List.map
-    (fun (t', m, lbl) ->
-      let st' = match m with None -> st | Some m -> append st m in
-      (set_thread st' i t', lbl))
-    (apply ?fp ?silent_ok ?obs lay ~mem:st.mem ~next_ts:st.next_ts
-       ~promised:(promised_by_other st.threads i) i t (request lay t))
+  apply ~fp ~silent_ok ~obs lay ~mem:st.mem ~next_ts:st.next_ts
+    ~others:st.threads i t (request lay t)
 
 (* Human-readable label for thread [i]'s request [req], taken from [st]
    to [st']. Loads/stores are annotated with the concrete location,
@@ -717,7 +800,8 @@ let canonical_key sym (st : state) : Statekey.t =
 (* ------------------------------------------------------------------ *)
 (* A solo run steps one thread against memory and nothing else: the
    other threads stand still, so all it needs of them is which
-   timestamps they have promised, a predicate fixed for the whole run.
+   timestamps they have promised, read from the state's thread array,
+   which the run never changes.
    Each solo step is one {!apply}, its successors kept as a thread, a
    memory and a timestamp counter, with no thread arrays copied and no
    keys folded. *)
@@ -738,8 +822,9 @@ let solo_request lay s =
 
 (* Thread [i]'s steps for request [req] in solo run [s] (a solo run
    never promises), each made a run by {!solo_next}. *)
-let solo_apply lay ~promised i s req =
-  apply lay ~mem:s.mem ~next_ts:s.next_ts ~promised i s.thread req
+let solo_apply lay ~others i s req =
+  apply ~fp:false ~silent_ok:false ~obs:any_reg lay ~mem:s.mem
+    ~next_ts:s.next_ts ~others i s.thread req
 
 let solo_next s (thread, m, _) =
   match m with
@@ -747,7 +832,15 @@ let solo_next s (thread, m, _) =
   | Some m -> { thread; mem = m :: s.mem; next_ts = m.ts + 1 }
 
 (* The ids of the base names [bases]. *)
-let base_ids lay bases = List.map (base_id lay) bases
+let rec base_ids lay = function
+  | [] -> []
+  | b :: bs -> base_id lay b :: base_ids lay bs
+
+(* Is thread [i]'s promise at [p] on one of the bases [bases]? *)
+let fulfillable mem i bases p =
+  match own_message mem i p with
+  | Some m -> mem_int m.mbase bases
+  | None -> false
 
 (** Can thread [i], running solo (no new promises), reach a state with all
     its promises fulfilled, within [depth] steps?
@@ -758,35 +851,40 @@ let base_ids lay bases = List.map (base_id lay) bases
     already forced. *)
 let certifiable cfg lay st i =
   let t0 = st.threads.(i) in
-  if t0.promises = [] then true
-  else
-    let bases = base_ids lay (Cont.stores t0.code) in
-    let fulfillable p =
-      match List.find_opt (fun m -> m.ts = p && m.wtid = i) st.mem with
-      | Some m -> List.mem m.mbase bases
-      | None -> false
-    in
-    if not (List.for_all fulfillable t0.promises) then false
-    else
-      let promised = promised_by_other st.threads i in
+  match t0.promises with
+  | [] -> true
+  | promises ->
+      let bases = base_ids lay (Cont.stores t0.code) in
+      List.for_all (fulfillable st.mem i bases) promises
+      &&
+      let others = st.threads in
       let rec go s depth =
-        s.thread.promises = []
+        no_promises s.thread
         || depth > 0
            &&
            match solo_request lay s with
            | None -> false
-           | Some req ->
-               List.exists
-                 (fun succ -> go (solo_next s succ) (depth - 1))
-                 (solo_apply lay ~promised i s req)
+           | Some req -> any s (depth - 1) (solo_apply lay ~others i s req)
+      and any s depth = function
+        | [] -> false
+        | succ :: succs -> go (solo_next s succ) depth || any s depth succs
       in
       go (solo_of st i) cfg.cert_depth
 
+(* Candidate triples in (base id, index, value) order. *)
+let compare_candidate (b, i, v) (b', i', v') =
+  let c = Int.compare b b' in
+  if c <> 0 then c
+  else
+    let c = Int.compare i i' in
+    if c <> 0 then c else Int.compare v v'
+
 (** Store values thread [i] may produce along some solo run of at most
-    [cfg.cert_depth] steps from [s]: the candidate set for promises, as
-    (base id, index, value) triples, sorted and without duplicates. Base
-    ids follow base names, so the triples sort as the (location, value)
-    pairs they stand for. Over-approximate; certification filters.
+    [cfg.cert_depth] steps from [s], while the threads [others] hold
+    their promises: the candidate set for promises, as (base id, index,
+    value) triples, sorted and without duplicates. Base ids follow base
+    names, so the triples sort as the (location, value) pairs they stand
+    for. Over-approximate; certification filters.
 
     Every solo path is walked, with no table of states already seen.
     None would pay: a solo run's coherence entries and views only grow,
@@ -795,7 +893,7 @@ let certifiable cfg lay st i =
     first met with less depth left would hide the stores a later visit
     with more depth left can still reach, which [certifiable] (no table
     either) accepts. *)
-let write_candidates cfg lay ~promised i s =
+let write_candidates cfg lay ~others i s =
   let found = ref [] in
   let rec go s depth =
     if depth > 0 then
@@ -807,16 +905,82 @@ let write_candidates cfg lay ~promised i s =
               found :=
                 (base_id lay (Loc.base loc), loc.Loc.index, value) :: !found
           | _ -> ());
-          List.iter
-            (fun succ -> go (solo_next s succ) (depth - 1))
-            (solo_apply lay ~promised i s req)
+          all s (depth - 1) (solo_apply lay ~others i s req)
+  and all s depth = function
+    | [] -> ()
+    | succ :: succs ->
+        go (solo_next s succ) depth;
+        all s depth succs
   in
   go s cfg.cert_depth;
-  List.sort_uniq compare !found
+  List.sort_uniq compare_candidate !found
 
 (* ------------------------------------------------------------------ *)
 (* Certification memoization                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* the number of messages of [mem] on the bases [bases] *)
+let rec count_on bases n = function
+  | [] -> n
+  | m :: mem -> count_on bases (if mem_int m.mbase bases then n + 1 else n) mem
+
+(* the timestamps of the messages of [mem] on the bases [bases] into
+   [ranks.(k)], [ranks.(k - 1)], ... *)
+let rec fill_ts (ranks : int array) bases k = function
+  | [] -> ()
+  | m :: mem ->
+      if mem_int m.mbase bases then begin
+        ranks.(k) <- m.ts;
+        fill_ts ranks bases (k - 1) mem
+      end
+      else fill_ts ranks bases k mem
+
+(* the index of [v] in the sorted [ranks.(lo .. hi)] *)
+let rec rank_in (ranks : int array) v lo hi =
+  let mid = (lo + hi) / 2 in
+  let x = ranks.(mid) in
+  if x = v then mid
+  else if x < v then rank_in ranks v (mid + 1) hi
+  else rank_in ranks v lo (mid - 1)
+
+(* insertion sort of [a.(lo .. hi - 1)], in place: linear on a slice
+   that is sorted but for a few elements *)
+let sort_range (a : int array) lo hi =
+  for j = lo + 1 to hi - 1 do
+    let v = a.(j) in
+    let k = ref (j - 1) in
+    while !k >= lo && a.(!k) > v do
+      a.(!k + 1) <- a.(!k);
+      decr k
+    done;
+    a.(!k + 1) <- v
+  done
+
+let rec fill_list (a : int array) k = function
+  | [] -> ()
+  | v :: l ->
+      a.(k) <- v;
+      fill_list a (k + 1) l
+
+(* [f k] for every slot [k] of a certification key's projection [p]
+   (laid out by {!cert_key}) that holds a timestamp: the written
+   registers' views, the coherence entries', the seven views and the
+   promises *)
+let iter_ts_slots (p : int array) ~nregs ~fp_coh ~np f =
+  for r = 0 to nregs - 1 do
+    if p.(2 + (2 * r)) <> unwritten then f (2 + (2 * r))
+  done;
+  let c = 2 + (2 * nregs) in
+  for j = 0 to fp_coh - 1 do
+    f (c + (3 * j) + 2)
+  done;
+  let v = c + (3 * fp_coh) in
+  for k = v to v + 6 do
+    f k
+  done;
+  for k = v + 8 to v + 7 + np do
+    f k
+  done
 
 (* The memo key is a {e canonical projection} of the state onto what a
    solo run of thread [i] can observe. [certifiable]'s verdict is
@@ -846,56 +1010,54 @@ let write_candidates cfg lay ~promised i s =
 let cert_key lay (st : state) i : Statekey.t =
   let t = st.threads.(i) in
   let bases = base_ids lay (Cont.accesses t.code) in
-  let in_fp b = List.mem b bases in
-  let msgs = List.filter (fun m -> in_fp m.mbase) st.mem in
-  let n_coh = Array.length t.coh / 3 in
+  let nregs = Array.length t.regs / 2 and n_coh = Array.length t.coh / 3 in
+  let np = List.length t.promises in
+  let fp_coh = ref 0 in
+  for k = 0 to n_coh - 1 do
+    if mem_int t.coh.(3 * k) bases then incr fp_coh
+  done;
+  let fp_coh = !fp_coh in
+  (* The projection of the thread, in key order, timestamps first
+     raw: fuel; a (value, view) pair per register, view [unwritten]
+     when not written; the number of coherence entries on the
+     footprint, then their (base id, index, timestamp) triples; the
+     seven views; the number of promises, then the promises. *)
+  let p = Array.make (10 + (2 * nregs) + (3 * fp_coh) + np) 0 in
+  p.(0) <- t.fuel;
+  Array.blit t.regs 0 p 1 (2 * nregs);
+  let c = 1 + (2 * nregs) in
+  p.(c) <- fp_coh;
+  let k = ref (c + 1) in
+  for j = 0 to n_coh - 1 do
+    if mem_int t.coh.(3 * j) bases then begin
+      Array.blit t.coh (3 * j) p !k 3;
+      k := !k + 3
+    end
+  done;
+  let v = !k in
+  p.(v) <- t.vrnew;
+  p.(v + 1) <- t.vwnew;
+  p.(v + 2) <- t.vctrl;
+  p.(v + 3) <- t.vrmax;
+  p.(v + 4) <- t.vwmax;
+  p.(v + 5) <- t.vall;
+  p.(v + 6) <- t.vrel;
+  p.(v + 7) <- np;
+  fill_list p (v + 8) t.promises;
   (* Rank table: every comparable timestamp in one int array, sorted in
      place and deduplicated; a timestamp's rank is its index, found by
      binary search. Slot 0 holds 0, which is always a member. The
-     messages' timestamps fill slots 1.. in ascending order (memory is
-     newest first). *)
-  let nm = List.length msgs in
-  let ranks =
-    Array.make
-      (8 + nm + n_coh + (Array.length t.regs / 2) + List.length t.promises)
-      0
-  in
-  List.iteri (fun j m -> ranks.(nm - j) <- m.ts) msgs;
+     footprint messages' timestamps fill slots 1.. in ascending order
+     (memory is newest first), the projection's follow. *)
+  let nm = count_on bases 0 st.mem in
+  let ranks = Array.make (8 + nm + nregs + fp_coh + np) 0 in
+  fill_ts ranks bases nm st.mem;
   let n = ref (nm + 1) in
-  let note v =
-    ranks.(!n) <- v;
-    incr n
-  in
-  let fp_coh = ref 0 in
-  for k = 0 to n_coh - 1 do
-    if in_fp t.coh.(3 * k) then begin
-      note t.coh.((3 * k) + 2);
-      incr fp_coh
-    end
-  done;
-  note t.vrnew;
-  note t.vwnew;
-  note t.vctrl;
-  note t.vrmax;
-  note t.vwmax;
-  note t.vall;
-  note t.vrel;
-  for k = 0 to (Array.length t.regs / 2) - 1 do
-    let w = t.regs.((2 * k) + 1) in
-    if w <> unwritten then note w
-  done;
-  List.iter note t.promises;
-  (* insertion sort of the filled slots: only the few timestamps noted
-     after the messages move, and slot 0 stops every scan *)
-  for j = nm + 1 to !n - 1 do
-    let v = ranks.(j) in
-    let k = ref (j - 1) in
-    while ranks.(!k) > v do
-      ranks.(!k + 1) <- ranks.(!k);
-      decr k
-    done;
-    ranks.(!k + 1) <- v
-  done;
+  iter_ts_slots p ~nregs ~fp_coh ~np (fun k ->
+      ranks.(!n) <- p.(k);
+      incr n);
+  (* only the few timestamps from the projection move *)
+  sort_range ranks 0 !n;
   let len = ref 1 in
   for j = 1 to !n - 1 do
     if ranks.(j) <> ranks.(!len - 1) then begin
@@ -903,50 +1065,30 @@ let cert_key lay (st : state) i : Statekey.t =
       incr len
     end
   done;
-  let rank v =
-    let rec go lo hi =
-      let mid = (lo + hi) / 2 in
-      let x = ranks.(mid) in
-      if x = v then mid else if x < v then go (mid + 1) hi else go lo (mid - 1)
-    in
-    go 0 (!len - 1)
-  in
+  let hi = !len - 1 in
+  iter_ts_slots p ~nregs ~fp_coh ~np (fun k ->
+      p.(k) <- rank_in ranks p.(k) 0 hi);
+  sort_range p (v + 8) (v + 8 + np);
   let h = Statekey.fresh () in
   Statekey.char h 'C';
   Statekey.absorb h (Cont.key t.code);
-  Statekey.int h t.fuel;
-  (* fixed width per register: (value, rank) when written, (0,
-     [unwritten]) when not — ranks are never negative *)
-  for k = 0 to (Array.length t.regs / 2) - 1 do
-    let w = t.regs.((2 * k) + 1) in
-    Statekey.int h t.regs.(2 * k);
-    Statekey.int h (if w = unwritten then unwritten else rank w)
-  done;
-  Statekey.int h !fp_coh;
-  for k = 0 to n_coh - 1 do
-    if in_fp t.coh.(3 * k) then begin
-      Statekey.int h t.coh.(3 * k);
-      Statekey.int h t.coh.((3 * k) + 1);
-      Statekey.int h (rank t.coh.((3 * k) + 2))
-    end
-  done;
-  List.iter
-    (fun v -> Statekey.int h (rank v))
-    [ t.vrnew; t.vwnew; t.vctrl; t.vrmax; t.vwmax; t.vall; t.vrel ];
-  Statekey.int h (List.length t.promises);
-  List.iter (Statekey.int h)
-    (List.sort Int.compare (List.map rank t.promises));
+  Statekey.ints h p;
   Statekey.char h 'M';
-  let promised = promised_by_other st.threads i in
+  (* per footprint message: base id, index, value, rank, whether thread
+     [i] wrote it, whether another thread holds it as a promise *)
+  let m6 = Array.make 6 0 in
   List.iter
     (fun m ->
-      Statekey.int h m.mbase;
-      Statekey.int h m.mloc.Loc.index;
-      Statekey.int h m.mval;
-      Statekey.int h (rank m.ts);
-      Statekey.int h (if m.wtid = i then 1 else 0);
-      Statekey.int h (if promised m.ts then 1 else 0))
-    msgs;
+      if mem_int m.mbase bases then begin
+        m6.(0) <- m.mbase;
+        m6.(1) <- m.mloc.Loc.index;
+        m6.(2) <- m.mval;
+        m6.(3) <- rank_in ranks m.ts 0 hi;
+        m6.(4) <- (if m.wtid = i then 1 else 0);
+        m6.(5) <- (if promised_by_other st.threads i m.ts then 1 else 0);
+        Statekey.ints h m6
+      end)
+    st.mem;
   Statekey.finish h
 
 (* Per-exploration verdict cache. Values: 0 = slot reserved but not yet
@@ -974,7 +1116,7 @@ let make_cert_cache () =
    touching the cache — they are trivially certified and would only
    dilute the hit-rate statistic. *)
 let certifiable_cached cache cfg lay st i =
-  if st.threads.(i).promises = [] then true
+  if no_promises st.threads.(i) then true
   else
     match cache with
     | None -> certifiable cfg lay st i
@@ -1018,7 +1160,7 @@ let initial_state cfg lay (prog : Prog.t) : state =
      so all threads can start from one *)
   let regs =
     Array.init
-      (2 * Array.length lay.reg_names)
+      (2 * Array.length lay.regs.sorted)
       (fun k -> if k land 1 = 1 then unwritten else 0)
   in
   let threads =
@@ -1062,9 +1204,13 @@ let observe (prog : Prog.t) lay (st : state) status : Behavior.outcome =
    for a load: one per readable message) followed by the certified promise
    steps; terminal states record an outcome only when every promise has
    been fulfilled; under [strict_certification] uncertifiable states are
-   pruned. The transition sequence is lazy, so certification work for a
-   thread is only done once the previous threads' subtrees are explored
-   (materialized eagerly when the POR oracle is active).
+   pruned. The transitions are built as one list, with or without POR:
+   every thread's promise candidates are certified when the state is
+   expanded, before any successor is explored. The search reaches the
+   same states either way, so every count is the one a lazy sequence
+   gives, unless a state budget or deadline stops the search part-way:
+   then certification work for threads whose subtrees were never
+   explored is already done, and counted.
 
    POR labels: every step carries a {!Porlabel} footprint. Promise and
    fulfil steps record the affected base in [cert_write] (they change the
@@ -1086,6 +1232,8 @@ module Model = struct
     prog : Prog.t;
     cfg : config;
     lay : layout;  (** the program's register and base ids *)
+    obs : int -> Reg.t -> bool;
+        (** [obs i r]: can observation see thread [i]'s register [r]? *)
     cache : cert_cache option;
         (** certification memo, shared across domains (internally
             mutex-guarded); [None] when [cfg.cert_cache] is off *)
@@ -1104,19 +1252,87 @@ module Model = struct
     | None -> state_key st
     | Some s -> canonical_key s st
 
+  (* [succs], thread [i]'s thread-local successors at [st], as steps
+     before [tail] *)
+  let rec arch_steps (st : state) i succs tail =
+    match succs with
+    | [] -> tail
+    | ((_, _, lbl) as succ) :: succs ->
+        Engine.Step (lbl, whole st i succ) :: arch_steps st i succs tail
+
+  (* Promise steps of thread [i] for the candidates [cands], the first
+     numbered [idx], each kept only when the thread can still certify,
+     before [tail]. Candidates are sorted, so the label discriminator
+     (index) is stable across independent other-thread moves. *)
+  let rec promise_steps ctx ~labels (st : state) i t ~cert_read idx cands
+      tail =
+    match cands with
+    | [] -> tail
+    | (b, index, v) :: cands ->
+        let ts = st.next_ts in
+        let loc = Loc.v ~index ctx.lay.bases.sorted.(b) in
+        let m = { mloc = loc; mbase = b; mval = v; ts; wtid = i } in
+        let t' =
+          { t with
+            promises = ts :: t.promises;
+            promise_budget = t.promise_budget - 1 }
+        in
+        let st' = set_thread (append st m) i t' in
+        if certifiable_cached ctx.cache ctx.cfg ctx.lay st' i then
+          let fp =
+            if labels then
+              access_fp i ~disc:idx ~alloc:true ~reads:[] ~writes:[ loc ]
+                ~cert_read ~cert_write:[ Loc.base loc ]
+            else dummy_fp
+          in
+          Engine.Step (fp, st')
+          :: promise_steps ctx ~labels st i t ~cert_read (idx + 1) cands tail
+        else promise_steps ctx ~labels st i t ~cert_read (idx + 1) cands tail
+
+  (* Thread [i]'s steps at [st] before [tail]: its architectural steps,
+     then its promise steps, candidates from a solo run. *)
+  let thread_steps ({ prog; cfg; lay; obs; _ } as ctx) ~labels (st : state) i
+      tail =
+    let t = st.threads.(i) in
+    if Cont.is_empty t.code then tail
+    else
+      (* can this thread take a promise step here? (cheap syntactic
+         over-approximation: budget left and a store in its code) *)
+      let may_promise =
+        t.promise_budget > 0
+        && match Cont.stores t.code with [] -> false | _ :: _ -> true
+      in
+      let tail =
+        if not may_promise then tail
+        else
+          let cands =
+            write_candidates cfg lay ~others:st.threads i (solo_of st i)
+          in
+          let cert_read = if labels then Cont.accesses t.code else [] in
+          promise_steps ctx ~labels st i t ~cert_read 0 cands tail
+      in
+      match
+        step_thread ~fp:labels ~silent_ok:(not may_promise) ~obs lay st i
+      with
+      | succs -> arch_steps st i succs tail
+      | exception Interp.Out_of_fuel ->
+          Engine.Emit (observe prog lay st Behavior.Fuel_exhausted) :: tail
+      | exception Interp.Thread_panic ->
+          Engine.Emit (observe prog lay st Behavior.Panicked) :: tail
+
   (* Labels are footprints alone: their [disc] fields keep the labels of
      one thread's enabled transitions distinct (engine requirement),
      which is also what lets {!render_witness} replay a recorded path. *)
-  let expand { prog; cfg; lay; cache; sym = _ } ~labels (st : state) :
+  let expand ({ prog; cfg; lay; cache; _ } as ctx) ~labels (st : state) :
       (state, Porlabel.t) Engine.expansion =
     let n = Array.length st.threads in
     let certified_everywhere =
       (not cfg.strict_certification)
-      || Array.for_all (fun t -> t.promises = []) st.threads
+      || Array.for_all no_promises st.threads
       ||
       let ok = ref true in
       for i = 0 to n - 1 do
-        if st.threads.(i).promises <> []
+        if (not (no_promises st.threads.(i)))
            && not (certifiable_cached cache cfg lay st i)
         then ok := false
       done;
@@ -1124,76 +1340,15 @@ module Model = struct
     in
     if not certified_everywhere then Engine.Terminal None
     else if Array.for_all (fun t -> Cont.is_empty t.code) st.threads then
-      if Array.for_all (fun t -> t.promises = []) st.threads then
+      if Array.for_all no_promises st.threads then
         Engine.Terminal (Some (observe prog lay st Behavior.Normal))
       else Engine.Terminal None
     else
-      let thread_steps i =
-        let t = st.threads.(i) in
-        if Cont.is_empty t.code then Seq.empty
-        else
-          (* can this thread take a promise step here? (cheap syntactic
-             over-approximation: budget left and a store in its code) *)
-          let may_promise = t.promise_budget > 0 && Cont.stores t.code <> [] in
-          (* ordinary architectural steps *)
-          let arch () =
-            (match
-               step_thread ~fp:labels ~silent_ok:(not may_promise)
-                 ~obs:(Prog.observable_reg prog i) lay st i
-             with
-            | steps ->
-                List.to_seq steps
-                |> Seq.map (fun (st', fp) -> Engine.Step (fp, st'))
-            | exception Interp.Out_of_fuel ->
-                Seq.return
-                  (Engine.Emit (observe prog lay st Behavior.Fuel_exhausted))
-            | exception Interp.Thread_panic ->
-                Seq.return
-                  (Engine.Emit (observe prog lay st Behavior.Panicked)))
-              ()
-          in
-          (* promise steps: candidates from a solo run, kept only when the
-             promising thread can still certify. Candidates are sorted so
-             the label discriminator (index) is stable across independent
-             other-thread moves. *)
-          let promises () =
-            if not may_promise then Seq.Nil
-            else
-              let cands =
-                write_candidates cfg lay
-                  ~promised:(promised_by_other st.threads i)
-                  i (solo_of st i)
-              in
-              let cert_read = if labels then Cont.accesses t.code else [] in
-              (List.to_seq cands
-              |> Seq.mapi (fun idx cand -> (idx, cand))
-              |> Seq.filter_map (fun (idx, (b, index, v)) ->
-                     let ts = st.next_ts in
-                     let loc = Loc.v ~index lay.base_names.(b) in
-                     let m = { mloc = loc; mbase = b; mval = v; ts; wtid = i } in
-                     let t' =
-                       { t with
-                         promises = ts :: t.promises;
-                         promise_budget = t.promise_budget - 1 }
-                     in
-                     let st' = set_thread (append st m) i t' in
-                     if certifiable_cached cache cfg lay st' i then
-                       let fp =
-                         if labels then
-                           { (Porlabel.write ~tid:i loc) with
-                             alloc = true;
-                             cert_write = [ Loc.base loc ];
-                             cert_read;
-                             disc = idx }
-                         else dummy_fp
-                       in
-                       Some (Engine.Step (fp, st'))
-                     else None))
-                ()
-          in
-          Seq.append arch promises
-      in
-      Engine.Steps (Seq.concat_map thread_steps (Seq.take n (Seq.ints 0)))
+      let steps = ref [] in
+      for i = n - 1 downto 0 do
+        steps := thread_steps ctx ~labels st i !steps
+      done;
+      Engine.Steps (List.to_seq !steps)
 end
 
 module E = Engine.Make (Model)
@@ -1202,6 +1357,7 @@ let make_ctx ?(sym = true) prog cfg =
   { Model.prog;
     cfg;
     lay = layout_of prog;
+    obs = Prog.observable_reg prog;
     cache = (if cfg.cert_cache then Some (make_cert_cache ()) else None);
     (* Symmetry mirrors the POR valve: under strict certification the
        engine prunes certification-dead states mid-path, and an orbit
@@ -1229,7 +1385,7 @@ let render_witness (ctx : Model.ctx) init path =
     | Engine.Steps steps ->
         Seq.find_map
           (function
-            | Engine.Step (l, st') when l = fp -> Some st'
+            | Engine.Step (l, st') when Porlabel.equal l fp -> Some st'
             | Engine.Step _ | Engine.Emit _ -> None)
           steps
     | Engine.Terminal _ -> None
@@ -1353,15 +1509,15 @@ let probe ?(config = default_config) prog =
           | Interp.Write { loc; value; _ } -> Some (loc, value)
           | _ -> None
         in
-        (written, List.map fst (step_thread lay st i)))
+        ( written,
+          List.map (whole st i)
+            (step_thread ~fp:false ~silent_ok:false ~obs:any_reg lay st i) ))
       (solo_request lay (solo_of st i))
   in
   let candidates st i =
     List.map
-      (fun (b, index, v) -> (Loc.v ~index lay.base_names.(b), v))
-      (write_candidates config lay
-         ~promised:(promised_by_other st.threads i)
-         i (solo_of st i))
+      (fun (b, index, v) -> (Loc.v ~index lay.bases.sorted.(b), v))
+      (write_candidates config lay ~others:st.threads i (solo_of st i))
   in
   { initial = initial_state config lay prog; key = state_key; successors; step;
     candidates }

@@ -34,6 +34,18 @@ let int h n =
   h.a <- (h.a lxor n) * p0;
   h.b <- (h.b lxor (n + 0x9e3779b9)) * p1
 
+(* [int] over every element, with the two streams in locals rather than
+   in [h]'s fields *)
+let ints h arr =
+  let a = ref h.a and b = ref h.b in
+  for k = 0 to Array.length arr - 1 do
+    let n = Array.unsafe_get arr k in
+    a := (!a lxor n) * p0;
+    b := (!b lxor (n + 0x9e3779b9)) * p1
+  done;
+  h.a <- !a;
+  h.b <- !b
+
 let char h c = int h (Char.code c + 0x100)
 
 (* raw bytes, one step per byte, no length prefix *)
@@ -296,17 +308,16 @@ module Table = struct
   let length t = t.size
   let capacity t = t.mask + 1
 
-  (* slot of [key] in [keys]: its index if present, else the first free
-     slot of its probe sequence *)
+  (* slot of the key with words [h0], [h1] in [keys]: its index if
+     present, else the first free slot of its probe sequence *)
+  let rec probe_from keys mask h0 h1 i =
+    let k0 = Array.unsafe_get keys (2 * i) in
+    if k0 = 0 then i
+    else if k0 = h0 && Array.unsafe_get keys ((2 * i) + 1) = h1 then i
+    else probe_from keys mask h0 h1 ((i + 1) land mask)
+
   let probe keys mask (key : key) =
-    let rec go i =
-      let k0 = Array.unsafe_get keys (2 * i) in
-      if k0 = 0 then i
-      else if k0 = key.h0 && Array.unsafe_get keys ((2 * i) + 1) = key.h1
-      then i
-      else go ((i + 1) land mask)
-    in
-    go (key.h0 land mask)
+    probe_from keys mask key.h0 key.h1 (key.h0 land mask)
 
   let grow t =
     let cap = (t.mask + 1) * 2 in
@@ -314,11 +325,11 @@ module Table = struct
     let vals = Array.make cap t.dummy in
     let mask = cap - 1 in
     for i = 0 to t.mask do
-      let h0 = t.keys.(2 * i) in
+      let h0 = t.keys.(2 * i) and h1 = t.keys.((2 * i) + 1) in
       if h0 <> 0 then begin
-        let j = probe keys mask { h0; h1 = t.keys.((2 * i) + 1) } in
+        let j = probe_from keys mask h0 h1 (h0 land mask) in
         keys.(2 * j) <- h0;
-        keys.((2 * j) + 1) <- t.keys.((2 * i) + 1);
+        keys.((2 * j) + 1) <- h1;
         vals.(j) <- t.vals.(i)
       end
     done;

@@ -47,6 +47,12 @@ type h
 
 val fresh : unit -> h
 val int : h -> int -> unit
+
+val ints : h -> int array -> unit
+(** [ints h a] is [Array.iter (int h) a], with the stream state kept in
+    registers for the length of the array: the same key, at about half
+    the cost per element. *)
+
 val char : h -> char -> unit
 
 val str : h -> string -> unit

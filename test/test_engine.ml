@@ -914,6 +914,77 @@ let qcheck_mem_key =
       && List.length (List.sort_uniq Statekey.compare keys)
          = List.length keys)
 
+(* [Statekey.ints h a] continues [h]'s streams exactly as one
+   [Statekey.int] per element does, from any prior stream state: a
+   random prefix of ints, then the array, either way; and the key then
+   also takes the same further ints. *)
+let qcheck_ints_key =
+  QCheck.Test.make ~count:500 ~name:"Statekey.ints = Statekey.int per element"
+    QCheck.(triple (small_list int) (array int) (small_list int))
+    (fun (prefix, a, suffix) ->
+      let key fold =
+        let h = Statekey.fresh () in
+        List.iter (Statekey.int h) prefix;
+        fold h;
+        List.iter (Statekey.int h) suffix;
+        Statekey.finish h
+      in
+      Statekey.equal
+        (key (fun h -> Statekey.ints h a))
+        (key (fun h -> Array.iter (Statekey.int h) a)))
+
+(* [Porlabel.equal] agrees with polymorphic [=]: a random label over
+   small domains against a rebuilt copy (no field physically shared)
+   with at most one field changed, and against itself. *)
+let gen_label =
+  let open QCheck.Gen in
+  let loc = map2 (fun b index -> Loc.v ~index b) (oneofl [ "x"; "y" ]) (0 -- 1) in
+  let locs = list_size (0 -- 2) loc
+  and strs = list_size (0 -- 2) (oneofl [ "x"; "y" ]) in
+  map
+    (fun ((tid, disc, silent, global, alloc), (reads, writes),
+          (obases, otransfer, cert_read, cert_write)) ->
+      { Porlabel.tid; disc; silent; global; alloc; reads; writes; obases;
+        otransfer; cert_read; cert_write })
+    (triple
+       (map
+          (fun (((tid, disc), silent), (global, alloc)) ->
+            (tid, disc, silent, global, alloc))
+          (pair (pair (pair (0 -- 1) (0 -- 1)) bool) (pair bool bool)))
+       (pair locs locs)
+       (quad strs strs strs strs))
+
+let rebuilt_label (l : Porlabel.t) field =
+  let str s = String.sub s 0 (String.length s) in
+  let locs = List.map (fun (x : Loc.t) -> Loc.v ~index:x.Loc.index (str x.Loc.base))
+  and strs = List.map str in
+  let flip_locs = function [] -> [ Loc.v "x" ] | _ :: t -> locs t
+  and flip_strs = function [] -> [ "x" ] | _ :: t -> strs t in
+  { Porlabel.tid = (if field = 0 then 1 - l.tid else l.tid);
+    disc = (if field = 1 then l.disc + 1 else l.disc);
+    silent = (if field = 2 then not l.silent else l.silent);
+    global = (if field = 3 then not l.global else l.global);
+    alloc = (if field = 4 then not l.alloc else l.alloc);
+    reads = (if field = 5 then flip_locs l.reads else locs l.reads);
+    writes = (if field = 6 then flip_locs l.writes else locs l.writes);
+    obases = (if field = 7 then flip_strs l.obases else strs l.obases);
+    otransfer =
+      (if field = 8 then flip_strs l.otransfer else strs l.otransfer);
+    cert_read =
+      (if field = 9 then flip_strs l.cert_read else strs l.cert_read);
+    cert_write =
+      (if field = 10 then flip_strs l.cert_write else strs l.cert_write) }
+
+let qcheck_porlabel_equal =
+  QCheck.Test.make ~count:1_000 ~name:"Porlabel.equal agrees with ="
+    QCheck.(pair (make gen_label) (int_bound 21))
+    (fun (l, field) ->
+      (* fields 11-21 change nothing: half the pairs are equal *)
+      let l' = rebuilt_label l field in
+      Porlabel.equal l l' = (l = l')
+      && Porlabel.equal l' l = (l' = l)
+      && Porlabel.equal l l)
+
 (* Continuation footprints and entries. The references are the walkers
    Promising used before footprints were cached: [walk_bases] folds the
    base of every access [pick] accepts, branch and loop bodies
@@ -1006,6 +1077,72 @@ let test_cont_facts_corpus () =
         e.Sekvm.Kernel_progs.prog.Prog.threads)
     Sekvm.Kernel_progs.(corpus @ buggy_corpus @ sym_corpus)
 
+(* ---- key bits ---------------------------------------------------- *)
+
+(* [f k key st] for each of the first [limit] distinct states of the
+   probe's search (promise steps included), [k] numbering them in
+   depth-first order of [successors]. *)
+let iter_states (p : Promising.probe) ~limit f =
+  let seen = Statekey.Table.create ~dummy:() () in
+  let left = ref limit in
+  let rec visit st =
+    if !left > 0 then
+      let key = p.key st in
+      match Statekey.Table.find_or_add seen key () with
+      | `Found () -> ()
+      | `Added ->
+          let k = limit - !left in
+          decr left;
+          f k key st;
+          List.iter visit (p.successors st)
+  in
+  visit p.initial
+
+(* The state-key bits, not only the partition they induce: for each
+   entry of the kernel, buggy and symmetry corpora, under its
+   [rm_config], the MD5 of the rendered
+   keys of the first 1,000 distinct states of the search, in depth-first
+   order of the probe's successors. Visited counts and digests would
+   survive a key change that kept equal states equal; these would not.
+   They also pin the order in which a state's successors are offered. *)
+let key_bits_pin =
+  [
+    ("gen_vmid", "e1633d23dd96e678980b0c2a564f0900");
+    ("vcpu-switch", "8f50385d54d52a6cf58340c8efee54c7");
+    ("vm-boot-state", "26b198ae09ca3fc447773a502c1f7529");
+    ("share-page", "a51f7c5071bd2cd55d2cd7ec907101f0");
+    ("mcs-counter", "eda25eff40d9550b66ae165a3f1054a2");
+    ("mcs-handoff", "f58a5cdf0946e50e3316c65fc74d4efb");
+    ("gen_vmid-nobarrier", "4f380bec6d17125199ffc42314f9dc1f");
+    ("vcpu-switch-nobarrier", "ede5a5f9ee79740bb3d7fbaf4d92bab9");
+    ("mcs-handoff-nobarrier", "a0a19c3efc45a43f6caa6871b3c41272");
+    ("unlocked-counter", "20a8222bb0278041ed2ddbbaac603a30");
+    ("push-without-pull", "e3c387f103072c07264f847d3edc4b25");
+    ("sym-stress-3", "2bd1ecbc984976acc47d31c4e0594cc3");
+    ("sym-stress-4", "80884d66c8631575b41b7bc681758fb8");
+    ("sym-stress-5", "6b5af06f78259e103a17cf3335944866");
+  ]
+
+let key_bits_digest (e : Sekvm.Kernel_progs.entry) =
+  let p =
+    Promising.probe ~config:e.Sekvm.Kernel_progs.rm_config
+      e.Sekvm.Kernel_progs.prog
+  in
+  let buf = Buffer.create 40_000 in
+  iter_states p ~limit:1_000 (fun _ key _ ->
+      Buffer.add_string buf (Format.asprintf "%a" Statekey.pp key));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_key_bits_pin () =
+  let got =
+    List.map
+      (fun (e : Sekvm.Kernel_progs.entry) ->
+        (e.Sekvm.Kernel_progs.name, key_bits_digest e))
+      Sekvm.Kernel_progs.(corpus @ buggy_corpus @ sym_corpus)
+  in
+  Alcotest.(check (list (pair string string))) "key-bit digests"
+    key_bits_pin got
+
 (* ---- promise candidates ------------------------------------------ *)
 
 (* Reference promise-candidate set of thread [i] at [st]: the location
@@ -1026,28 +1163,18 @@ let reference_candidates (p : Promising.probe) depth st i =
   List.sort_uniq compare (go [] depth st)
 
 (* The (state, thread) pairs, states numbered in depth-first order over
-   the first [limit] distinct states of [prog]'s search (promise steps
-   included), whose candidate set differs from the reference's. Every
-   thread of each state is checked. *)
+   the first [limit] distinct states of [prog]'s search, whose candidate
+   set differs from the reference's. Every thread of each state is
+   checked. *)
 let candidate_mismatches ?(config = Promising.default_config) ~limit prog =
   let p = Promising.probe ~config prog in
-  let seen = Statekey.Table.create ~dummy:() () in
   let n = List.length prog.Prog.threads in
-  let bad = ref [] and left = ref limit in
-  let rec visit st =
-    if !left > 0 then
-      match Statekey.Table.find_or_add seen (p.key st) () with
-      | `Found () -> ()
-      | `Added ->
-          let k = limit - !left in
-          decr left;
-          for i = 0 to n - 1 do
-            let expected = reference_candidates p config.cert_depth st i in
-            if p.candidates st i <> expected then bad := (k, i) :: !bad
-          done;
-          List.iter visit (p.successors st)
-  in
-  visit p.initial;
+  let bad = ref [] in
+  iter_states p ~limit (fun k _ st ->
+      for i = 0 to n - 1 do
+        let expected = reference_candidates p config.cert_depth st i in
+        if p.candidates st i <> expected then bad := (k, i) :: !bad
+      done);
   List.rev !bad
 
 (* Two read choices that meet again: thread 1 reads x (1 from thread 0,
@@ -1785,8 +1912,16 @@ let () =
             qcheck_mem_key;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 15 |])
+            qcheck_ints_key;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 15 |])
+            qcheck_porlabel_equal;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 15 |])
             qcheck_cont_facts;
           Alcotest.test_case "continuation facts on the kernel corpus" `Quick
             test_cont_facts_corpus;
+          Alcotest.test_case "state-key bits pinned on the kernel corpus"
+            `Quick test_key_bits_pin;
           Alcotest.test_case "witness text and visited counts unchanged"
             `Slow test_witness_parity ] ) ]
