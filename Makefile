@@ -59,8 +59,10 @@ cands-wide:
 bmc:
 	dune exec bin/vrm_cli.exe -- litmus --suite --backend=both
 
-# The tier-1 gate: what CI runs. (CI additionally runs bench-smoke,
-# service-smoke, fuzz, sym-wide and cands-wide in their own jobs.)
+# The tier-1 gate: what CI runs. (CI additionally runs fuzz, sym-wide
+# and cands-wide, the benchmark's output checks and self-tests
+# (perfbench-checks), bench-smoke, service-smoke and bench-serve-smoke
+# (service-bench) in their own jobs.)
 check: build test examples litmus smoke lint bmc
 
 bench:

@@ -120,7 +120,7 @@ type ('state, 'label) step =
 
 type ('state, 'label) expansion =
   | Terminal of Behavior.outcome option
-  | Steps of ('state, 'label) step Seq.t
+  | Steps of ('state, 'label) step list
 
 module type MODEL = sig
   type ctx
@@ -128,7 +128,7 @@ module type MODEL = sig
 
   val sym : ctx -> Symmetry.t option
   val key : ctx -> state -> Statekey.t
-  val expand : ctx -> labels:bool -> state -> (state, Porlabel.t) expansion
+  val expand : ctx -> state -> (state, Porlabel.t) expansion
 end
 
 module Make (M : MODEL) = struct
@@ -219,42 +219,35 @@ module Make (M : MODEL) = struct
 
   (* Expand one state and dispatch its successors through [child]
      (direct recursion when sequential, deque pushes when parallel).
-     Without POR the engine forces the next transition only after
-     [child] returns, preserving the exception-surfacing and
-     budget-laziness contract for models whose sequence is lazy
-     (Promising's is a list, built whole). Under POR the
-     steps are materialized (the models enumerate transitions cheaply
-     and totally) so sibling labels can feed sleep sets; [Emit]s are
-     always recorded, never pruned. *)
-  let expand_state ~ctx ~witnesses ~labels ~por ~sym acc st path depth
-      sleep ~child =
-    match M.expand ctx ~labels st with
+     Without POR every transition is taken, in list order. Under POR
+     the [Emit]s are recorded first (never pruned), then one ample step
+     or the sleep-set walk dispatches the [Step]s. *)
+  let expand_state ~ctx ~witnesses ~por ~sym acc st path depth sleep
+      ~child =
+    let take l st' sleep' =
+      acc.trans <- acc.trans + 1;
+      child st' (if witnesses then l :: path else path) (depth + 1) sleep'
+    in
+    let emit o =
+      acc.trans <- acc.trans + 1;
+      record acc ~witnesses o path
+    in
+    match M.expand ctx st with
     | Terminal (Some o) -> record acc ~witnesses o path
     | Terminal None -> ()
     | Steps steps when not por ->
-        Seq.iter
-          (fun s ->
-            acc.trans <- acc.trans + 1;
-            match s with
-            | Emit o -> record acc ~witnesses o path
-            | Step (lbl, st') ->
-                child st'
-                  (if witnesses then lbl :: path else path)
-                  (depth + 1) [])
-          steps
-    | Steps steps ->
-        let items = List.of_seq steps in
         List.iter
-          (function
-            | Emit o ->
-                acc.trans <- acc.trans + 1;
-                record acc ~witnesses o path
-            | Step _ -> ())
-          items;
-        let steps =
-          List.filter_map
-            (function Step (l, s) -> Some (l, s) | Emit _ -> None)
-            items
+          (function Emit o -> emit o | Step (l, st') -> take l st' [])
+          steps
+    | Steps steps -> (
+        let n_steps =
+          List.fold_left
+            (fun n -> function
+              | Emit o ->
+                  emit o;
+                  n
+              | Step _ -> n + 1)
+            0 steps
         in
         (* Singleton-ample reduction: an [ample] transition is
            invisible, its thread's unique transition, and commutes
@@ -262,18 +255,18 @@ module Make (M : MODEL) = struct
            every interleaving of the siblings (see the interface for
            the soundness argument). *)
         let amp =
-          List.find_opt
-            (fun (l, _) -> Porlabel.ample l && not (mem_lbl l sleep))
+          List.find_map
+            (function
+              | Step (l, st') when Porlabel.ample l && not (mem_lbl l sleep)
+                ->
+                  Some (l, st')
+              | Step _ | Emit _ -> None)
             steps
         in
         match amp with
         | Some (l, st') ->
-            acc.trans <- acc.trans + 1;
-            acc.pruned <- acc.pruned + (List.length steps - 1);
-            child st'
-              (if witnesses then l :: path else path)
-              (depth + 1)
-              (List.filter (fun z -> Porlabel.independent z l) sleep)
+            acc.pruned <- acc.pruned + (n_steps - 1);
+            take l st' (List.filter (fun z -> Porlabel.independent z l) sleep)
         | None ->
             (* Sleep-set exploration: sibling [i]'s subtree may skip
                any earlier sibling [j < i] independent of [i] — the
@@ -281,26 +274,23 @@ module Make (M : MODEL) = struct
                subtree, which explored [i] (not sleeping there). *)
             let sleeping = ref sleep in
             List.iter
-              (fun (l, st') ->
-                if mem_lbl l !sleeping then
-                  acc.pruned <- acc.pruned + 1
-                else begin
-                  acc.trans <- acc.trans + 1;
-                  let child_sleep =
-                    List.filter (fun z -> Porlabel.independent z l) !sleeping
-                  in
-                  child st'
-                    (if witnesses then l :: path else path)
-                    (depth + 1) child_sleep;
-                  if sleepable sym l then sleeping := l :: !sleeping
-                end)
-              steps
+              (function
+                | Emit _ -> ()
+                | Step (l, st') ->
+                    if mem_lbl l !sleeping then acc.pruned <- acc.pruned + 1
+                    else begin
+                      take l st'
+                        (List.filter
+                           (fun z -> Porlabel.independent z l)
+                           !sleeping);
+                      if sleepable sym l then sleeping := l :: !sleeping
+                    end)
+              steps)
 
   (* Depth-first search from each root, with a private seen-set. Roots
      carry the (reversed) label path and depth that led to them, so a
      parallel bucket reports witnesses with their full schedule. *)
   let dfs ~ctx ~witnesses ~max_states ~deadline ~por ~sym ~seen acc roots =
-    let labels = witnesses || por in
     let check_deadline () =
       match deadline with
       | Some d when Unix.gettimeofday () > d ->
@@ -322,7 +312,7 @@ module Make (M : MODEL) = struct
             let z = inter old_sleep sleep in
             Statekey.Table.update seen key (seen_entry ~empty:dummy_seen 0 z);
             check_deadline ();
-            expand_state ~ctx ~witnesses ~labels ~por ~sym acc st path depth
+            expand_state ~ctx ~witnesses ~por ~sym acc st path depth
               z ~child:go
           end
       | `Added ->
@@ -334,7 +324,7 @@ module Make (M : MODEL) = struct
               raise Budget
           | _ -> ());
           check_deadline ();
-          expand_state ~ctx ~witnesses ~labels ~por ~sym acc st path depth
+          expand_state ~ctx ~witnesses ~por ~sym acc st path depth
             sleep ~child:go
     in
     try List.iter (fun (st, path, depth) -> go st path depth []) roots
@@ -455,7 +445,6 @@ module Make (M : MODEL) = struct
 
   let explore_tasks ~max_states ~deadline ~witnesses ~jobs ~task_cut ~por
       ~sym ~ctx init t0 =
-    let labels = witnesses || por in
     let cut = max 1 task_cut in
     (* Striped shared seen-set: shard selected by high key bits (the
        tables themselves probe on low bits). *)
@@ -548,7 +537,7 @@ module Make (M : MODEL) = struct
                 | _ -> true
               in
               if proceed then
-                expand_state ~ctx ~witnesses ~labels ~por ~sym acc fr.f_st
+                expand_state ~ctx ~witnesses ~por ~sym acc fr.f_st
                   fr.f_path fr.f_depth sleep
                   ~child:(fun st' path' depth' sleep' ->
                     let fr' =
@@ -698,7 +687,7 @@ let enumerate_paths (type s l) ~(expand : s -> (s, l) expansion)
         incr count;
         out := List.rev acc :: !out
     | Steps steps ->
-        Seq.iter
+        List.iter
           (function Emit _ -> () | Step (lbl, st') -> go st' (lbl :: acc))
           steps
   in

@@ -12,23 +12,8 @@
     A model describes one state's outgoing structure with {!expansion}:
     either the state is terminal (optionally recording an outcome — [None]
     marks dead paths such as unfulfilled promises or pruned states), or it
-    offers a {e lazy} sequence of transitions. Laziness matters: the
-    engine forces the next transition only after fully exploring the
-    previous one's subtree, so model-raised exceptions (e.g.
-    {!Pushpull.check}'s ownership violations) surface at exactly the same
-    point of the search as in a hand-rolled nested loop, and expensive
-    transition enumeration (promise certification) is never done for
-    subtrees cut off by a budget. (Under POR the engine materializes
-    the expansion eagerly instead — the models enumerate transitions
-    cheaply and never raise from the sequence.) A model may also build
-    the sequence eagerly itself: {!Promising} builds every state's
-    transitions as one list, with or without POR, certifying every
-    thread's promises before it explores the first successor. It
-    reaches the same states in the same order either way, so its
-    counts are those of a lazy sequence unless a state budget or
-    deadline stops the search part-way, when the certifications of
-    threads whose subtrees were never explored are already done and
-    counted.
+    offers the list of its labelled transitions, built whole when the
+    state is expanded and taken in list order.
 
     {2 State interning}
 
@@ -204,9 +189,9 @@ val pp_stats : Format.formatter -> stats -> unit
 (** One outgoing transition of a state. *)
 type ('state, 'label) step =
   | Step of 'label * 'state
-      (** successor state; the label (the transition's footprint: the
+      (** successor state; the label is the transition's footprint: the
           currency of partial-order reduction, and the entries of a witness
-          path) is only retained when witnesses or POR need it *)
+          path *)
   | Emit of Behavior.outcome
       (** the path ends here with an outcome — fuel exhaustion and panics
           are emitted this way while sibling transitions keep exploring *)
@@ -215,10 +200,7 @@ type ('state, 'label) expansion =
   | Terminal of Behavior.outcome option
       (** no transitions; [Some o] records the outcome, [None] discards
           the path (dead states, strict-certification pruning) *)
-  | Steps of ('state, 'label) step Seq.t
-      (** outgoing transitions, forced one at a time in order
-          (materialized eagerly by the engine under POR, and by a
-          model that builds them as a list, as {!Promising} does) *)
+  | Steps of ('state, 'label) step list  (** outgoing transitions *)
 
 module type MODEL = sig
   type ctx
@@ -243,19 +225,14 @@ module type MODEL = sig
       is sound because permuting interchangeable threads preserves
       reachable outcome sets. *)
 
-  val expand :
-    ctx -> labels:bool -> state -> (state, Porlabel.t) expansion
+  val expand : ctx -> state -> (state, Porlabel.t) expansion
   (** Outgoing structure of a state. Each [Step] carries its transition's
       {!Porlabel} footprint, which must meet the obligations listed
       there: in particular, labels uniquely identify a transition among
       the enabled set of any state they can both be pending at (the
-      engine compares them with structural equality), and a label may
+      engine compares them with {!Porlabel.equal}), and a label may
       claim [silent] only for an invisible, thread-unique transition.
-      When [labels] is false the model may put placeholder labels in
-      [Step]s (they are dropped); this keeps witness bookkeeping off the
-      hot path. The engine passes [labels:true] whenever witnesses are
-      requested or POR is on. Must be pure up to the exceptions it
-      deliberately lets escape. *)
+      Must be pure up to the exceptions it deliberately lets escape. *)
 end
 
 module Make (M : MODEL) : sig

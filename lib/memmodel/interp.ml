@@ -145,8 +145,7 @@ let expand threads ~observe apply =
   | [] -> Engine.Terminal (Some (observe Behavior.Normal))
   | rs ->
       Engine.Steps
-        (List.to_seq rs
-        |> Seq.map (fun i -> transition threads.(i) ~observe (apply i)))
+        (List.map (fun i -> transition threads.(i) ~observe (apply i)) rs)
 
 let hash_mem h mem =
   Statekey.int h (Loc.Map.cardinal mem);

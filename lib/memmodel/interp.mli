@@ -130,7 +130,7 @@ val expand :
     {!Tso} does not use it: its threads also drain store buffers, and
     it offers them lowest index first, each thread's drain before its
     instruction. The order a search takes transitions in moves its
-    visited and POR-pruned counts, so Tso builds its own sequence around
+    visited and POR-pruned counts, so Tso builds its own list around
     {!transition}. *)
 
 val hash_mem : Statekey.h -> int Loc.Map.t -> unit

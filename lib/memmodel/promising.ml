@@ -402,8 +402,8 @@ let append st m =
     mkey = mem_key_add st.mkey m;
     next_ts = m.ts + 1 }
 
-(* Shared placeholder footprint for solo runs and label-free search:
-   never consulted, never compared. *)
+(* Shared placeholder footprint for solo runs: never consulted, never
+   compared. *)
 let dummy_fp = Porlabel.empty ~tid:(-1)
 
 (* The footprint of thread [i]'s memory access, in one allocation. *)
@@ -1204,13 +1204,11 @@ let observe (prog : Prog.t) lay (st : state) status : Behavior.outcome =
    for a load: one per readable message) followed by the certified promise
    steps; terminal states record an outcome only when every promise has
    been fulfilled; under [strict_certification] uncertifiable states are
-   pruned. The transitions are built as one list, with or without POR:
-   every thread's promise candidates are certified when the state is
-   expanded, before any successor is explored. The search reaches the
-   same states either way, so every count is the one a lazy sequence
-   gives, unless a state budget or deadline stops the search part-way:
-   then certification work for threads whose subtrees were never
-   explored is already done, and counted.
+   pruned. Every thread's promise candidates are certified when the
+   state is expanded, before any successor is explored: when a state
+   budget or deadline stops the search part-way, certification work for
+   threads whose subtrees were never explored is already done, and
+   counted.
 
    POR labels: every step carries a {!Porlabel} footprint. Promise and
    fulfil steps record the affected base in [cert_write] (they change the
@@ -1264,8 +1262,7 @@ module Model = struct
      numbered [idx], each kept only when the thread can still certify,
      before [tail]. Candidates are sorted, so the label discriminator
      (index) is stable across independent other-thread moves. *)
-  let rec promise_steps ctx ~labels (st : state) i t ~cert_read idx cands
-      tail =
+  let rec promise_steps ctx (st : state) i t ~cert_read idx cands tail =
     match cands with
     | [] -> tail
     | (b, index, v) :: cands ->
@@ -1280,19 +1277,16 @@ module Model = struct
         let st' = set_thread (append st m) i t' in
         if certifiable_cached ctx.cache ctx.cfg ctx.lay st' i then
           let fp =
-            if labels then
-              access_fp i ~disc:idx ~alloc:true ~reads:[] ~writes:[ loc ]
-                ~cert_read ~cert_write:[ Loc.base loc ]
-            else dummy_fp
+            access_fp i ~disc:idx ~alloc:true ~reads:[] ~writes:[ loc ]
+              ~cert_read ~cert_write:[ Loc.base loc ]
           in
           Engine.Step (fp, st')
-          :: promise_steps ctx ~labels st i t ~cert_read (idx + 1) cands tail
-        else promise_steps ctx ~labels st i t ~cert_read (idx + 1) cands tail
+          :: promise_steps ctx st i t ~cert_read (idx + 1) cands tail
+        else promise_steps ctx st i t ~cert_read (idx + 1) cands tail
 
   (* Thread [i]'s steps at [st] before [tail]: its architectural steps,
      then its promise steps, candidates from a solo run. *)
-  let thread_steps ({ prog; cfg; lay; obs; _ } as ctx) ~labels (st : state) i
-      tail =
+  let thread_steps ({ prog; cfg; lay; obs; _ } as ctx) (st : state) i tail =
     let t = st.threads.(i) in
     if Cont.is_empty t.code then tail
     else
@@ -1308,11 +1302,11 @@ module Model = struct
           let cands =
             write_candidates cfg lay ~others:st.threads i (solo_of st i)
           in
-          let cert_read = if labels then Cont.accesses t.code else [] in
-          promise_steps ctx ~labels st i t ~cert_read 0 cands tail
+          promise_steps ctx st i t ~cert_read:(Cont.accesses t.code) 0 cands
+            tail
       in
       match
-        step_thread ~fp:labels ~silent_ok:(not may_promise) ~obs lay st i
+        step_thread ~fp:true ~silent_ok:(not may_promise) ~obs lay st i
       with
       | succs -> arch_steps st i succs tail
       | exception Interp.Out_of_fuel ->
@@ -1323,7 +1317,7 @@ module Model = struct
   (* Labels are footprints alone: their [disc] fields keep the labels of
      one thread's enabled transitions distinct (engine requirement),
      which is also what lets {!render_witness} replay a recorded path. *)
-  let expand ({ prog; cfg; lay; cache; _ } as ctx) ~labels (st : state) :
+  let expand ({ prog; cfg; lay; cache; _ } as ctx) (st : state) :
       (state, Porlabel.t) Engine.expansion =
     let n = Array.length st.threads in
     let certified_everywhere =
@@ -1346,9 +1340,9 @@ module Model = struct
     else
       let steps = ref [] in
       for i = n - 1 downto 0 do
-        steps := thread_steps ctx ~labels st i !steps
+        steps := thread_steps ctx st i !steps
       done;
-      Engine.Steps (List.to_seq !steps)
+      Engine.Steps !steps
 end
 
 module E = Engine.Make (Model)
@@ -1381,9 +1375,9 @@ let render_witness (ctx : Model.ctx) init path =
       (List.map (fun th -> th.Prog.tid) ctx.Model.prog.Prog.threads)
   in
   let successor st fp =
-    match Model.expand ctx ~labels:true st with
+    match Model.expand ctx st with
     | Engine.Steps steps ->
-        Seq.find_map
+        List.find_map
           (function
             | Engine.Step (l, st') when Porlabel.equal l fp -> Some st'
             | Engine.Step _ | Engine.Emit _ -> None)
@@ -1493,13 +1487,12 @@ let probe ?(config = default_config) prog =
   let ctx = make_ctx ~sym:false prog config in
   let lay = ctx.Model.lay in
   let successors st =
-    match Model.expand ctx ~labels:false st with
+    match Model.expand ctx st with
     | Engine.Terminal _ -> []
     | Engine.Steps steps ->
-        List.of_seq
-          (Seq.filter_map
-             (function Engine.Step (_, st') -> Some st' | Engine.Emit _ -> None)
-             steps)
+        List.filter_map
+          (function Engine.Step (_, st') -> Some st' | Engine.Emit _ -> None)
+          steps
   in
   let step st i =
     Option.map

@@ -70,9 +70,8 @@ type state = {
   threads : Interp.thread array;
   poison : violation option;
       (** a transition into this state violated the ownership discipline;
-          expanding the state raises, so the violation surfaces at the
-          same point of the depth-first order as the seed's lazy
-          in-sequence raise did *)
+          expanding the state raises, so the violation surfaces when the
+          depth-first search reaches the violating transition *)
 }
 
 exception Ownership of violation
@@ -192,9 +191,9 @@ let label_of ~tracked (prog : Prog.t) i (req : Interp.request) :
    exploration engine. An [Ownership] violation does not escape from the
    transition itself: the violating step becomes a transition into a
    {e poisoned} state, and expanding the poisoned state raises. Under
-   exact search the poisoned child is expanded immediately after the
-   transition is forced (depth-first), so the first violation surfaces
-   at the same interleaving the seed's in-sequence raise found. The
+   exact search the poisoned child is expanded as soon as the search
+   takes the violating transition (depth-first), so the first violation
+   reported is the first one in the depth-first order. The
    violating transition carries a {e global} footprint, so POR never
    sleeps it; program panics are emitted as [Panicked] outcomes and
    split off into [Drf_kernel_panic] afterwards. *)
@@ -228,7 +227,7 @@ module Model = struct
       (List.sort compare st.owners);
     Interp.key ctx.sym h Interp.hash_thread st.threads
 
-  let expand { prog; tracked; sym = _ } ~labels (st : state) :
+  let expand { prog; tracked; sym = _ } (st : state) :
       (state, Porlabel.t) Engine.expansion =
     match st.poison with
     | Some v -> raise (Ownership v)
@@ -237,12 +236,7 @@ module Model = struct
           ~observe:(Interp.observe prog st.threads st.mem)
           (fun i req t ->
             match apply ~tracked st i req t with
-            | st' ->
-                let lbl =
-                  if labels then label_of ~tracked prog i req
-                  else Porlabel.silent ~tid:i
-                in
-                Engine.Step (lbl, st')
+            | st' -> Engine.Step (label_of ~tracked prog i req, st')
             | exception Ownership v ->
                 (* global label: dependent on everything, never slept or
                    ample-pruned *)

@@ -30,19 +30,14 @@ module Model = struct
     Interp.hash_mem h st.mem;
     Interp.key ctx.sym h Interp.hash_thread st.threads
 
-  let expand ctx ~labels (st : state) :
-      (state, Porlabel.t) Engine.expansion =
+  let expand ctx (st : state) : (state, Porlabel.t) Engine.expansion =
     Interp.expand st.threads
       ~observe:(Interp.observe ctx.prog st.threads st.mem)
       (fun i req t ->
         let mem, t = Interp.access st.mem t req in
         let threads = Array.copy st.threads in
         threads.(i) <- t;
-        let lbl =
-          if labels then Interp.label ctx.prog i req
-          else Porlabel.silent ~tid:i
-        in
-        Engine.Step (lbl, { mem; threads }))
+        Engine.Step (Interp.label ctx.prog i req, { mem; threads }))
 end
 
 module E = Engine.Make (Model)

@@ -131,54 +131,32 @@ module Model = struct
     Interp.hash_mem h st.mem;
     Interp.key ctx.sym h hash_thread st.threads
 
-  let dummy i = Porlabel.silent ~tid:i
-
-  let expand ctx ~labels (st : state) :
-      (state, Porlabel.t) Engine.expansion =
+  (* Built last thread to first, so the list offers threads lowest
+     index first, each thread's drain before its instruction. *)
+  let expand ctx (st : state) : (state, Porlabel.t) Engine.expansion =
     let prog = ctx.prog in
-    let n = Array.length st.threads in
-    let all_done = ref true in
-    for i = 0 to n - 1 do
+    let steps = ref [] in
+    for i = Array.length st.threads - 1 downto 0 do
       let t = st.threads.(i) in
-      if (not (Cont.is_empty t.th.Interp.code)) || t.buffer <> [] then
-        all_done := false
+      if not (Cont.is_empty t.th.Interp.code) then
+        steps :=
+          Interp.transition t.th ~observe:(observe prog st) (fun req th ->
+              Engine.Step (label_of prog st i req, apply st i th req))
+          :: !steps;
+      match t.buffer with
+      | (l, v) :: rest ->
+          steps :=
+            Engine.Step
+              ( Porlabel.write ~tid:i l,
+                set_thread
+                  { st with mem = Loc.Map.add l v st.mem }
+                  i { t with buffer = rest } )
+            :: !steps
+      | [] -> ()
     done;
-    if !all_done then
-      Engine.Terminal (Some (observe prog st Behavior.Normal))
-    else
-      let thread_steps i =
-        let t = st.threads.(i) in
-        let drain =
-          match t.buffer with
-          | (l, v) :: rest ->
-              let lbl =
-                if labels then Porlabel.write ~tid:i l else dummy i
-              in
-              Seq.return
-                (Engine.Step
-                   ( lbl,
-                     set_thread
-                       { st with mem = Loc.Map.add l v st.mem }
-                       i { t with buffer = rest } ))
-          | [] -> Seq.empty
-        in
-        let instr =
-          if Cont.is_empty t.th.Interp.code then Seq.empty
-          else
-            fun () ->
-              Seq.Cons
-                ( Interp.transition t.th ~observe:(observe prog st)
-                    (fun req th ->
-                      let lbl =
-                        if labels then label_of prog st i req else dummy i
-                      in
-                      Engine.Step (lbl, apply st i th req)),
-                  Seq.empty )
-        in
-        Seq.append drain instr
-      in
-      Engine.Steps
-        (Seq.concat_map thread_steps (Seq.take n (Seq.ints 0)))
+    match !steps with
+    | [] -> Engine.Terminal (Some (observe prog st Behavior.Normal))
+    | steps -> Engine.Steps steps
 end
 
 module E = Engine.Make (Model)

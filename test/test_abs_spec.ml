@@ -460,6 +460,8 @@ let () =
           Alcotest.test_case "teardown revokes DMA" `Quick
             test_teardown_revokes_dma_commutes ] );
       ( "randomized",
-        [ QCheck_alcotest.to_alcotest qcheck_refinement;
+        [ QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_refinement;
           Alcotest.test_case "abstract invariant induction" `Quick
             test_spec_invariant_induction ] ) ]

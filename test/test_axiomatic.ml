@@ -159,5 +159,9 @@ let () =
           Alcotest.test_case "lb-data agreement" `Quick
             test_lb_data_agreement ] );
       ( "qcheck",
-        [ QCheck_alcotest.to_alcotest qcheck_equivalence;
-          QCheck_alcotest.to_alcotest qcheck_soundness ] ) ]
+        [ QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_equivalence;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_soundness ] ) ]

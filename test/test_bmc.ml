@@ -312,8 +312,12 @@ let () =
           Alcotest.test_case "litmus-suite verdicts" `Quick
             test_suite_verdicts ] );
       ( "qcheck",
-        [ QCheck_alcotest.to_alcotest qcheck_arm_equiv;
-          QCheck_alcotest.to_alcotest qcheck_sc_equiv ] );
+        [ QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_arm_equiv;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_sc_equiv ] );
       ( "fragment",
         [ Alcotest.test_case "unsupported names thread and pc" `Quick
             test_unsupported_message;

@@ -1282,8 +1282,11 @@ let candidates_wide () =
    kernel, buggy and symmetry corpora, [run_full] visits exactly the
    states [run_stats] does (witness bookkeeping changes nothing about
    the search), and the rendered schedules hash to the digest captured
-   when witness text was still formatted on every transition. *)
+   when witness text was still formatted on every transition. Without
+   POR the schedules follow the models' transition order alone, and
+   hash to [witness_golden_por_off]. *)
 let witness_golden = "8f60ba735f7a62aa19ad2fa82d7b4fbb"
+let witness_golden_por_off = "31495b27359105bf9098dbd420ed5aea"
 
 let test_witness_parity () =
   let programs =
@@ -1295,7 +1298,17 @@ let test_witness_parity () =
           (e.Sekvm.Kernel_progs.prog, Some e.Sekvm.Kernel_progs.rm_config))
         Sekvm.Kernel_progs.(corpus @ buggy_corpus @ sym_corpus)
   in
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create 4096 and buf_por_off = Buffer.create 4096 in
+  let render buf (prog : Prog.t) w =
+    Buffer.add_string buf prog.Prog.name;
+    List.iter
+      (fun (o, steps) ->
+        Buffer.add_string buf
+          (Format.asprintf "\n%a\n%a" Behavior.pp_outcome o
+             Promising.pp_schedule steps))
+      (List.sort (fun (a, _) (b, _) -> Behavior.compare_outcome a b) w);
+    Buffer.add_char buf '\n'
+  in
   List.iter
     (fun ((prog : Prog.t), config) ->
       let _, w, (full : Engine.stats) = Promising.run_full ?config prog in
@@ -1303,27 +1316,27 @@ let test_witness_parity () =
       Alcotest.(check int)
         (prog.Prog.name ^ " visited: run_full = run_stats")
         plain.Engine.visited full.Engine.visited;
-      Buffer.add_string buf prog.Prog.name;
-      List.iter
-        (fun (o, steps) ->
-          Buffer.add_string buf
-            (Format.asprintf "\n%a\n%a" Behavior.pp_outcome o
-               Promising.pp_schedule steps))
-        (List.sort (fun (a, _) (b, _) -> Behavior.compare_outcome a b) w);
-      Buffer.add_char buf '\n')
+      render buf prog w;
+      let _, w, _ = Promising.run_full ?config ~por:false prog in
+      render buf_por_off prog w)
     programs;
+  let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf)) in
   Alcotest.(check string) "witness schedules digest" witness_golden
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    (digest buf);
+  Alcotest.(check string) "witness schedules digest, por off"
+    witness_golden_por_off (digest buf_por_off)
 
 (* Pin of the SC-family executors (Sc, Tso at fuel 3, Pushpull) on the
    paper, litmus-suite, kernel and buggy corpora and two directed TSO
    programs: the short behaviour digest (the [pp_check] verdict for
    Pushpull), then [visited] and jobs=1 [por_pruned] with symmetry on
-   and with symmetry off, plus the count and digest of
+   and with symmetry off, the transition and dedup counts with POR on
+   and off ({!por_counts}), plus the count and digest of
    [Pushpull.traces] on the kernel entries. The values were taken from
    the executors that each kept their own copy of the instruction
-   semantics; any rework of the executors must reproduce them
-   exactly. *)
+   semantics (the POR-off counts from the engine whose models still
+   offered lazy transition sequences); any rework of the executors must
+   reproduce them exactly. *)
 let short s = String.sub (Digest.to_hex (Digest.string s)) 0 8
 
 (* No corpus entry's outcomes depend on which of two buffered stores to
@@ -1347,26 +1360,32 @@ let tso_directed =
       [ Prog.thread 0 [ Instr.store x (Expr.c 1); spin ];
         Prog.thread 1 [ Instr.store x (Expr.c 2); spin ] ] ]
 
+(* [transitions] and [dedup_hits] of a search under POR, then
+   [visited], [transitions] and [dedup_hits] of one without it, both
+   with symmetry on. *)
+let por_counts (on : Engine.stats) (off : Engine.stats) =
+  ( on.Engine.transitions, on.Engine.dedup_hits, off.Engine.visited,
+    off.Engine.transitions, off.Engine.dedup_hits )
+
 let sc_family_rows () =
   let row model name digest run =
-    let stats sym =
-      let (s : Engine.stats) = run sym in
-      (s.Engine.visited, s.Engine.por_pruned)
-    in
-    let v_on, p_on = stats true and v_off, p_off = stats false in
-    (model, name, digest, v_on, p_on, v_off, p_off)
+    let on = run ~sym:true ~por:true and off = run ~sym:false ~por:true in
+    let counts (s : Engine.stats) = (s.Engine.visited, s.Engine.por_pruned) in
+    let v_on, p_on = counts on and v_off, p_off = counts off in
+    ( model, name, digest, v_on, p_on, v_off, p_off,
+      por_counts on (run ~sym:true ~por:false) )
   in
   let three name p ~exempt ~initial_owners =
     [ row "sc" name
         (short (Format.asprintf "%a" Behavior.pp (Sc.run p)))
-        (fun sym -> snd (Sc.run_stats ~sym p));
+        (fun ~sym ~por -> snd (Sc.run_stats ~sym ~por p));
       row "tso" name
         (short (Format.asprintf "%a" Behavior.pp (Tso.run ~fuel:3 p)))
-        (fun sym -> snd (Tso.run_stats ~fuel:3 ~sym p));
+        (fun ~sym ~por -> snd (Tso.run_stats ~fuel:3 ~sym ~por p));
       row "pushpull" name
         (short (pp_check (Pushpull.check ~exempt ~initial_owners p)))
-        (fun sym ->
-          snd (Pushpull.check_stats ~exempt ~initial_owners ~sym p)) ]
+        (fun ~sym ~por ->
+          snd (Pushpull.check_stats ~exempt ~initial_owners ~sym ~por p)) ]
   in
   List.concat_map
     (fun (t : Litmus.t) ->
@@ -1419,147 +1438,147 @@ let trace_rows () =
     kernel
 
 (* (model, entry, digest, visited, por_pruned with sym on, visited,
-   por_pruned with sym off) *)
+   por_pruned with sym off, {!por_counts}) *)
 let sc_family_pin =
   [
-    ("sc", "example1-ooo-write", "99e32209", 11, 2, 11, 2);
-    ("tso", "example1-ooo-write", "99e32209", 19, 7, 19, 7);
-    ("pushpull", "example1-ooo-write", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "example2-vmid-nobarrier", "cc50367b", 2303, 986, 2303, 986);
-    ("tso", "example2-vmid-nobarrier", "cc50367b", 276, 145, 276, 145);
-    ("pushpull", "example2-vmid-nobarrier", "2006e9ee", 0, 0, 0, 0);
-    ("sc", "example2-vmid-linux-lock", "cc50367b", 2303, 986, 2303, 986);
-    ("tso", "example2-vmid-linux-lock", "cc50367b", 276, 145, 276, 145);
-    ("pushpull", "example2-vmid-linux-lock", "2006e9ee", 0, 0, 0, 0);
-    ("sc", "example3-vcpu-nobarrier", "c658069c", 18, 6, 18, 6);
-    ("tso", "example3-vcpu-nobarrier", "c658069c", 36, 24, 36, 24);
-    ("pushpull", "example3-vcpu-nobarrier", "e175146e", 0, 0, 0, 0);
-    ("sc", "example3-vcpu-relacq", "c658069c", 18, 6, 18, 6);
-    ("tso", "example3-vcpu-relacq", "c658069c", 36, 24, 36, 24);
-    ("pushpull", "example3-vcpu-relacq", "e175146e", 0, 0, 0, 0);
-    ("sc", "example7-user-to-kernel", "aa3c1fb2", 56, 51, 56, 51);
-    ("tso", "example7-user-to-kernel", "aa3c1fb2", 101, 143, 101, 143);
-    ("pushpull", "example7-user-to-kernel", "c4c3af1f", 0, 0, 0, 0);
-    ("sc", "mp-plain", "1fc71a64", 13, 2, 13, 2);
-    ("tso", "mp-plain", "1fc71a64", 23, 9, 23, 9);
-    ("pushpull", "mp-plain", "fbd9d1c7", 0, 0, 0, 0);
-    ("sc", "mp-dmb", "1fc71a64", 18, 5, 18, 5);
-    ("tso", "mp-dmb", "1fc71a64", 27, 12, 27, 12);
-    ("pushpull", "mp-dmb", "fbd9d1c7", 0, 0, 0, 0);
-    ("sc", "mp-rel-acq", "1fc71a64", 13, 2, 13, 2);
-    ("tso", "mp-rel-acq", "1fc71a64", 23, 9, 23, 9);
-    ("pushpull", "mp-rel-acq", "fbd9d1c7", 0, 0, 0, 0);
-    ("sc", "sb-plain", "2fadd2ce", 13, 2, 13, 2);
-    ("tso", "sb-plain", "36f6b4f1", 34, 14, 34, 14);
-    ("pushpull", "sb-plain", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "sb-dmb", "2fadd2ce", 18, 5, 18, 5);
-    ("tso", "sb-dmb", "2fadd2ce", 27, 14, 27, 14);
-    ("pushpull", "sb-dmb", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "lb-data", "7c83c121", 9, 2, 9, 2);
-    ("tso", "lb-data", "7c83c121", 16, 7, 16, 7);
-    ("pushpull", "lb-data", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "corr", "b7705673", 9, 0, 9, 0);
-    ("tso", "corr", "b7705673", 12, 2, 12, 2);
-    ("pushpull", "corr", "c41af351", 0, 0, 0, 0);
-    ("sc", "mp-dmb-addr", "a487374b", 14, 5, 14, 5);
-    ("tso", "mp-dmb-addr", "a487374b", 18, 8, 18, 8);
-    ("pushpull", "mp-dmb-addr", "22de1716", 0, 0, 0, 0);
-    ("sc", "s-plain", "54c1dbcb", 13, 2, 13, 2);
-    ("tso", "s-plain", "54c1dbcb", 30, 15, 30, 15);
-    ("pushpull", "s-plain", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "s-dmb", "54c1dbcb", 16, 4, 16, 4);
-    ("tso", "s-dmb", "54c1dbcb", 28, 12, 28, 12);
-    ("pushpull", "s-dmb", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "2+2w-plain", "4fe5f2f1", 13, 2, 13, 2);
-    ("tso", "2+2w-plain", "4fe5f2f1", 42, 27, 42, 27);
-    ("pushpull", "2+2w-plain", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "2+2w-dmbst", "4fe5f2f1", 18, 5, 18, 5);
-    ("tso", "2+2w-dmbst", "4fe5f2f1", 39, 23, 39, 23);
-    ("pushpull", "2+2w-dmbst", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "wrc-plain", "fc117c6e", 36, 13, 36, 13);
-    ("tso", "wrc-plain", "fc117c6e", 61, 40, 61, 40);
-    ("pushpull", "wrc-plain", "1fbf9a93", 0, 0, 0, 0);
-    ("sc", "wrc-dmb", "fc117c6e", 46, 23, 46, 23);
-    ("tso", "wrc-dmb", "fc117c6e", 80, 64, 80, 64);
-    ("pushpull", "wrc-dmb", "1fbf9a93", 0, 0, 0, 0);
-    ("sc", "wrc-addr", "092bf53d", 26, 15, 26, 15);
-    ("tso", "wrc-addr", "092bf53d", 47, 39, 47, 39);
-    ("pushpull", "wrc-addr", "7fc9df74", 0, 0, 0, 0);
-    ("sc", "isa2-dmb", "fc117c6e", 72, 51, 72, 51);
-    ("tso", "isa2-dmb", "fc117c6e", 139, 144, 139, 144);
-    ("pushpull", "isa2-dmb", "c4c3af1f", 0, 0, 0, 0);
-    ("sc", "mp-dmb-ctrl", "defb4a92", 16, 6, 16, 6);
-    ("tso", "mp-dmb-ctrl", "defb4a92", 23, 14, 23, 14);
-    ("pushpull", "mp-dmb-ctrl", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "mp-dmb-ctrl-isb", "defb4a92", 17, 6, 17, 6);
-    ("tso", "mp-dmb-ctrl-isb", "defb4a92", 24, 14, 24, 14);
-    ("pushpull", "mp-dmb-ctrl-isb", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "lb-ctrl", "864e6347", 18, 5, 18, 5);
-    ("tso", "lb-ctrl", "864e6347", 28, 11, 28, 11);
-    ("pushpull", "lb-ctrl", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "cowr", "9ca172a8", 9, 0, 9, 0);
-    ("tso", "cowr", "9ca172a8", 18, 6, 18, 6);
-    ("pushpull", "cowr", "c41af351", 0, 0, 0, 0);
-    ("sc", "corw1", "3ae03771", 9, 0, 9, 0);
-    ("tso", "corw1", "3ae03771", 16, 4, 16, 4);
-    ("pushpull", "corw1", "c41af351", 0, 0, 0, 0);
-    ("sc", "sb-one-dmb", "2fadd2ce", 16, 4, 16, 4);
-    ("tso", "sb-one-dmb", "36f6b4f1", 30, 12, 30, 12);
-    ("pushpull", "sb-one-dmb", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "rel-acq-two-fields", "310ab5cf", 21, 9, 21, 9);
-    ("tso", "rel-acq-two-fields", "310ab5cf", 53, 47, 53, 47);
-    ("pushpull", "rel-acq-two-fields", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "r-plain", "34b70a1e", 13, 2, 13, 2);
-    ("tso", "r-plain", "fda8c281", 39, 19, 39, 19);
-    ("pushpull", "r-plain", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "r-dmb", "34b70a1e", 18, 5, 18, 5);
-    ("tso", "r-dmb", "34b70a1e", 33, 18, 33, 18);
-    ("pushpull", "r-dmb", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "corr-total", "d9179033", 281, 54, 281, 54);
-    ("tso", "corr-total", "d9179033", 380, 189, 380, 189);
-    ("pushpull", "corr-total", "174ae9e4", 0, 0, 0, 0);
-    ("sc", "sb-rel-acq", "2fadd2ce", 13, 2, 13, 2);
-    ("tso", "sb-rel-acq", "36f6b4f1", 34, 14, 34, 14);
-    ("pushpull", "sb-rel-acq", "43a3f58c", 0, 0, 0, 0);
-    ("sc", "gen_vmid", "cc50367b", 2303, 986, 2303, 986);
-    ("tso", "gen_vmid", "cc50367b", 276, 145, 276, 145);
-    ("pushpull", "gen_vmid", "a517d13f", 2563, 1244, 2563, 1244);
-    ("sc", "vcpu-switch", "b3a3ee4b", 18, 6, 18, 6);
-    ("tso", "vcpu-switch", "b3a3ee4b", 36, 24, 36, 24);
-    ("pushpull", "vcpu-switch", "67c10d6d", 18, 6, 18, 6);
-    ("sc", "vm-boot-state", "3b6bbaf6", 2371, 1182, 2371, 1182);
-    ("tso", "vm-boot-state", "3b6bbaf6", 331, 247, 331, 247);
-    ("pushpull", "vm-boot-state", "737789fc", 2631, 1440, 2631, 1440);
-    ("sc", "share-page", "140aeaea", 2302, 856, 2302, 856);
-    ("tso", "share-page", "140aeaea", 346, 192, 346, 192);
-    ("pushpull", "share-page", "79c6e077", 2562, 1114, 2562, 1114);
-    ("sc", "mcs-counter", "965cbd21", 111493, 26113, 111493, 26113);
-    ("tso", "mcs-counter", "965cbd21", 1095, 709, 1095, 709);
-    ("pushpull", "mcs-counter", "4ee45c2c", 111828, 26445, 111828, 26445);
-    ("sc", "mcs-handoff", "eddf645b", 786, 389, 786, 389);
-    ("tso", "mcs-handoff", "eddf645b", 83, 56, 83, 56);
-    ("pushpull", "mcs-handoff", "e44dae25", 786, 389, 786, 389);
-    ("sc", "gen_vmid-nobarrier", "cc50367b", 2303, 986, 2303, 986);
-    ("tso", "gen_vmid-nobarrier", "cc50367b", 276, 145, 276, 145);
-    ("pushpull", "gen_vmid-nobarrier", "a517d13f", 2563, 1244, 2563, 1244);
-    ("sc", "vcpu-switch-nobarrier", "b3a3ee4b", 18, 6, 18, 6);
-    ("tso", "vcpu-switch-nobarrier", "b3a3ee4b", 36, 24, 36, 24);
-    ("pushpull", "vcpu-switch-nobarrier", "67c10d6d", 18, 6, 18, 6);
-    ("sc", "mcs-handoff-nobarrier", "eddf645b", 786, 389, 786, 389);
-    ("tso", "mcs-handoff-nobarrier", "eddf645b", 83, 56, 83, 56);
-    ("pushpull", "mcs-handoff-nobarrier", "e44dae25", 786, 389, 786, 389);
-    ("sc", "unlocked-counter", "73ef2ef5", 8, 0, 13, 1);
-    ("tso", "unlocked-counter", "73ef2ef5", 13, 0, 22, 6);
-    ("pushpull", "unlocked-counter", "cb517fbb", 0, 0, 0, 0);
-    ("sc", "push-without-pull", "0b209fbb", 5, 1, 5, 1);
-    ("tso", "push-without-pull", "0b209fbb", 6, 3, 6, 3);
-    ("pushpull", "push-without-pull", "c705c88a", 0, 0, 0, 0);
-    ("sc", "tso-forward-newest", "3d973b89", 13, 1, 13, 1);
-    ("tso", "tso-forward-newest", "3d973b89", 25, 6, 25, 6);
-    ("pushpull", "tso-forward-newest", "c41af351", 0, 0, 0, 0);
-    ("sc", "tso-observe-live-buffers", "57b5b1a9", 517, 256, 517, 256);
-    ("tso", "tso-observe-live-buffers", "57b5b1a9", 148, 195, 148, 195);
-    ("pushpull", "tso-observe-live-buffers", "c41af351", 0, 0, 0, 0);
+    ("sc", "example1-ooo-write", "99e32209", 11, 2, 11, 2, (11, 1, 11, 13, 3));
+    ("tso", "example1-ooo-write", "99e32209", 19, 7, 19, 7, (21, 1, 19, 26, 8));
+    ("pushpull", "example1-ooo-write", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "example2-vmid-nobarrier", "cc50367b", 2303, 986, 2303, 986, (2316, 0, 3399, 5366, 1950));
+    ("tso", "example2-vmid-nobarrier", "cc50367b", 276, 145, 276, 145, (381, 63, 331, 592, 236));
+    ("pushpull", "example2-vmid-nobarrier", "2006e9ee", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "example2-vmid-linux-lock", "cc50367b", 2303, 986, 2303, 986, (2316, 0, 3399, 5366, 1950));
+    ("tso", "example2-vmid-linux-lock", "cc50367b", 276, 145, 276, 145, (381, 63, 331, 592, 236));
+    ("pushpull", "example2-vmid-linux-lock", "2006e9ee", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "example3-vcpu-nobarrier", "c658069c", 18, 6, 18, 6, (17, 0, 21, 28, 8));
+    ("tso", "example3-vcpu-nobarrier", "c658069c", 36, 24, 36, 24, (39, 4, 40, 69, 30));
+    ("pushpull", "example3-vcpu-nobarrier", "e175146e", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "example3-vcpu-relacq", "c658069c", 18, 6, 18, 6, (17, 0, 21, 28, 8));
+    ("tso", "example3-vcpu-relacq", "c658069c", 36, 24, 36, 24, (39, 4, 40, 69, 30));
+    ("pushpull", "example3-vcpu-relacq", "e175146e", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "example7-user-to-kernel", "aa3c1fb2", 56, 51, 56, 51, (58, 3, 76, 154, 79));
+    ("tso", "example7-user-to-kernel", "aa3c1fb2", 101, 143, 101, 143, (118, 15, 148, 376, 229));
+    ("pushpull", "example7-user-to-kernel", "c4c3af1f", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "mp-plain", "1fc71a64", 13, 2, 13, 2, (12, 0, 13, 14, 2));
+    ("tso", "mp-plain", "1fc71a64", 23, 9, 23, 9, (24, 2, 23, 33, 11));
+    ("pushpull", "mp-plain", "fbd9d1c7", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "mp-dmb", "1fc71a64", 18, 5, 18, 5, (17, 0, 22, 28, 7));
+    ("tso", "mp-dmb", "1fc71a64", 27, 12, 27, 12, (31, 4, 31, 47, 17));
+    ("pushpull", "mp-dmb", "fbd9d1c7", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "mp-rel-acq", "1fc71a64", 13, 2, 13, 2, (12, 0, 13, 14, 2));
+    ("tso", "mp-rel-acq", "1fc71a64", 23, 9, 23, 9, (24, 2, 23, 33, 11));
+    ("pushpull", "mp-rel-acq", "fbd9d1c7", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "sb-plain", "2fadd2ce", 13, 2, 13, 2, (12, 0, 13, 14, 2));
+    ("tso", "sb-plain", "36f6b4f1", 34, 14, 34, 14, (47, 12, 34, 58, 25));
+    ("pushpull", "sb-plain", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "sb-dmb", "2fadd2ce", 18, 5, 18, 5, (17, 0, 22, 28, 7));
+    ("tso", "sb-dmb", "2fadd2ce", 27, 14, 27, 14, (36, 9, 31, 54, 24));
+    ("pushpull", "sb-dmb", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "lb-data", "7c83c121", 9, 2, 9, 2, (11, 2, 9, 12, 4));
+    ("tso", "lb-data", "7c83c121", 16, 7, 16, 7, (19, 2, 16, 24, 9));
+    ("pushpull", "lb-data", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "corr", "b7705673", 9, 0, 9, 0, (8, 0, 9, 8, 0));
+    ("tso", "corr", "b7705673", 12, 2, 12, 2, (11, 0, 12, 13, 2));
+    ("pushpull", "corr", "c41af351", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "mp-dmb-addr", "a487374b", 14, 5, 14, 5, (13, 0, 14, 18, 5));
+    ("tso", "mp-dmb-addr", "a487374b", 18, 8, 18, 8, (24, 4, 20, 31, 12));
+    ("pushpull", "mp-dmb-addr", "22de1716", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "s-plain", "54c1dbcb", 13, 2, 13, 2, (12, 0, 13, 14, 2));
+    ("tso", "s-plain", "54c1dbcb", 30, 15, 30, 15, (31, 2, 30, 46, 17));
+    ("pushpull", "s-plain", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "s-dmb", "54c1dbcb", 16, 4, 16, 4, (15, 0, 17, 20, 4));
+    ("tso", "s-dmb", "54c1dbcb", 28, 12, 28, 12, (32, 4, 31, 47, 17));
+    ("pushpull", "s-dmb", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "2+2w-plain", "4fe5f2f1", 13, 2, 13, 2, (12, 0, 13, 14, 2));
+    ("tso", "2+2w-plain", "4fe5f2f1", 42, 27, 42, 27, (51, 9, 42, 76, 35));
+    ("pushpull", "2+2w-plain", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "2+2w-dmbst", "4fe5f2f1", 18, 5, 18, 5, (17, 0, 22, 28, 7));
+    ("tso", "2+2w-dmbst", "4fe5f2f1", 39, 23, 39, 23, (51, 11, 44, 78, 35));
+    ("pushpull", "2+2w-dmbst", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "wrc-plain", "fc117c6e", 36, 13, 36, 13, (35, 0, 36, 48, 13));
+    ("tso", "wrc-plain", "fc117c6e", 61, 40, 61, 40, (60, 0, 61, 100, 40));
+    ("pushpull", "wrc-plain", "1fbf9a93", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "wrc-dmb", "fc117c6e", 46, 23, 46, 23, (45, 0, 61, 95, 35));
+    ("tso", "wrc-dmb", "fc117c6e", 80, 64, 80, 64, (79, 0, 98, 178, 81));
+    ("pushpull", "wrc-dmb", "1fbf9a93", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "wrc-addr", "092bf53d", 26, 15, 26, 15, (28, 2, 26, 41, 16));
+    ("tso", "wrc-addr", "092bf53d", 47, 39, 47, 39, (49, 3, 47, 88, 42));
+    ("pushpull", "wrc-addr", "7fc9df74", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "isa2-dmb", "fc117c6e", 72, 51, 72, 51, (71, 0, 109, 201, 93));
+    ("tso", "isa2-dmb", "fc117c6e", 139, 144, 139, 144, (208, 44, 185, 399, 215));
+    ("pushpull", "isa2-dmb", "c4c3af1f", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "mp-dmb-ctrl", "defb4a92", 16, 6, 16, 6, (15, 0, 19, 26, 8));
+    ("tso", "mp-dmb-ctrl", "defb4a92", 23, 14, 23, 14, (26, 3, 27, 44, 18));
+    ("pushpull", "mp-dmb-ctrl", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "mp-dmb-ctrl-isb", "defb4a92", 17, 6, 17, 6, (16, 0, 20, 27, 8));
+    ("tso", "mp-dmb-ctrl-isb", "defb4a92", 24, 14, 24, 14, (27, 3, 28, 45, 18));
+    ("pushpull", "mp-dmb-ctrl-isb", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "lb-ctrl", "864e6347", 18, 5, 18, 5, (17, 0, 22, 28, 7));
+    ("tso", "lb-ctrl", "864e6347", 28, 11, 28, 11, (27, 0, 33, 46, 14));
+    ("pushpull", "lb-ctrl", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "cowr", "9ca172a8", 9, 0, 9, 0, (8, 0, 9, 8, 0));
+    ("tso", "cowr", "9ca172a8", 18, 6, 18, 6, (20, 3, 18, 26, 9));
+    ("pushpull", "cowr", "c41af351", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "corw1", "3ae03771", 9, 0, 9, 0, (8, 0, 9, 8, 0));
+    ("tso", "corw1", "3ae03771", 16, 4, 16, 4, (15, 0, 16, 19, 4));
+    ("pushpull", "corw1", "c41af351", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "sb-one-dmb", "2fadd2ce", 16, 4, 16, 4, (15, 0, 17, 20, 4));
+    ("tso", "sb-one-dmb", "36f6b4f1", 30, 12, 30, 12, (39, 9, 34, 58, 25));
+    ("pushpull", "sb-one-dmb", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "rel-acq-two-fields", "310ab5cf", 21, 9, 21, 9, (20, 0, 24, 34, 11));
+    ("tso", "rel-acq-two-fields", "310ab5cf", 53, 47, 53, 47, (55, 3, 54, 103, 50));
+    ("pushpull", "rel-acq-two-fields", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "r-plain", "34b70a1e", 13, 2, 13, 2, (12, 0, 13, 14, 2));
+    ("tso", "r-plain", "fda8c281", 39, 19, 39, 19, (50, 11, 39, 68, 30));
+    ("pushpull", "r-plain", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "r-dmb", "34b70a1e", 18, 5, 18, 5, (17, 0, 22, 28, 7));
+    ("tso", "r-dmb", "34b70a1e", 33, 18, 33, 18, (45, 11, 37, 65, 29));
+    ("pushpull", "r-dmb", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "corr-total", "d9179033", 281, 54, 281, 54, (280, 0, 281, 334, 54));
+    ("tso", "corr-total", "d9179033", 380, 189, 380, 189, (379, 0, 380, 568, 189));
+    ("pushpull", "corr-total", "174ae9e4", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "sb-rel-acq", "2fadd2ce", 13, 2, 13, 2, (12, 0, 13, 14, 2));
+    ("tso", "sb-rel-acq", "36f6b4f1", 34, 14, 34, 14, (47, 12, 34, 58, 25));
+    ("pushpull", "sb-rel-acq", "43a3f58c", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "gen_vmid", "cc50367b", 2303, 986, 2303, 986, (2316, 0, 3399, 5366, 1950));
+    ("tso", "gen_vmid", "cc50367b", 276, 145, 276, 145, (381, 63, 331, 592, 236));
+    ("pushpull", "gen_vmid", "a517d13f", 2563, 1244, 2563, 1244, (2578, 0, 3399, 5366, 1950));
+    ("sc", "vcpu-switch", "b3a3ee4b", 18, 6, 18, 6, (17, 0, 21, 28, 8));
+    ("tso", "vcpu-switch", "b3a3ee4b", 36, 24, 36, 24, (39, 4, 40, 69, 30));
+    ("pushpull", "vcpu-switch", "67c10d6d", 18, 6, 18, 6, (17, 0, 21, 28, 8));
+    ("sc", "vm-boot-state", "3b6bbaf6", 2371, 1182, 2371, 1182, (2386, 0, 3531, 5760, 2210));
+    ("tso", "vm-boot-state", "3b6bbaf6", 331, 247, 331, 247, (515, 109, 389, 778, 354));
+    ("pushpull", "vm-boot-state", "737789fc", 2631, 1440, 2631, 1440, (2648, 0, 3531, 5760, 2210));
+    ("sc", "share-page", "140aeaea", 2302, 856, 2302, 856, (2314, 0, 3398, 5234, 1820));
+    ("tso", "share-page", "140aeaea", 346, 192, 346, 192, (475, 90, 388, 708, 294));
+    ("pushpull", "share-page", "79c6e077", 2562, 1114, 2562, 1114, (2576, 0, 3398, 5234, 1820));
+    ("sc", "mcs-counter", "965cbd21", 111493, 26113, 111493, 26113, (112219, 0, 154557, 216138, 60654));
+    ("tso", "mcs-counter", "965cbd21", 1095, 709, 1095, 709, (1788, 452, 1384, 2852, 1333));
+    ("pushpull", "mcs-counter", "4ee45c2c", 111828, 26445, 111828, 26445, (112557, 0, 154557, 216138, 60654));
+    ("sc", "mcs-handoff", "eddf645b", 786, 389, 786, 389, (792, 0, 1170, 1885, 709));
+    ("tso", "mcs-handoff", "eddf645b", 83, 56, 83, 56, (117, 16, 96, 180, 75));
+    ("pushpull", "mcs-handoff", "e44dae25", 786, 389, 786, 389, (792, 0, 1170, 1885, 709));
+    ("sc", "gen_vmid-nobarrier", "cc50367b", 2303, 986, 2303, 986, (2316, 0, 3399, 5366, 1950));
+    ("tso", "gen_vmid-nobarrier", "cc50367b", 276, 145, 276, 145, (381, 63, 331, 592, 236));
+    ("pushpull", "gen_vmid-nobarrier", "a517d13f", 2563, 1244, 2563, 1244, (2578, 0, 3399, 5366, 1950));
+    ("sc", "vcpu-switch-nobarrier", "b3a3ee4b", 18, 6, 18, 6, (17, 0, 21, 28, 8));
+    ("tso", "vcpu-switch-nobarrier", "b3a3ee4b", 36, 24, 36, 24, (39, 4, 40, 69, 30));
+    ("pushpull", "vcpu-switch-nobarrier", "67c10d6d", 18, 6, 18, 6, (17, 0, 21, 28, 8));
+    ("sc", "mcs-handoff-nobarrier", "eddf645b", 786, 389, 786, 389, (792, 0, 1170, 1885, 709));
+    ("tso", "mcs-handoff-nobarrier", "eddf645b", 83, 56, 83, 56, (117, 16, 96, 180, 75));
+    ("pushpull", "mcs-handoff-nobarrier", "e44dae25", 786, 389, 786, 389, (792, 0, 1170, 1885, 709));
+    ("sc", "unlocked-counter", "73ef2ef5", 8, 0, 13, 1, (9, 2, 8, 9, 2));
+    ("tso", "unlocked-counter", "73ef2ef5", 13, 0, 22, 6, (17, 5, 13, 17, 5));
+    ("pushpull", "unlocked-counter", "cb517fbb", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "push-without-pull", "0b209fbb", 5, 1, 5, 1, (4, 0, 8, 10, 3));
+    ("tso", "push-without-pull", "0b209fbb", 6, 3, 6, 3, (5, 0, 10, 13, 4));
+    ("pushpull", "push-without-pull", "c705c88a", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "tso-forward-newest", "3d973b89", 13, 1, 13, 1, (12, 0, 13, 13, 1));
+    ("tso", "tso-forward-newest", "3d973b89", 25, 6, 25, 6, (31, 7, 25, 37, 13));
+    ("pushpull", "tso-forward-newest", "c41af351", 0, 0, 0, 0, (0, 0, 0, 0, 0));
+    ("sc", "tso-observe-live-buffers", "57b5b1a9", 517, 256, 517, 256, (778, 0, 33541, 67082, 33024));
+    ("tso", "tso-observe-live-buffers", "57b5b1a9", 148, 195, 148, 195, (269, 66, 274, 758, 411));
+    ("pushpull", "tso-observe-live-buffers", "c41af351", 0, 0, 0, 0, (0, 0, 0, 0, 0));
   ]
 
 (* Pushpull.traces on the kernel entries *)
@@ -1578,19 +1597,26 @@ let trace_pin =
     ("push-without-pull", 0, "d41d8cd9");
   ]
 
+let check_por_counts name (t1, d1, v0, t0, d0) (t1', d1', v0', t0', d0') =
+  Alcotest.(check (pair int int)) (name "por on transitions/dedup") (t1, d1)
+    (t1', d1');
+  Alcotest.(check (triple int int int))
+    (name "por off visited/transitions/dedup") (v0, t0, d0) (v0', t0', d0')
+
 let test_sc_family_pin () =
   let got = sc_family_rows () in
   Alcotest.(check int) "row count" (List.length sc_family_pin)
     (List.length got);
   List.iter2
-    (fun (m, n, d, v1, p1, v0, p0) (m', n', d', v1', p1', v0', p0') ->
+    (fun (m, n, d, v1, p1, v0, p0, c) (m', n', d', v1', p1', v0', p0', c') ->
       let name what = Printf.sprintf "%s/%s %s" m n what in
       Alcotest.(check string) (name "entry") (m ^ "/" ^ n) (m' ^ "/" ^ n');
       Alcotest.(check string) (name "digest") d d';
       Alcotest.(check (pair int int)) (name "sym on visited/pruned") (v1, p1)
         (v1', p1');
       Alcotest.(check (pair int int)) (name "sym off visited/pruned") (v0, p0)
-        (v0', p0'))
+        (v0', p0');
+      check_por_counts name c c')
     sc_family_pin got;
   List.iter2
     (fun (n, c, d) (n', c', d') ->
@@ -1692,17 +1718,22 @@ let dependency_lb =
           Instr.store (Expr.at dst) (plus_one (Expr.r t)) ]) ]
 
 (* (entry, digest, visited, jobs=1 por_pruned, cert_calls, cert_hits with
-   sym on, the same four with sym off) of Promising under each entry's
-   [rm_config]; the directed programs run under [default_config]. *)
+   sym on, the same four with sym off, {!por_counts}) of Promising under
+   each entry's [rm_config]; the directed programs run under
+   [default_config]. *)
 let promising_rows () =
   let row name config p =
-    let run sym = Promising.run_stats ?config ~sym p in
+    let run ~sym ~por = Promising.run_stats ?config ~sym ~por p in
     let counts (s : Engine.stats) =
       (s.Engine.visited, s.Engine.por_pruned, s.Engine.cert_calls,
        s.Engine.cert_hits)
     in
-    let b, on = run true and _, off = run false in
-    (name, short (Format.asprintf "%a" Behavior.pp b), counts on, counts off)
+    let b, on = run ~sym:true ~por:true and _, off = run ~sym:false ~por:true in
+    ( name,
+      short (Format.asprintf "%a" Behavior.pp b),
+      counts on,
+      counts off,
+      por_counts on (snd (run ~sym:true ~por:false)) )
   in
   List.map
     (fun (t : Litmus.t) ->
@@ -1719,59 +1750,59 @@ let promising_rows () =
 
 let promising_pin =
   [
-    ("example1-ooo-write", "2b446977", (286, 41, 48, 33), (286, 41, 48, 33));
-    ("example2-vmid-nobarrier", "7bd8fdd0", (471, 74, 0, 0), (471, 74, 0, 0));
-    ("example2-vmid-linux-lock", "48337ca2", (15957, 3513, 4283, 2996), (15957, 3513, 4283, 2996));
-    ("example3-vcpu-nobarrier", "cd08ee6c", (406, 144, 49, 17), (406, 144, 49, 17));
-    ("example3-vcpu-relacq", "c658069c", (167, 55, 34, 16), (167, 55, 34, 16));
-    ("example7-user-to-kernel", "8f806f36", (1908, 1805, 157, 142), (1908, 1805, 157, 142));
-    ("mp-plain", "8a1956d2", (89, 32, 11, 8), (89, 32, 11, 8));
-    ("mp-dmb", "1fc71a64", (83, 44, 20, 16), (83, 44, 20, 16));
-    ("mp-rel-acq", "1fc71a64", (53, 19, 11, 8), (53, 19, 11, 8));
-    ("sb-plain", "36f6b4f1", (371, 166, 16, 8), (371, 166, 16, 8));
-    ("sb-dmb", "2fadd2ce", (309, 156, 22, 14), (309, 156, 22, 14));
-    ("lb-data", "7c83c121", (212, 29, 43, 31), (212, 29, 43, 31));
-    ("corr", "b7705673", (31, 0, 3, 2), (31, 0, 3, 2));
-    ("mp-dmb-addr", "a487374b", (49, 24, 12, 8), (49, 24, 12, 8));
-    ("s-plain", "2664ecbf", (484, 62, 77, 40), (484, 62, 77, 40));
-    ("s-dmb", "54c1dbcb", (332, 73, 80, 52), (332, 73, 80, 52));
-    ("2+2w-plain", "1113e7e2", (7647, 1355, 2545, 1843), (7647, 1355, 2545, 1843));
-    ("2+2w-dmbst", "4fe5f2f1", (3179, 1011, 2036, 1720), (3179, 1011, 2036, 1720));
-    ("wrc-plain", "69e09ce6", (937, 608, 120, 113), (937, 608, 120, 113));
-    ("wrc-dmb", "fc117c6e", (1171, 1033, 226, 217), (1171, 1033, 226, 217));
-    ("wrc-addr", "092bf53d", (772, 575, 95, 85), (772, 575, 95, 85));
-    ("isa2-dmb", "fc117c6e", (2858, 3369, 746, 734), (2858, 3369, 746, 734));
-    ("mp-dmb-ctrl", "225a0f95", (73, 40, 16, 12), (73, 40, 16, 12));
-    ("mp-dmb-ctrl-isb", "defb4a92", (72, 40, 16, 12), (72, 40, 16, 12));
-    ("lb-ctrl", "864e6347", (322, 113, 89, 73), (322, 113, 89, 73));
-    ("cowr", "9ca172a8", (106, 0, 13, 5), (106, 0, 13, 5));
-    ("corw1", "3ae03771", (109, 0, 22, 6), (109, 0, 22, 6));
-    ("sb-one-dmb", "36f6b4f1", (339, 154, 19, 11), (339, 154, 19, 11));
-    ("rel-acq-two-fields", "310ab5cf", (146, 89, 30, 24), (146, 89, 30, 24));
-    ("r-plain", "fda8c281", (1422, 547, 448, 275), (1422, 547, 448, 275));
-    ("r-dmb", "34b70a1e", (861, 472, 491, 354), (861, 472, 491, 354));
-    ("corr-total", "d9179033", (8921, 7702, 528, 520), (8921, 7702, 528, 520));
-    ("sb-rel-acq", "2fadd2ce", (219, 66, 16, 8), (219, 66, 16, 8));
-    ("gen_vmid", "48337ca2", (15957, 3513, 4283, 2996), (15957, 3513, 4283, 2996));
-    ("vcpu-switch", "b3a3ee4b", (167, 55, 34, 16), (167, 55, 34, 16));
-    ("vm-boot-state", "984ff0b9", (27066, 7138, 5084, 2518), (27066, 7138, 5084, 2518));
-    ("share-page", "88ecba21", (45557, 11501, 9354, 4276), (45557, 11501, 9354, 4276));
-    ("mcs-counter", "965cbd21", (19375, 6577, 0, 0), (19375, 6577, 0, 0));
-    ("mcs-handoff", "eddf645b", (302, 204, 56, 49), (302, 204, 56, 49));
-    ("gen_vmid-nobarrier", "7bd8fdd0", (471, 74, 0, 0), (471, 74, 0, 0));
-    ("vcpu-switch-nobarrier", "ea03959b", (406, 144, 49, 17), (406, 144, 49, 17));
-    ("mcs-handoff-nobarrier", "b6599387", (540, 350, 56, 49), (540, 350, 56, 49));
-    ("unlocked-counter", "73ef2ef5", (8, 0, 0, 0), (14, 1, 0, 0));
-    ("push-without-pull", "0b209fbb", (5, 3, 0, 0), (5, 3, 0, 0));
-    ("reg-written-vs-unwritten", "9e712f51", (93, 32, 25, 23), (93, 32, 25, 23));
-    ("index-extremes", "23585d57", (241, 115, 74, 64), (241, 115, 74, 64));
-    ("observables-only", "1fb25446", (15, 0, 5, 3), (15, 0, 5, 3));
-    ("many-bases", "36df7790", (371, 166, 65, 41), (371, 166, 65, 41));
-    ("lb-dep-move", "ccab9144", (335, 89, 407, 363), (335, 89, 407, 363));
-    ("lb-dep-while", "ccab9144", (335, 89, 407, 363), (335, 89, 407, 363));
-    ("lb-dep-store-addr", "ccab9144", (212, 29, 186, 152), (212, 29, 186, 152));
-    ("lb-dep-faa", "ccab9144", (1302, 241, 1026, 978), (1302, 241, 1026, 978));
-    ("lb-dep-cas", "ccab9144", (1302, 241, 1026, 978), (1302, 241, 1026, 978));
+    ("example1-ooo-write", "2b446977", (286, 41, 48, 33), (286, 41, 48, 33), (434, 124, 286, 420, 135));
+    ("example2-vmid-nobarrier", "7bd8fdd0", (471, 74, 0, 0), (471, 74, 0, 0), (506, 16, 539, 716, 152));
+    ("example2-vmid-linux-lock", "48337ca2", (15957, 3513, 4283, 2996), (15957, 3513, 4283, 2996), (20181, 3352, 18309, 28006, 9020));
+    ("example3-vcpu-nobarrier", "cd08ee6c", (406, 144, 49, 17), (406, 144, 49, 17), (480, 71, 482, 753, 272));
+    ("example3-vcpu-relacq", "c658069c", (167, 55, 34, 16), (167, 55, 34, 16), (198, 32, 194, 302, 109));
+    ("example7-user-to-kernel", "8f806f36", (1908, 1805, 157, 142), (1908, 1805, 157, 142), (2345, 354, 3494, 7695, 4165));
+    ("mp-plain", "8a1956d2", (89, 32, 11, 8), (89, 32, 11, 8), (124, 27, 89, 142, 54));
+    ("mp-dmb", "1fc71a64", (83, 44, 20, 16), (83, 44, 20, 16), (109, 20, 93, 163, 71));
+    ("mp-rel-acq", "1fc71a64", (53, 19, 11, 8), (53, 19, 11, 8), (75, 17, 53, 86, 34));
+    ("sb-plain", "36f6b4f1", (371, 166, 16, 8), (371, 166, 16, 8), (519, 117, 371, 606, 236));
+    ("sb-dmb", "2fadd2ce", (309, 156, 22, 14), (309, 156, 22, 14), (394, 62, 401, 670, 270));
+    ("lb-data", "7c83c121", (212, 29, 43, 31), (212, 29, 43, 31), (330, 100, 212, 318, 107));
+    ("corr", "b7705673", (31, 0, 3, 2), (31, 0, 3, 2), (44, 14, 31, 44, 14));
+    ("mp-dmb-addr", "a487374b", (49, 24, 12, 8), (49, 24, 12, 8), (59, 11, 56, 93, 38));
+    ("s-plain", "2664ecbf", (484, 62, 77, 40), (484, 62, 77, 40), (631, 134, 484, 660, 177));
+    ("s-dmb", "54c1dbcb", (332, 73, 80, 52), (332, 73, 80, 52), (435, 95, 363, 542, 180));
+    ("2+2w-plain", "1113e7e2", (7647, 1355, 2545, 1843), (7647, 1355, 2545, 1843), (9772, 1708, 7647, 10232, 2586));
+    ("2+2w-dmbst", "4fe5f2f1", (3179, 1011, 2036, 1720), (3179, 1011, 2036, 1720), (4213, 878, 3463, 5384, 1922));
+    ("wrc-plain", "69e09ce6", (937, 608, 120, 113), (937, 608, 120, 113), (1700, 605, 937, 1850, 914));
+    ("wrc-dmb", "fc117c6e", (1171, 1033, 226, 217), (1171, 1033, 226, 217), (1921, 579, 1273, 2706, 1434));
+    ("wrc-addr", "092bf53d", (772, 575, 95, 85), (772, 575, 95, 85), (1118, 293, 772, 1508, 737));
+    ("isa2-dmb", "fc117c6e", (2858, 3369, 746, 734), (2858, 3369, 746, 734), (4458, 1103, 3647, 8497, 4851));
+    ("mp-dmb-ctrl", "225a0f95", (73, 40, 16, 12), (73, 40, 16, 12), (83, 11, 85, 143, 59));
+    ("mp-dmb-ctrl-isb", "defb4a92", (72, 40, 16, 12), (72, 40, 16, 12), (82, 11, 84, 142, 59));
+    ("lb-ctrl", "864e6347", (322, 113, 89, 73), (322, 113, 89, 73), (486, 137, 335, 564, 230));
+    ("cowr", "9ca172a8", (106, 0, 13, 5), (106, 0, 13, 5), (141, 36, 106, 141, 36));
+    ("corw1", "3ae03771", (109, 0, 22, 6), (109, 0, 22, 6), (149, 41, 109, 149, 41));
+    ("sb-one-dmb", "36f6b4f1", (339, 154, 19, 11), (339, 154, 19, 11), (445, 75, 389, 644, 256));
+    ("rel-acq-two-fields", "310ab5cf", (146, 89, 30, 24), (146, 89, 30, 24), (158, 13, 146, 247, 102));
+    ("r-plain", "fda8c281", (1422, 547, 448, 275), (1422, 547, 448, 275), (1966, 399, 1422, 2220, 799));
+    ("r-dmb", "34b70a1e", (861, 472, 491, 354), (861, 472, 491, 354), (1158, 205, 1027, 1753, 727));
+    ("corr-total", "d9179033", (8921, 7702, 528, 520), (8921, 7702, 528, 520), (23886, 12888, 8921, 22684, 13764));
+    ("sb-rel-acq", "2fadd2ce", (219, 66, 16, 8), (219, 66, 16, 8), (304, 62, 219, 338, 120));
+    ("gen_vmid", "48337ca2", (15957, 3513, 4283, 2996), (15957, 3513, 4283, 2996), (20181, 3352, 18309, 28006, 9020));
+    ("vcpu-switch", "b3a3ee4b", (167, 55, 34, 16), (167, 55, 34, 16), (198, 32, 194, 302, 109));
+    ("vm-boot-state", "984ff0b9", (27066, 7138, 5084, 2518), (27066, 7138, 5084, 2518), (34948, 6143, 31169, 49818, 17110));
+    ("share-page", "88ecba21", (45557, 11501, 9354, 4276), (45557, 11501, 9354, 4276), (55807, 8688, 53600, 80568, 26032));
+    ("mcs-counter", "965cbd21", (19375, 6577, 0, 0), (19375, 6577, 0, 0), (23684, 1920, 24747, 40058, 12962));
+    ("mcs-handoff", "eddf645b", (302, 204, 56, 49), (302, 204, 56, 49), (398, 65, 368, 704, 311));
+    ("gen_vmid-nobarrier", "7bd8fdd0", (471, 74, 0, 0), (471, 74, 0, 0), (506, 16, 539, 716, 152));
+    ("vcpu-switch-nobarrier", "ea03959b", (406, 144, 49, 17), (406, 144, 49, 17), (480, 71, 482, 753, 272));
+    ("mcs-handoff-nobarrier", "b6599387", (540, 350, 56, 49), (540, 350, 56, 49), (717, 111, 652, 1212, 527));
+    ("unlocked-counter", "73ef2ef5", (8, 0, 0, 0), (14, 1, 0, 0), (10, 3, 8, 10, 3));
+    ("push-without-pull", "0b209fbb", (5, 3, 0, 0), (5, 3, 0, 0), (4, 0, 8, 10, 3));
+    ("reg-written-vs-unwritten", "9e712f51", (93, 32, 25, 23), (93, 32, 25, 23), (109, 15, 93, 139, 47));
+    ("index-extremes", "23585d57", (241, 115, 74, 64), (241, 115, 74, 64), (359, 91, 241, 414, 174));
+    ("observables-only", "1fb25446", (15, 0, 5, 3), (15, 0, 5, 3), (20, 6, 15, 20, 6));
+    ("many-bases", "36df7790", (371, 166, 65, 41), (371, 166, 65, 41), (519, 117, 371, 606, 236));
+    ("lb-dep-move", "ccab9144", (335, 89, 407, 363), (335, 89, 407, 363), (574, 189, 335, 564, 230));
+    ("lb-dep-while", "ccab9144", (335, 89, 407, 363), (335, 89, 407, 363), (574, 189, 335, 564, 230));
+    ("lb-dep-store-addr", "ccab9144", (212, 29, 186, 152), (212, 29, 186, 152), (330, 100, 212, 318, 107));
+    ("lb-dep-faa", "ccab9144", (1302, 241, 1026, 978), (1302, 241, 1026, 978), (1548, 197, 1302, 1704, 403));
+    ("lb-dep-cas", "ccab9144", (1302, 241, 1026, 978), (1302, 241, 1026, 978), (1548, 197, 1302, 1704, 403));
   ]
 
 let test_promising_pin () =
@@ -1781,13 +1812,14 @@ let test_promising_pin () =
   let counts = Alcotest.(pair (pair int int) (pair int int)) in
   let split (v, p, c, h) = ((v, p), (c, h)) in
   List.iter2
-    (fun (n, d, on, off) (n', d', on', off') ->
+    (fun (n, d, on, off, c) (n', d', on', off', c') ->
       Alcotest.(check string) (n ^ " entry") n n';
       Alcotest.(check string) (n ^ " digest") d d';
       Alcotest.check counts (n ^ " sym on visited/pruned/cert")
         (split on) (split on');
       Alcotest.check counts (n ^ " sym off visited/pruned/cert")
-        (split off) (split off'))
+        (split off) (split off');
+      check_por_counts (fun what -> n ^ " " ^ what) c c')
     promising_pin got
 
 (* Each dependency program forbids r0 = r1 = 1, and Promising's outcome
@@ -1883,7 +1915,9 @@ let () =
             test_sym_parity_pushpull;
           Alcotest.test_case "sym collapses the stress family" `Quick
             test_sym_reduces;
-          QCheck_alcotest.to_alcotest qcheck_sym_permutation ] );
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_sym_permutation ] );
       ( "candidates",
         [ Alcotest.test_case "candidate sets = every solo path's stores"
             `Quick test_candidates_reference ] );

@@ -428,5 +428,6 @@ let () =
             test_kserv_hugepage_ablation;
           Alcotest.test_case "tlb sweep" `Quick test_tlb_sweep_monotone;
           QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
             qcheck_block_and_leaf_mappings_consistent ] )
     ]

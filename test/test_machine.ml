@@ -317,7 +317,9 @@ let () =
   Alcotest.run "machine"
     [ ( "pte",
         [ Alcotest.test_case "roundtrip" `Quick test_pte_roundtrip_cases;
-          QCheck_alcotest.to_alcotest qcheck_pte_roundtrip ] );
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_pte_roundtrip ] );
       ( "memory",
         [ Alcotest.test_case "phys mem" `Quick test_phys_mem;
           Alcotest.test_case "phys mem zero-page cases" `Quick
@@ -342,4 +344,6 @@ let () =
           Alcotest.test_case "mappings" `Quick
             (test_mappings_listing Page_table.three_level);
           Alcotest.test_case "geometry/index" `Quick test_index_geometry;
-          QCheck_alcotest.to_alcotest qcheck_map_then_walk ] ) ]
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_map_then_walk ] ) ]

@@ -208,8 +208,17 @@ let qcheck_sc_subset_rm_with_atomics =
 let () =
   Alcotest.run "model-based"
     [ ( "page-table",
-        [ QCheck_alcotest.to_alcotest qcheck_pt_model_3;
-          QCheck_alcotest.to_alcotest qcheck_pt_model_4 ] );
-      ("tlb", [ QCheck_alcotest.to_alcotest qcheck_tlb_coherent_with_walks ]);
+        [ QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_pt_model_3;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_pt_model_4 ] );
+      ( "tlb",
+        [ QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_tlb_coherent_with_walks ] );
       ( "atomics",
-        [ QCheck_alcotest.to_alcotest qcheck_sc_subset_rm_with_atomics ] ) ]
+        [ QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_sc_subset_rm_with_atomics ] ) ]

@@ -199,5 +199,8 @@ let () =
           Alcotest.test_case "ghost ops" `Quick test_ghost_ops_are_noops;
           Alcotest.test_case "indexed observable" `Quick
             test_observe_indexed_loc ] );
-      ("qcheck", [ QCheck_alcotest.to_alcotest qcheck_single_thread_deterministic ])
+      ( "qcheck",
+        [ QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_single_thread_deterministic ] )
     ]

@@ -159,4 +159,6 @@ let () =
       ( "hierarchy",
         [ Alcotest.test_case "corpus SC ⊆ TSO ⊆ Arm" `Quick
             test_sc_subset_tso_subset_arm;
-          QCheck_alcotest.to_alcotest qcheck_hierarchy ] ) ]
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_hierarchy ] ) ]

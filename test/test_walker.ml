@@ -177,5 +177,7 @@ let () =
             test_remap_single_entry_is_transactional;
           Alcotest.test_case "example 5 rejected" `Quick
             test_example5_not_transactional;
-          QCheck_alcotest.to_alcotest qcheck_fresh_maps_always_transactional ]
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_fresh_maps_always_transactional ]
       ) ]
