@@ -32,7 +32,7 @@ lint:
 	dune exec bin/vrm_cli.exe -- lint --corpus
 
 # Wide security-invariant fuzzing: the test_fuzz hypercall storm over
-# seeds 0-9,999 (about 30 s on a 2-vCPU VM; it prints its wall time and
+# seeds 0-9,999 (about 10 s on a 2-vCPU VM; it prints its wall time and
 # storms/s), outside the test suite. Exits non-zero and names the seeds
 # if any storm breaks an invariant.
 fuzz:

@@ -45,60 +45,51 @@ let block_pages ~level = 1 lsl (level * bits_per_level)
     block base plus [va]'s residual page index. *)
 let walk mem g ~root va =
   let rec go pfn level =
-    let idx = index g ~level va in
-    match Pte.decode (Phys_mem.read mem ~pfn ~idx) with
-    | Pte.Invalid -> Fault level
-    | Pte.Table next ->
-        if level = 0 then Fault level (* malformed: table PTE at leaf *)
-        else go next (level - 1)
-    | Pte.Page (out, perms) ->
-        let offset = va_page va land (block_pages ~level - 1) in
-        Mapped (out + offset, perms)
+    let w = Phys_mem.read mem ~pfn ~idx:(index g ~level va) in
+    if not (Pte.is_valid w) then Fault level
+    else if Pte.is_table w then
+      if level = 0 then Fault level (* malformed: table PTE at leaf *)
+      else go (Pte.frame w) (level - 1)
+    else
+      let offset = va_page va land (block_pages ~level - 1) in
+      Mapped (Pte.frame w + offset, Pte.leaf_perms w)
   in
   go root (g.levels - 1)
 
-(** Plan the writes needed to map [va -> pfn] under [root], allocating
-    intermediate tables from [pool]. Returns the write list {e in program
-    order} (parents before children? No: KCore's walk-allocate-set writes
-    the new table's parent entry as it descends, then the leaf last) and
-    whether an existing valid leaf would be overwritten.
+(* The one walk-allocate-set planner: descend from the root, allocating
+   a table for every empty entry above [level] and planning its parent
+   entry's write on the way down, then plan [pte] into the entry at
+   [level], which must be empty. Each slot is read once, before any write
+   to it is planned, and fresh tables come scrubbed from the pool, so
+   memory alone answers every read. *)
+let plan_set mem g ~pool ~root ~va ~level pte =
+  let rec go pfn l writes =
+    let idx = index g ~level:l va in
+    let old = Phys_mem.read mem ~pfn ~idx in
+    if l = level then
+      if Pte.is_valid old then Error `Already_mapped
+      else Ok (List.rev ({ w_pfn = pfn; w_idx = idx; w_old = old; w_new = pte } :: writes))
+    else if not (Pte.is_valid old) then
+      let fresh = Page_pool.alloc pool in
+      let w_new = Pte.encode (Pte.Table fresh) in
+      go fresh (l - 1) ({ w_pfn = pfn; w_idx = idx; w_old = old; w_new } :: writes)
+    else if Pte.is_table old then go (Pte.frame old) (l - 1) writes
+    else Error `Already_mapped
+  in
+  go root (g.levels - 1) []
+
+(** Plan the writes needed to map [va -> target_pfn] under [root],
+    allocating intermediate tables from [pool]. Returns the write list in
+    program order (each new table's parent entry as the walk descends,
+    the leaf last); an existing valid leaf is never overwritten.
 
     The writes are returned without being applied so that callers
     ({!Sekvm.Npt}) can interleave them with barrier/TLBI bookkeeping and so
     the transactional checker can exercise their reorderings. *)
 let plan_map mem g ~pool ~root ~va ~target_pfn ~perms :
     (pt_write list, [ `Already_mapped ]) result =
-  let writes = ref [] in
-  let shadow = Hashtbl.create 8 in
-  (* reads must observe our own planned writes *)
-  let read pfn idx =
-    match Hashtbl.find_opt shadow (pfn, idx) with
-    | Some v -> v
-    | None -> Phys_mem.read mem ~pfn ~idx
-  in
-  let plan_write pfn idx v =
-    let old = read pfn idx in
-    writes := { w_pfn = pfn; w_idx = idx; w_old = old; w_new = v } :: !writes;
-    Hashtbl.replace shadow (pfn, idx) v
-  in
-  let rec go pfn level =
-    let idx = index g ~level va in
-    if level = 0 then
-      match Pte.decode (read pfn idx) with
-      | Pte.Invalid ->
-          plan_write pfn idx (Pte.encode (Pte.Page (target_pfn, perms)));
-          Ok (List.rev !writes)
-      | Pte.Table _ | Pte.Page _ -> Error `Already_mapped
-    else
-      match Pte.decode (read pfn idx) with
-      | Pte.Table next -> go next (level - 1)
-      | Pte.Invalid ->
-          let fresh = Page_pool.alloc pool in
-          plan_write pfn idx (Pte.encode (Pte.Table fresh));
-          go fresh (level - 1)
-      | Pte.Page _ -> Error `Already_mapped
-  in
-  go root (g.levels - 1)
+  plan_set mem g ~pool ~root ~va ~level:0
+    (Pte.encode (Pte.Page (target_pfn, perms)))
 
 (** Plan a block (huge-page) mapping of [va -> target_pfn] at [level]
     (level 1 = 2 MB with 4 KB granules). [va] and [target_pfn] must be
@@ -110,53 +101,20 @@ let plan_map_block mem g ~pool ~root ~va ~target_pfn ~perms ~level :
   let bp = block_pages ~level in
   if va_page va land (bp - 1) <> 0 || target_pfn land (bp - 1) <> 0 then
     Error `Misaligned
-  else begin
-    let writes = ref [] in
-    let shadow = Hashtbl.create 8 in
-    let read pfn idx =
-      match Hashtbl.find_opt shadow (pfn, idx) with
-      | Some v -> v
-      | None -> Phys_mem.read mem ~pfn ~idx
-    in
-    let plan_write pfn idx v =
-      let old = read pfn idx in
-      writes := { w_pfn = pfn; w_idx = idx; w_old = old; w_new = v } :: !writes;
-      Hashtbl.replace shadow (pfn, idx) v
-    in
-    let rec go pfn l =
-      let idx = index g ~level:l va in
-      if l = level then
-        match Pte.decode (read pfn idx) with
-        | Pte.Invalid ->
-            plan_write pfn idx (Pte.encode (Pte.Page (target_pfn, perms)));
-            Ok (List.rev !writes)
-        | Pte.Table _ | Pte.Page _ -> Error `Already_mapped
-      else
-        match Pte.decode (read pfn idx) with
-        | Pte.Table next -> go next (l - 1)
-        | Pte.Invalid ->
-            let fresh = Page_pool.alloc pool in
-            plan_write pfn idx (Pte.encode (Pte.Table fresh));
-            go fresh (l - 1)
-        | Pte.Page _ -> Error `Already_mapped
-    in
-    go root (g.levels - 1)
-  end
+  else
+    plan_set mem g ~pool ~root ~va ~level
+      (Pte.encode (Pte.Page (target_pfn, perms)))
 
 (** Plan the (single) write that unmaps [va]: clears the leaf entry, or
     the whole block entry when [va] is covered by a block mapping. *)
 let plan_unmap mem g ~root ~va : pt_write option =
   let rec go pfn level =
     let idx = index g ~level va in
-    match Pte.decode (Phys_mem.read mem ~pfn ~idx) with
-    | Pte.Invalid -> None
-    | Pte.Table next -> if level = 0 then None else go next (level - 1)
-    | Pte.Page _ ->
-        Some
-          { w_pfn = pfn;
-            w_idx = idx;
-            w_old = Phys_mem.read mem ~pfn ~idx;
-            w_new = Pte.encode Pte.Invalid }
+    let w = Phys_mem.read mem ~pfn ~idx in
+    if not (Pte.is_valid w) then None
+    else if Pte.is_table w then
+      if level = 0 then None else go (Pte.frame w) (level - 1)
+    else Some { w_pfn = pfn; w_idx = idx; w_old = w; w_new = Pte.encode Pte.Invalid }
   in
   go root (g.levels - 1)
 
@@ -165,19 +123,26 @@ let apply_writes mem ws = List.iter (apply_write mem) ws
 let revert_write mem (w : pt_write) = Phys_mem.write mem ~pfn:w.w_pfn ~idx:w.w_idx w.w_old
 let revert_writes mem ws = List.iter (revert_write mem) (List.rev ws)
 
-(* Every valid leaf or block entry under [root], in address order:
-   [f vp out perms level]. Tables are scanned with {!Phys_mem.iter_nonzero},
-   so empty entries (and never-written table pages) cost nothing. *)
-let iter_leaves mem g ~root f =
+let iter_tree mem g ~root ~table ?leaf () =
+  let scan_leaves = Option.is_some leaf in
+  let leaf = Option.value leaf ~default:(fun _ _ _ _ -> ()) in
+  table root;
   let rec go pfn level va_prefix =
     Phys_mem.iter_nonzero mem pfn (fun idx w ->
-        let va_part = va_prefix lor (idx lsl (page_shift + (level * bits_per_level))) in
-        match Pte.decode w with
-        | Pte.Invalid -> ()
-        | Pte.Table next -> if level > 0 then go next (level - 1) va_part
-        | Pte.Page (out, perms) -> f (va_page va_part) out perms level)
+        if Pte.is_valid w then begin
+          let va = va_prefix lor (idx lsl (page_shift + (level * bits_per_level))) in
+          if not (Pte.is_table w) then
+            leaf (va_page va) (Pte.frame w) (Pte.leaf_perms w) level
+          else if level > 0 then begin
+            let next = Pte.frame w in
+            table next;
+            if scan_leaves || level > 1 then go next (level - 1) va
+          end
+        end)
   in
   go root (g.levels - 1) 0
+
+let iter_leaves mem g ~root leaf = iter_tree mem g ~root ~table:ignore ~leaf ()
 
 (** All (vp, pfn, perms) page mappings reachable from [root] — block
     mappings are expanded to their constituent 4 KB pages, so invariant
@@ -203,15 +168,6 @@ let extents mem g ~root =
 
 (** Pfns of every table page in the tree (root included). *)
 let table_pages mem g ~root =
-  let acc = ref [ root ] in
-  let rec go pfn level =
-    if level > 0 then
-      Phys_mem.iter_nonzero mem pfn (fun _ w ->
-          match Pte.decode w with
-          | Pte.Table next ->
-              acc := next :: !acc;
-              go next (level - 1)
-          | Pte.Invalid | Pte.Page _ -> ())
-  in
-  go root (g.levels - 1);
+  let acc = ref [] in
+  iter_tree mem g ~root ~table:(fun pfn -> acc := pfn :: !acc) ();
   List.rev !acc

@@ -58,6 +58,15 @@ val apply_writes : Phys_mem.t -> pt_write list -> unit
 val revert_write : Phys_mem.t -> pt_write -> unit
 val revert_writes : Phys_mem.t -> pt_write list -> unit
 
+val iter_tree :
+  Phys_mem.t -> geometry -> root:int -> table:(int -> unit) ->
+  ?leaf:(int -> int -> Pte.perms -> int -> unit) -> unit -> unit
+(** The one tree walk, reading entry bits directly (no {!Pte.decode}, no
+    list): [table pfn] for every table page, root first, in the preorder
+    {!table_pages} lists, and [leaf vp out perms level] for every valid
+    leaf or block entry, in address order. Without [leaf], leaf-level
+    table pages are listed but not scanned. *)
+
 val mappings : Phys_mem.t -> geometry -> root:int -> (int * int * Pte.perms) list
 (** All (vp, pfn, perms) page mappings; blocks are expanded to their
     constituent pages so invariant checkers see every reachable frame. *)

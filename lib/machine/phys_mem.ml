@@ -76,11 +76,16 @@ let iter_nonzero t pfn f =
   check_pfn t pfn;
   let page = t.pages.(pfn) in
   if page != zero_page then
-    (* table pages are mostly empty: test eight words at a time *)
+    (* table pages are mostly empty: test eight words at a time, spelled
+       out because a local helper closure would be called, not inlined *)
     for blk = 0 to (entries_per_page / 8) - 1 do
       let b = blk * 8 in
-      let w k = Array.unsafe_get page (b + k) in
-      if w 0 lor w 1 lor w 2 lor w 3 lor w 4 lor w 5 lor w 6 lor w 7 <> 0 then
+      if Array.unsafe_get page b lor Array.unsafe_get page (b + 1)
+         lor Array.unsafe_get page (b + 2) lor Array.unsafe_get page (b + 3)
+         lor Array.unsafe_get page (b + 4) lor Array.unsafe_get page (b + 5)
+         lor Array.unsafe_get page (b + 6) lor Array.unsafe_get page (b + 7)
+         <> 0
+      then
         for idx = b to b + 7 do
           let v = Array.unsafe_get page idx in
           if v <> 0 then f idx v

@@ -32,12 +32,20 @@ let encode = function
       lor (if p.readable then 0b0100 else 0)
       lor if p.writable then 0b1000 else 0
 
-let decode w =
-  if w land 1 = 0 then Invalid
-  else if w land 0b10 <> 0 then Table (w lsr pfn_shift)
-  else
-    Page
-      ( w lsr pfn_shift,
-        { readable = w land 0b0100 <> 0; writable = w land 0b1000 <> 0 } )
-
 let is_valid w = w land 1 <> 0
+let is_table w = w land 0b10 <> 0
+let frame w = w lsr pfn_shift
+
+(* bits 2 and 3 select one of four shared (statically allocated)
+   records: walkers hand out a leaf's permissions without allocating *)
+let leaf_perms w =
+  match (w lsr 2) land 0b11 with
+  | 0 -> { readable = false; writable = false }
+  | 1 -> ro
+  | 2 -> { readable = false; writable = true }
+  | _ -> rw
+
+let decode w =
+  if not (is_valid w) then Invalid
+  else if is_table w then Table (frame w)
+  else Page (frame w, leaf_perms w)

@@ -20,6 +20,14 @@ val encode : t -> int
 val decode : int -> t
 val is_valid : int -> bool
 
+val is_table : int -> bool
+val frame : int -> int
+(** Bits read without decoding: whether a valid entry points to a
+    next-level table, and its frame (that table, or the output frame). *)
+
+val leaf_perms : int -> perms
+(** A leaf's permissions, as one of four shared records (no allocation). *)
+
 val pp : Format.formatter -> t -> unit
 val show : t -> string
 val equal : t -> t -> bool

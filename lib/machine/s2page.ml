@@ -40,6 +40,16 @@ let decr_map t pfn =
   if i.map_count <= 0 then invalid_arg "S2page: map_count underflow";
   i.map_count <- i.map_count - 1
 
+(* one loop here rather than a [map_count] call per frame: the invariant
+   checker compares every frame on every call *)
+let diff_map_counts t counts f =
+  if Array.length counts <> Array.length t.pages then
+    invalid_arg "S2page.diff_map_counts: wrong length";
+  for pfn = 0 to Array.length t.pages - 1 do
+    let recorded = (Array.unsafe_get t.pages pfn).map_count in
+    if recorded <> Array.unsafe_get counts pfn then f pfn recorded
+  done
+
 let pages_owned_by t o =
   let acc = ref [] in
   Array.iteri (fun pfn i -> if i.owner = o then acc := pfn :: !acc) t.pages;

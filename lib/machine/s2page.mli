@@ -25,6 +25,11 @@ val incr_map : t -> int -> unit
 val decr_map : t -> int -> unit
 (** Raises [Invalid_argument] on underflow. *)
 
+val diff_map_counts : t -> int array -> (int -> int -> unit) -> unit
+(** [diff_map_counts t counts f] calls [f pfn recorded] for every frame
+    whose recorded map count differs from [counts.(pfn)], in ascending
+    frame order. [counts] must have one entry per frame. *)
+
 val pages_owned_by : t -> owner -> int list
 
 val pp_owner : Format.formatter -> owner -> unit

@@ -108,7 +108,3 @@ let translate t ~va =
   match Page_table.walk t.mem t.geometry ~root:t.root va with
   | Page_table.Mapped (pfn, perms) -> Some (pfn, perms)
   | Page_table.Fault _ -> None
-
-(** Table pages of the EL2 tree (these must remain KCore-owned and never
-    be mapped into any stage-2/SMMU table). *)
-let table_pages t = Page_table.table_pages t.mem t.geometry ~root:t.root

@@ -37,4 +37,3 @@ val remap_pfn : t -> cpu:int -> pfn:int -> int
     virtual address. Never unmaps or remaps (§5.1). *)
 
 val translate : t -> va:int -> (int * Pte.perms) option
-val table_pages : t -> int list

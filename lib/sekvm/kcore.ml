@@ -54,6 +54,7 @@ type t = {
   mutable vms : (int * vm) list;
   kserv_npt : Npt.t;
   mutable smmu_owners : (int * S2page.owner) list;  (** device -> owner *)
+  inv_counts : int array;  (** {!check_invariants}' tally, zeroed per call *)
   (* operation counters for the evaluation *)
   mutable hypercalls : int;
   mutable s2_faults : int;
@@ -170,6 +171,7 @@ let boot (cfg : boot_config) : t =
             ~vmid:kserv_vmid ~trace
             ~invalidate:(fun scope -> invalidate_tlbs (Lazy.force t) scope);
         smmu_owners = [];
+        inv_counts = Array.make cfg.n_pages 0;
         hypercalls = 0;
         s2_faults = 0;
         vipis = 0;
@@ -605,103 +607,110 @@ let teardown_vm t ~cpu ~vmid =
 type invariant_violation = { inv : string; detail : string }
 
 (* The checker is an oracle: every call re-derives what each stage-2 and
-   SMMU table reaches from the live tables (each tree's mappings collected
-   once and shared by invariants 2-5 and 7) and trusts none of KCore's
-   own bookkeeping beyond the ownership database it checks against. *)
+   SMMU table reaches from the live tables, and trusts none of KCore's
+   own bookkeeping beyond the ownership database it checks against. Each
+   tree is walked once ({!Page_table.iter_tree}), invariant 1 checked on
+   its table pages and 2-5 and 7's tally on its leaves as the walk finds
+   them. Reports collect in one buffer per invariant group, so the list
+   keeps the group order (1 over every tree, 2-4 per stage-2 table, 5 per
+   device, 6, 7 by frame). The tally lives in [inv_counts], zeroed first,
+   so nothing survives from one call to the next. *)
 let check_invariants t : invariant_violation list =
-  let bad = ref [] in
-  let report inv fmt =
-    Format.kasprintf (fun detail -> bad := { inv; detail } :: !bad) fmt
+  let tables = ref [] and leaves = ref [] and rest = ref [] in
+  let report buf inv fmt =
+    Format.kasprintf (fun detail -> buf := { inv; detail } :: !buf) fmt
   in
   let owner pfn = S2page.owner t.s2page pfn in
-  (* matches, not polymorphic compares: these run once per mapping *)
-  let kcore_owned pfn =
-    match owner pfn with S2page.Kcore -> true | S2page.Kserv | S2page.Vm _ -> false
-  in
-  let smmu = t.smmu_ops.Smmu_ops.smmu in
+  let counted = t.inv_counts in
+  (* a plain loop: cheaper than Array.fill's C call on an int array *)
+  for pfn = 0 to Array.length counted - 1 do
+    Array.unsafe_set counted pfn 0
+  done;
   (* 1. every page-table page (EL2, stage-2, SMMU) is KCore-owned *)
-  let all_table_pages =
-    El2_pt.table_pages t.el2
-    @ Npt.table_pages t.kserv_npt
-    @ List.concat_map (fun (_, vm) -> Npt.table_pages vm.npt) t.vms
-    @ Smmu_ops.table_pages t.smmu_ops
+  let table pfn =
+    match owner pfn with
+    | S2page.Kcore -> ()
+    | o ->
+        report tables "table-pages-kcore-owned" "table page %d owned by %s"
+          pfn (S2page.show_owner o)
   in
-  List.iter
-    (fun pfn ->
-      if not (kcore_owned pfn) then
-        report "table-pages-kcore-owned" "table page %d owned by %s" pfn
-          (S2page.show_owner (owner pfn)))
-    all_table_pages;
-  let kserv_maps = Npt.mappings t.kserv_npt in
-  let vm_maps = List.map (fun (vmid, vm) -> (vmid, Npt.mappings vm.npt)) t.vms in
-  let dma =
-    List.map
-      (fun (device, dev_owner) ->
-        (device, dev_owner, Smmu.reachable_pfns smmu ~device))
-      t.smmu_owners
+  (* [check vp pfn owner] on every frame a stage-2 or SMMU leaf reaches,
+     which is then tallied (the owner lookup range-checked it) *)
+  let walk mem g ~root check =
+    Page_table.iter_tree mem g ~root ~table
+      ~leaf:(fun vp out _ level ->
+        for k = 0 to Page_table.block_pages ~level - 1 do
+          let pfn = out + k in
+          check (vp + k) pfn (owner pfn);
+          counted.(pfn) <- counted.(pfn) + 1
+        done)
+      ()
   in
-  (* 2. no KCore-owned page is mapped in any stage-2 or SMMU table *)
-  let check_npt vmid maps allowed =
+  Page_table.iter_tree t.mem t.el2.El2_pt.geometry ~root:t.el2.El2_pt.root
+    ~table ();
+  (* 2. no KCore-owned page is mapped in any stage-2 table *)
+  let check_npt vmid (npt : Npt.t) allowed =
     let label () =
       if vmid = kserv_vmid then "kserv-s2" else Printf.sprintf "vm-%d-s2" vmid
     in
-    List.iter
-      (fun (vp, pfn, _) ->
-        if kcore_owned pfn then
-          report "no-kcore-page-mapped" "%s maps vp %d -> KCore page %d"
-            (label ()) vp pfn
-        else if not (allowed pfn) then
-          report "owner-consistent" "%s maps vp %d -> page %d owned by %s"
-            (label ()) vp pfn
-            (S2page.show_owner (owner pfn)))
-      maps
+    walk npt.Npt.mem npt.Npt.geometry ~root:npt.Npt.root (fun vp pfn o ->
+        match o with
+        | S2page.Kcore ->
+            report leaves "no-kcore-page-mapped"
+              "%s maps vp %d -> KCore page %d" (label ()) vp pfn
+        | o ->
+            if not (allowed pfn o) then
+              report leaves "owner-consistent"
+                "%s maps vp %d -> page %d owned by %s" (label ()) vp pfn
+                (S2page.show_owner o))
   in
   (* 3. KServ's stage 2 maps only KServ pages or shared VM pages *)
-  check_npt kserv_vmid kserv_maps (fun pfn ->
-      match owner pfn with
+  check_npt kserv_vmid t.kserv_npt (fun pfn o ->
+      match o with
       | S2page.Kserv -> true
       | S2page.Kcore | S2page.Vm _ -> S2page.is_shared t.s2page pfn);
   (* 4. a VM's stage 2 maps only its own pages *)
   List.iter
-    (fun (vmid, maps) ->
-      check_npt vmid maps (fun pfn ->
-          match owner pfn with
+    (fun (vmid, vm) ->
+      check_npt vmid vm.npt (fun _ o ->
+          match o with
           | S2page.Vm v -> v = vmid
           | S2page.Kcore | S2page.Kserv -> false))
-    vm_maps;
-  (* 5. SMMU tables map only pages of the device's assigned owner *)
+    t.vms;
+  (* 5. SMMU tables map only pages of the device's assigned owner; a
+     device with no owner has its table pages checked, not its leaves.
+     [smmu_owners] lists devices in [contexts] order (both grow together
+     in [smmu_attach]; teardown only filters [smmu_owners]), so walking
+     [contexts] reports devices in the order the owners are listed. *)
+  let smmu = t.smmu_ops.Smmu_ops.smmu in
   List.iter
-    (fun (device, dev_owner, pfns) ->
-      List.iter
-        (fun pfn ->
-          if kcore_owned pfn then
-            report "no-kcore-page-dma" "device %d can DMA to KCore page %d"
-              device pfn
-          else if not (S2page.equal_owner (owner pfn) dev_owner) then
-            report "smmu-owner-consistent"
-              "device %d (owner %s) can DMA to page %d owned by %s" device
-              (S2page.show_owner dev_owner) pfn
-              (S2page.show_owner (owner pfn)))
-        pfns)
-    dma;
+    (fun (device, root) ->
+      match List.assoc_opt device t.smmu_owners with
+      | None -> Page_table.iter_tree smmu.Smmu.mem smmu.Smmu.geometry ~root ~table ()
+      | Some dev_owner ->
+          walk smmu.Smmu.mem smmu.Smmu.geometry ~root (fun _ pfn o ->
+              match o with
+              | S2page.Kcore ->
+                  report leaves "no-kcore-page-dma"
+                    "device %d can DMA to KCore page %d" device pfn
+              | o ->
+                  if not (S2page.equal_owner o dev_owner) then
+                    report leaves "smmu-owner-consistent"
+                      "device %d (owner %s) can DMA to page %d owned by %s"
+                      device
+                      (S2page.show_owner dev_owner)
+                      pfn (S2page.show_owner o)))
+    smmu.Smmu.contexts;
   (* 6. the SMMU stays enabled *)
-  if not smmu.Smmu.enabled then report "smmu-enabled" "SMMU has been disabled";
+  if not smmu.Smmu.enabled then
+    report rest "smmu-enabled" "SMMU has been disabled";
   (* 7. the ownership database's reference counts agree with the actual
-     number of stage-2 + SMMU mappings of each frame (every mapped frame
-     was range-checked by the owner lookups above) *)
-  let counted = Array.make (S2page.n_pages t.s2page) 0 in
-  let bump pfn = counted.(pfn) <- counted.(pfn) + 1 in
-  List.iter (fun (_, pfn, _) -> bump pfn) kserv_maps;
-  List.iter (fun (_, maps) -> List.iter (fun (_, pfn, _) -> bump pfn) maps) vm_maps;
-  List.iter (fun (_, _, pfns) -> List.iter bump pfns) dma;
-  Array.iteri
-    (fun pfn actual ->
-      let recorded = S2page.map_count t.s2page pfn in
-      if recorded <> actual then
-        report "map-count-consistent"
-          "page %d: map_count %d but %d actual mappings" pfn recorded actual)
-    counted;
-  List.rev !bad
+     number of stage-2 + SMMU mappings of each frame *)
+  S2page.diff_map_counts t.s2page counted (fun pfn recorded ->
+      report rest "map-count-consistent"
+        "page %d: map_count %d but %d actual mappings" pfn recorded
+        counted.(pfn));
+  List.rev !tables @ List.rev !leaves @ List.rev !rest
 
 (* ------------------------------------------------------------------ *)
 (* VM snapshots (paper §4.3)                                           *)

@@ -49,6 +49,9 @@ type t = {
   mutable vms : (int * vm) list;
   kserv_npt : Npt.t;
   mutable smmu_owners : (int * S2page.owner) list;
+  inv_counts : int array;
+      (** {!check_invariants}' per-frame mapping tally, zeroed at the start
+          of every call, so it carries nothing from one call to the next *)
   mutable hypercalls : int;
   mutable s2_faults : int;
   mutable vipis : int;
@@ -176,6 +179,7 @@ val uart_read : t -> cpu:int -> int
 type invariant_violation = { inv : string; detail : string }
 
 val check_invariants : t -> invariant_violation list
-(** §5.3's invariants: all table pages KCore-owned; no KCore page mapped
-    anywhere; KServ reaches only its own or shared pages; VMs reach only
-    their own pages; SMMU tables respect device ownership; SMMU enabled. *)
+(** §5.3's invariants, re-derived on every call from the live tables: all
+    table pages KCore-owned; no KCore page mapped anywhere; KServ reaches
+    only its own or shared pages; VMs only their own; SMMU tables respect
+    device ownership; SMMU enabled; map counts match the tables. *)

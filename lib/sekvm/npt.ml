@@ -153,5 +153,4 @@ let translate t ~ipa =
   | Page_table.Fault _ -> None
 
 let mappings t = Page_table.mappings t.mem t.geometry ~root:t.root
-let table_pages t = Page_table.table_pages t.mem t.geometry ~root:t.root
 let is_mapped t ~ipa = translate t ~ipa <> None

@@ -46,5 +46,4 @@ val remap_nontransactional :
 
 val translate : t -> ipa:int -> (int * Pte.perms) option
 val mappings : t -> (int * int * Pte.perms) list
-val table_pages : t -> int list
 val is_mapped : t -> ipa:int -> bool

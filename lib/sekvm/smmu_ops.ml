@@ -81,9 +81,3 @@ let clear_spt ?(skip_barrier = false) ?(skip_tlbi = false) t ~cpu ~device
           Ok ())
 
 let translate t ~device ~iova = Smmu.translate t.smmu ~device ~iova
-
-let table_pages t =
-  List.concat_map
-    (fun (_, root) ->
-      Page_table.table_pages t.smmu.Smmu.mem t.smmu.Smmu.geometry ~root)
-    t.smmu.Smmu.contexts

@@ -24,4 +24,3 @@ val clear_spt :
   iova:int -> (unit, [ `Not_mapped | `No_device ]) result
 
 val translate : t -> device:int -> iova:int -> (int * Pte.perms) option
-val table_pages : t -> int list

@@ -492,6 +492,80 @@ let test_inv_report_order () =
       ("map-count-consistent", count hi) ]
     kcore
 
+let test_inv_report_across_trees () =
+  (* corruptions in every kind of tree at once, two of them stray table
+     pages (one in a VM's tree, holding a leaf of its own, one in an SMMU
+     tree): all of invariant 1 comes first, tree by tree (KServ, VMs
+     newest first, then devices), then invariants 2-4 table by table in
+     address order, 5 device by device, 7 by ascending frame *)
+  let kcore, kserv, vm1, image1 = with_vm () in
+  let vm2 =
+    match Kserv.boot_vm kserv ~cpu:0 ~n_vcpus:1 ~image_pages:1 with
+    | Ok v -> v
+    | Error _ -> Alcotest.fail "boot 2"
+  in
+  let image2 = List.hd (List.assoc vm2 kserv.Kserv.booted) in
+  let host = Kserv.alloc_page kserv in
+  (match Kserv.host_write kserv ~cpu:0 ~pfn:host ~idx:0 1 with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "host write");
+  let dma = Kserv.alloc_page kserv in
+  (match Kcore.smmu_attach kcore ~cpu:0 ~device:2 ~owner:S2page.Kserv with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "attach");
+  (match Kcore.smmu_map kcore ~cpu:0 ~device:2 ~iova:0 ~pfn:dma with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "dma map");
+  check_violations "clean before corruption" [] kcore;
+  let mem = kcore.Kcore.mem in
+  let table pfn = Pte.encode (Pte.Table pfn) in
+  (* vm1: root -> stray1 -> stray2 -> KCore page 2, at the top of its
+     address space *)
+  let stray1 = Kserv.alloc_page kserv and stray2 = Kserv.alloc_page kserv in
+  let root1 = (Kcore.find_vm kcore vm1).Kcore.npt.Npt.root in
+  Phys_mem.write mem ~pfn:root1 ~idx:511 (table stray1);
+  Phys_mem.write mem ~pfn:stray1 ~idx:0 (table stray2);
+  Phys_mem.write mem ~pfn:stray2 ~idx:0 (Pte.encode (Pte.Page (2, Pte.ro)));
+  let stray_vp = 511 lsl (2 * Page_table.bits_per_level) in
+  (* device 2: a stray table page in its SMMU tree *)
+  let stray3 = Kserv.alloc_page kserv in
+  let droot =
+    Option.get (Smmu.root_of kcore.Kcore.smmu_ops.Smmu_ops.smmu ~device:2)
+  in
+  Phys_mem.write mem ~pfn:droot ~idx:511 (table stray3);
+  S2page.set_owner kcore.Kcore.s2page host (S2page.Vm vm2);
+  S2page.set_owner kcore.Kcore.s2page image1 S2page.Kcore;
+  S2page.set_owner kcore.Kcore.s2page image2 S2page.Kserv;
+  S2page.set_owner kcore.Kcore.s2page dma S2page.Kcore;
+  S2page.decr_map kcore.Kcore.s2page image2;
+  let owned_by_kserv pfn =
+    ("table-pages-kcore-owned",
+     Printf.sprintf "table page %d owned by S2page.Kserv" pfn)
+  in
+  let miscount pfn =
+    ("map-count-consistent",
+     Printf.sprintf "page %d: map_count 0 but 1 actual mappings" pfn)
+  in
+  check_violations "all violations, in order"
+    [ owned_by_kserv stray1;
+      owned_by_kserv stray2;
+      owned_by_kserv stray3;
+      ("owner-consistent",
+       Printf.sprintf "kserv-s2 maps vp %d -> page %d owned by (S2page.Vm %d)"
+         host host vm2);
+      ("owner-consistent",
+       Printf.sprintf "vm-%d-s2 maps vp 0 -> page %d owned by S2page.Kserv"
+         vm2 image2);
+      ("no-kcore-page-mapped",
+       Printf.sprintf "vm-%d-s2 maps vp 0 -> KCore page %d" vm1 image1);
+      ("no-kcore-page-mapped",
+       Printf.sprintf "vm-%d-s2 maps vp %d -> KCore page 2" vm1 stray_vp);
+      ("no-kcore-page-dma",
+       Printf.sprintf "device 2 can DMA to KCore page %d" dma);
+      miscount 2;
+      miscount image2 ]
+    kcore
+
 let () =
   Alcotest.run "kcore"
     [ ( "boot",
@@ -527,4 +601,6 @@ let () =
             test_inv_no_kcore_page_dma;
           Alcotest.test_case "smmu enabled" `Quick test_inv_smmu_enabled;
           Alcotest.test_case "map counts" `Quick test_inv_map_count;
-          Alcotest.test_case "report order" `Quick test_inv_report_order ] ) ]
+          Alcotest.test_case "report order" `Quick test_inv_report_order;
+          Alcotest.test_case "report order across trees" `Quick
+            test_inv_report_across_trees ] ) ]

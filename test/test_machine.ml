@@ -177,6 +177,47 @@ let test_phys_mem_zero_page_cases () =
     [ Op_write (1, 0, 1); Op_scrub 1; Op_write (2, 0, 1); Op_fill (2, 0); Op_equal (1, 2);
       Op_fill (3, 6); Op_nonzero 3; Op_write (3, 511, 0); Op_digest 3 ]
 
+(* iter_nonzero against a word-by-word scan. Every one of the eight
+   offsets within a scan block gets a non-zero word somewhere on frame 1;
+   frame 0 stays on the shared zero page, frame 2 is filled with a
+   non-zero word and then partly cleared, and frame 3 is written and then
+   scrubbed back to the zero page. *)
+let qcheck_iter_nonzero =
+  let naive mem pfn =
+    List.filter (fun (_, w) -> w <> 0)
+      (List.init Phys_mem.entries_per_page (fun idx ->
+           (idx, Phys_mem.read mem ~pfn ~idx)))
+  in
+  let scan mem pfn =
+    let acc = ref [] in
+    Phys_mem.iter_nonzero mem pfn (fun idx w -> acc := (idx, w) :: !acc);
+    List.rev !acc
+  in
+  let blocks = (Phys_mem.entries_per_page / 8) - 1 in
+  QCheck.Test.make ~name:"iter_nonzero agrees with a naive scan" ~count:300
+    QCheck.(
+      triple
+        (list_of_size (Gen.return 8)
+           (pair (int_bound blocks) (oneof [ int_range 1 1000; int ])))
+        (small_list (pair (int_bound 511) int))
+        (int_range (-3) 3))
+    (fun (per_offset, extra, fill) ->
+      let mem = Phys_mem.create 4 in
+      List.iteri
+        (fun off (blk, v) ->
+          Phys_mem.write mem ~pfn:1 ~idx:((blk * 8) + off)
+            (if v = 0 then 1 else v))
+        per_offset;
+      Phys_mem.fill mem 2 fill;
+      List.iter
+        (fun (idx, v) ->
+          Phys_mem.write mem ~pfn:1 ~idx v;
+          Phys_mem.write mem ~pfn:2 ~idx 0;
+          Phys_mem.write mem ~pfn:3 ~idx v)
+        extra;
+      Phys_mem.scrub mem 3;
+      List.for_all (fun pfn -> scan mem pfn = naive mem pfn) [ 0; 1; 2; 3 ])
+
 let test_page_pool () =
   let mem = Phys_mem.create 16 in
   Phys_mem.write mem ~pfn:5 ~idx:0 99;
@@ -266,6 +307,63 @@ let test_mappings_listing geometry () =
   Alcotest.(check bool) "root listed" true (List.mem root tables);
   Alcotest.(check bool) "more than root" true (List.length tables > 1)
 
+(* The walkers report each leaf's own permissions: all four
+   readable/writable combinations, on 4 KB leaves and on level-1 blocks,
+   through [mappings], [extents] and [walk]. *)
+let test_leaf_perms geometry () =
+  with_table geometry @@ fun mem pool root ->
+  let g = geometry in
+  let all_perms =
+    [ { Pte.readable = false; writable = false }; Pte.ro;
+      { Pte.readable = false; writable = true }; Pte.rw ]
+  in
+  let bp = Page_table.block_pages ~level:1 in
+  List.iteri
+    (fun i perms ->
+      (match
+         Page_table.plan_map mem g ~pool ~root ~va:(Page_table.page_va i)
+           ~target_pfn:(10 + i) ~perms
+       with
+      | Ok ws -> Page_table.apply_writes mem ws
+      | Error `Already_mapped -> Alcotest.fail "map");
+      match
+        Page_table.plan_map_block mem g ~pool ~root
+          ~va:(Page_table.page_va ((i + 1) * bp))
+          ~target_pfn:((i + 1) * bp) ~perms ~level:1
+      with
+      | Ok ws -> Page_table.apply_writes mem ws
+      | Error (`Already_mapped | `Misaligned) -> Alcotest.fail "map block")
+    all_perms;
+  let perms_t = Alcotest.testable Pte.pp_perms Pte.equal_perms in
+  let expected_extents =
+    List.mapi (fun i p -> (i, 10 + i, p, 1)) all_perms
+    @ List.mapi (fun i p -> ((i + 1) * bp, (i + 1) * bp, p, bp)) all_perms
+  in
+  Alcotest.(check (list (pair (pair int int) (pair perms_t int))))
+    "extents"
+    (List.map (fun (vp, pfn, p, n) -> ((vp, pfn), (p, n))) expected_extents)
+    (List.map
+       (fun (e : Page_table.extent) -> ((e.e_vp, e.e_pfn), (e.e_perms, e.e_pages)))
+       (Page_table.extents mem g ~root));
+  let expected_maps =
+    List.concat_map
+      (fun (vp, pfn, p, n) -> List.init n (fun k -> (vp + k, pfn + k, p)))
+      expected_extents
+  in
+  let maps = Page_table.mappings mem g ~root in
+  Alcotest.(check int) "mappings" (List.length expected_maps) (List.length maps);
+  List.iter2
+    (fun (vp, pfn, p) (vp', pfn', p') ->
+      Alcotest.(check (pair int int)) "mapping" (vp, pfn) (vp', pfn');
+      Alcotest.check perms_t (Printf.sprintf "perms of vp %d" vp) p p')
+    expected_maps maps;
+  List.iter
+    (fun (vp, pfn, p, n) ->
+      Alcotest.check walk_t "walk"
+        (Page_table.Mapped (pfn + n - 1, p))
+        (Page_table.walk mem g ~root (Page_table.page_va (vp + n - 1))))
+    expected_extents
+
 let test_index_geometry () =
   let g4 = Page_table.four_level and g3 = Page_table.three_level in
   Alcotest.(check int) "va bits 4-level" 48 (Page_table.va_bits g4);
@@ -327,6 +425,9 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 17 |])
             qcheck_phys_mem_model;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_iter_nonzero;
           Alcotest.test_case "page pool" `Quick test_page_pool;
           Alcotest.test_case "s2page" `Quick test_s2page ] );
       ( "page-table-4level",
@@ -335,7 +436,9 @@ let () =
           Alcotest.test_case "revert" `Quick
             (test_revert Page_table.four_level);
           Alcotest.test_case "mappings" `Quick
-            (test_mappings_listing Page_table.four_level) ] );
+            (test_mappings_listing Page_table.four_level);
+          Alcotest.test_case "leaf permissions" `Quick
+            (test_leaf_perms Page_table.four_level) ] );
       ( "page-table-3level",
         [ Alcotest.test_case "map/walk" `Quick
             (test_map_walk Page_table.three_level);
@@ -343,6 +446,8 @@ let () =
             (test_revert Page_table.three_level);
           Alcotest.test_case "mappings" `Quick
             (test_mappings_listing Page_table.three_level);
+          Alcotest.test_case "leaf permissions" `Quick
+            (test_leaf_perms Page_table.three_level);
           Alcotest.test_case "geometry/index" `Quick test_index_geometry;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 1 |])
