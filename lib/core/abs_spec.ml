@@ -79,7 +79,7 @@ let abstract (k : Kcore.t) : t =
              ( vmid,
                sorted
                  (List.map (fun (vp, pfn, _) -> (vp, pfn))
-                    (Npt.mappings vm.Kcore.npt)) ))
+                    (Kcore.vm_mappings vm)) ))
            k.Kcore.vms);
     kserv_map =
       sorted
@@ -127,9 +127,17 @@ let update_vm_map st vmid f =
 let update_phase st vmid phase =
   { st with vms = sorted ((vmid, phase) :: List.remove_assoc vmid st.vms) }
 
-(** [smmu_attach device owner]: new context bank, empty map. *)
+(** A VM that is registered and not torn down. *)
+let live_vm st vmid =
+  match vm_phase_of st vmid with
+  | Some (P_registered | P_verified) -> true
+  | Some P_torn_down | None -> false
+
+(** [smmu_attach device owner]: new context bank, empty map. The owner
+    may not be a VM that is unknown or torn down. *)
 let spec_smmu_attach (st : t) ~device ~owner : (t, [ `Denied ]) result =
-  if List.mem_assoc device st.smmu then Error `Denied
+  let owner_live = match owner with O_vm v -> live_vm st v | _ -> true in
+  if List.mem_assoc device st.smmu || not owner_live then Error `Denied
   else Ok { st with smmu = sorted ((device, (owner, [])) :: st.smmu) }
 
 (** [smmu_map device iova pfn]: the frame must belong to the device's
@@ -206,12 +214,13 @@ let spec_set_vm_image (st : t) ~vmid ~pfns : (t, [ `Denied ]) result =
     Ok (update_phase st vmid P_verified)
 
 (** [map_page_to_vm ipa pfn]: the stage-2 fault resolution. The page must
-    be {!donatable}; it leaves KServ's map, changes owner, and backs the
-    guest page (content is scrubbed — invisible here). *)
+    be {!donatable} and the VM live; the page leaves KServ's map, changes
+    owner, and backs the guest page (content is scrubbed — invisible
+    here). *)
 let spec_map_page_to_vm (st : t) ~vmid ~vp ~pfn : (t, [ `Denied ]) result =
   if
     not (donatable st pfn)
-    || vm_phase_of st vmid = None
+    || (not (live_vm st vmid))
     || List.mem_assoc vp (vm_map_of st vmid)
   then Error `Denied
   else

@@ -90,7 +90,7 @@ let kernel_digest (kcore : Kcore.t) : int =
         (fun (vp, pfn, _) ->
           mix vp;
           mix pfn)
-        (Npt.mappings vm.Kcore.npt))
+        (Kcore.vm_mappings vm))
     kcore.Kcore.vms;
   mix kcore.Kcore.next_vmid;
   !h

@@ -104,7 +104,14 @@ val set_vm_image :
     stage 2 (no VM and no SMMU mapping). *)
 
 val teardown_vm : t -> cpu:int -> vmid:int -> unit
-(** Unmap, scrub, and return every VM page to KServ. *)
+(** Detach the VM's devices; unmap, scrub, and return every VM page to
+    KServ; return the stage-2 tree's pages to [s2_pool]. The VM record
+    stays, [Torn_down]: every later call naming it is denied (or, for
+    [teardown_vm] itself, does nothing), and nothing walks its tree. *)
+
+val vm_mappings : vm -> (int * int * Pte.perms) list
+(** The VM's stage-2 (guest page, frame, perms) mappings; none once the
+    VM is torn down. *)
 
 (** {2 Running vCPUs} *)
 
@@ -143,6 +150,9 @@ val vm_protect_page : t -> cpu:int -> vmid:int -> ipa:int -> (unit, [ `Denied ])
 (** {2 SMMU} *)
 
 val smmu_attach : t -> cpu:int -> device:int -> owner:S2page.owner -> (unit, [ `Denied ]) result
+(** [Denied] if the device is attached, or the owner is a VM that is
+    unknown or torn down. Teardown detaches a VM's devices and returns
+    their table pages to [smmu_pool]. *)
 val smmu_map : t -> cpu:int -> device:int -> iova:int -> pfn:int -> (unit, [ `Denied ]) result
 val smmu_unmap : t -> cpu:int -> device:int -> iova:int -> (unit, [ `Denied ]) result
 
@@ -181,5 +191,6 @@ type invariant_violation = { inv : string; detail : string }
 val check_invariants : t -> invariant_violation list
 (** §5.3's invariants, re-derived on every call from the live tables: all
     table pages KCore-owned; no KCore page mapped anywhere; KServ reaches
-    only its own or shared pages; VMs only their own; SMMU tables respect
-    device ownership; SMMU enabled; map counts match the tables. *)
+    only its own or shared pages; VMs only their own; every attached
+    device has an owner and its SMMU table respects it; SMMU enabled; map
+    counts match the tables. A torn-down VM has no tree to walk. *)

@@ -35,6 +35,10 @@ let attach_device t ~cpu ~device =
   Ticket_lock.with_lock t.lock ~cpu @@ fun () ->
   Smmu.attach_device t.smmu ~device
 
+let detach_device t ~cpu ~device =
+  Ticket_lock.with_lock t.lock ~cpu @@ fun () ->
+  Smmu.detach_device t.smmu ~device
+
 let set_spt t ~cpu ~device ~iova ~pfn ~perms :
     (unit, [ `Already_mapped | `No_device ]) result =
   section t ~cpu ~what:"set_spt" @@ fun () ->

@@ -15,6 +15,9 @@ type t = {
 val create : smmu:Smmu.t -> trace:Trace.t -> t
 val attach_device : t -> cpu:int -> device:int -> int
 
+val detach_device : t -> cpu:int -> device:int -> unit
+(** {!Smmu.detach_device} under the SMMU lock. *)
+
 val set_spt :
   t -> cpu:int -> device:int -> iova:int -> pfn:int -> perms:Pte.perms ->
   (unit, [ `Already_mapped | `No_device ]) result

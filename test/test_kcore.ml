@@ -251,6 +251,88 @@ let test_teardown_scrubs_and_returns () =
     ((Kcore.find_vm kcore vmid).Kcore.vstate = Kcore.Torn_down);
   check_invariants kcore "after teardown"
 
+(* Teardown returns the VM's stage-2 tree to [s2_pool]; the VM record
+   stays, and every later call naming the dead VM is denied without
+   touching the freed tree. *)
+let test_teardown_frees_stage2 () =
+  let kcore, kserv = fresh () in
+  (* KServ's own tables over its low memory are built once and kept *)
+  (match Kserv.host_write kserv ~cpu:0 ~pfn:(Kcore.kserv_base cfg) ~idx:0 0 with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "host write");
+  let free () = Page_pool.available kcore.Kcore.s2_pool in
+  let before = free () in
+  let vmid =
+    match Kserv.boot_vm kserv ~cpu:0 ~n_vcpus:1 ~image_pages:1 with
+    | Ok v -> v
+    | Error _ -> Alcotest.fail "boot"
+  in
+  ignore
+    (Kserv.run_guest kserv ~cpu:1 ~vmid ~vcpuid:0
+       [ Vm.G_write (Page_table.page_va 40, 1);
+         Vm.G_write (Page_table.page_va 700, 2) ]);
+  Alcotest.(check bool) "the VM's tree took pages" true (free () < before);
+  Kcore.teardown_vm kcore ~cpu:0 ~vmid;
+  Alcotest.(check int) "s2_pool free count as before the boot" before (free ());
+  Alcotest.(check bool) "record kept, torn down" true
+    ((Kcore.find_vm kcore vmid).Kcore.vstate = Kcore.Torn_down);
+  let ipa = Page_table.page_va 40 in
+  let denied what = function
+    | Error `Denied -> ()
+    | Ok () -> Alcotest.failf "%s on a torn-down VM allowed" what
+  in
+  denied "donation"
+    (Kcore.map_page_to_vm kcore ~cpu:0 ~vmid ~ipa ~pfn:(Kserv.alloc_page kserv));
+  denied "share" (Kcore.vm_share_page kcore ~cpu:0 ~vmid ~ipa);
+  denied "unshare" (Kcore.vm_unshare_page kcore ~cpu:0 ~vmid ~ipa);
+  denied "protect" (Kcore.vm_protect_page kcore ~cpu:0 ~vmid ~ipa);
+  denied "sgi" (Kcore.vgic_send_sgi kcore ~cpu:0 ~vmid ~to_vcpu:0 ~irq:1);
+  denied "attach" (Kcore.smmu_attach kcore ~cpu:0 ~device:1 ~owner:(S2page.Vm vmid));
+  (match
+     Kcore.set_vm_image kcore ~cpu:0 ~vmid ~pfns:[ Kserv.alloc_page kserv ]
+       ~expected_hash:0
+   with
+  | Error `Denied -> ()
+  | Ok () | Error `Bad_hash -> Alcotest.fail "image on a torn-down VM");
+  Alcotest.(check int) "snapshot is empty" 0
+    (List.length (Kcore.snapshot_vm kcore ~cpu:0 ~vmid));
+  Alcotest.(check bool) "guest addresses translate nothing" true
+    (Kcore.translate_hw kcore ~cpu:2 ~vmid ~addr:ipa = None);
+  Kcore.teardown_vm kcore ~cpu:0 ~vmid;
+  Alcotest.(check int) "a second teardown frees nothing" before (free ());
+  (* the freed pages serve the next VM *)
+  (match Kserv.boot_vm kserv ~cpu:0 ~n_vcpus:1 ~image_pages:1 with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "boot after teardown");
+  check_invariants kcore "after reuse"
+
+(* Teardown detaches the dead VM's devices: their table pages return to
+   [smmu_pool], and the device can be attached again. *)
+let test_teardown_detaches_devices () =
+  let kcore, kserv = fresh () in
+  let vmid =
+    match Kserv.boot_vm kserv ~cpu:0 ~n_vcpus:1 ~image_pages:1 with
+    | Ok v -> v
+    | Error _ -> Alcotest.fail "boot"
+  in
+  let free () = Page_pool.available kcore.Kcore.smmu_pool in
+  let before = free () in
+  (match Kcore.smmu_attach kcore ~cpu:0 ~device:1 ~owner:(S2page.Vm vmid) with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "attach denied");
+  let vm_pfn = List.hd (S2page.pages_owned_by kcore.Kcore.s2page (S2page.Vm vmid)) in
+  (match Kcore.smmu_map kcore ~cpu:0 ~device:1 ~iova:0 ~pfn:vm_pfn with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "dma map denied");
+  Kcore.teardown_vm kcore ~cpu:0 ~vmid;
+  Alcotest.(check int) "smmu_pool free count as before the attach" before
+    (free ());
+  check_invariants kcore "after teardown";
+  (match Kcore.smmu_attach kcore ~cpu:0 ~device:1 ~owner:S2page.Kserv with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "re-attach denied");
+  check_invariants kcore "after re-attach"
+
 let test_smmu_hypercalls () =
   let kcore, kserv = fresh () in
   let vmid =
@@ -404,6 +486,17 @@ let test_inv_no_kcore_page_dma () =
   check_violations "one violation"
     [ ("no-kcore-page-dma",
        Printf.sprintf "device 3 can DMA to KCore page %d" page) ]
+    kcore
+
+let test_inv_smmu_context_owned () =
+  (* a device left attached with no owner: its table pages are checked,
+     its leaves are not, so the DMA mapping's frame is miscounted too *)
+  let kcore, _, page = with_dma () in
+  kcore.Kcore.smmu_owners <- [];
+  check_violations "two violations"
+    [ ("smmu-context-owned", "device 3 is attached with no owner");
+      ("map-count-consistent",
+       Printf.sprintf "page %d: map_count 1 but 0 actual mappings" page) ]
     kcore
 
 let test_inv_smmu_enabled () =
@@ -584,9 +677,13 @@ let () =
           Alcotest.test_case "sharing flow" `Quick test_sharing_flow;
           Alcotest.test_case "vcpu protocol" `Quick test_vcpu_protocol;
           Alcotest.test_case "teardown scrubs" `Quick
-            test_teardown_scrubs_and_returns ] );
+            test_teardown_scrubs_and_returns;
+          Alcotest.test_case "teardown frees stage-2 tables" `Quick
+            test_teardown_frees_stage2 ] );
       ( "devices",
         [ Alcotest.test_case "smmu hypercalls" `Quick test_smmu_hypercalls;
+          Alcotest.test_case "teardown detaches devices" `Quick
+            test_teardown_detaches_devices;
           Alcotest.test_case "tlb maintained" `Quick
             test_tlb_maintained_on_unmap ] );
       ( "invariants",
@@ -599,6 +696,8 @@ let () =
           Alcotest.test_case "smmu owner" `Quick test_inv_smmu_owner;
           Alcotest.test_case "no kcore page dma" `Quick
             test_inv_no_kcore_page_dma;
+          Alcotest.test_case "smmu context owned" `Quick
+            test_inv_smmu_context_owned;
           Alcotest.test_case "smmu enabled" `Quick test_inv_smmu_enabled;
           Alcotest.test_case "map counts" `Quick test_inv_map_count;
           Alcotest.test_case "report order" `Quick test_inv_report_order;
