@@ -32,9 +32,10 @@ lint:
 	dune exec bin/vrm_cli.exe -- lint --corpus
 
 # Wide security-invariant fuzzing: the test_fuzz hypercall storm over
-# seeds 0-9,999 (about 10 s on a 2-vCPU VM; it prints its wall time and
-# storms/s), outside the test suite. Exits non-zero and names the seeds
-# if any storm breaks an invariant.
+# seeds 0-9,999 (about 10 s on a 2-vCPU VM; it prints its wall time,
+# storms/s and the census of what the storms drew against its floors),
+# outside the test suite. Exits non-zero and names the seeds if any
+# storm breaks an invariant, or names the labels below their floor.
 fuzz:
 	VRM_FUZZ_SEEDS=10000 dune exec test/test_fuzz.exe
 

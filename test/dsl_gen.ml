@@ -1,25 +1,17 @@
 (* Random DSL code shared by the test executables: the analyzer's
    random-program oracle and the state-key relation properties. *)
 
-(* A small deterministic PRNG so failures reproduce from the seed. *)
-module Rng = struct
-  type t = { mutable s : int }
+(* What [gen_code] draws, by instruction kind and load order (see
+   Cover). *)
+let census = Cover.create ()
 
-  let create seed = { s = (seed * 2 + 1) land 0x3fffffff }
-
-  let next t =
-    t.s <- (t.s * 1103515245 + 12345) land 0x3fffffff;
-    t.s
-
-  let below t n = next t mod n
-end
-
-(* Random code for thread [tid] of a two-thread DSL program. Guards
-   branch only on freshly loaded registers (statically opaque), pulls
-   and pushes are always matched, and every EL2 store writes the same
-   constant. *)
+(* Random code for thread [tid] of a two-thread DSL program, drawn from
+   [rng]. Guards branch only on freshly loaded registers (statically
+   opaque), pulls and pushes are always matched, and every EL2 store
+   writes the same constant. *)
 let gen_code rng ~loops tid =
   let open Memmodel in
+  let below = Random.State.int rng and cover = Cover.hit census in
   let fresh = ref 0 in
   let reg () =
     incr fresh;
@@ -28,33 +20,51 @@ let gen_code rng ~loops tid =
   let rec block depth len =
     List.concat (List.init len (fun _ -> instr depth))
   and instr depth =
-    match Rng.below rng (if depth > 0 then 9 else 7) with
+    match below (if depth > 0 then 9 else 7) with
     | 0 ->
-        let o = if Rng.below rng 2 = 0 then Instr.Plain else Instr.Acquire in
+        let o, name =
+          if below 2 = 0 then (Instr.Plain, "load plain")
+          else (Instr.Acquire, "load acquire")
+        in
+        cover name;
         [ Instr.load ~order:o (reg ()) (Expr.at "data") ]
-    | 1 -> [ Instr.store (Expr.at "data") (Expr.c (1 + Rng.below rng 2)) ]
+    | 1 ->
+        cover "store";
+        [ Instr.store (Expr.at "data") (Expr.c (1 + below 2)) ]
     | 2 ->
+        cover "store el2";
         [ Instr.store
-            (Expr.at ~offset:(Expr.c (Rng.below rng 2)) "el2_m")
+            (Expr.at ~offset:(Expr.c (below 2)) "el2_m")
             (Expr.c 1) ]
     | 3 ->
-        [ (match Rng.below rng 3 with
-          | 0 -> Instr.dmb
-          | 1 -> Instr.dmb_ld
-          | _ -> Instr.dmb_st) ]
+        let b, name =
+          match below 3 with
+          | 0 -> (Instr.dmb, "dmb")
+          | 1 -> (Instr.dmb_ld, "dmb ld")
+          | _ -> (Instr.dmb_st, "dmb st")
+        in
+        cover name;
+        [ b ]
     | 4 ->
-        (Instr.pull [ "data" ] :: block 0 (1 + Rng.below rng 2))
+        cover "pull/push";
+        (Instr.pull [ "data" ] :: block 0 (1 + below 2))
         @ [ Instr.push [ "data" ] ]
-    | 5 -> [ Instr.store_rel (Expr.at "data") (Expr.c 1) ]
-    | 6 -> [ Instr.Nop ]
+    | 5 ->
+        cover "store release";
+        [ Instr.store_rel (Expr.at "data") (Expr.c 1) ]
+    | 6 ->
+        cover "nop";
+        [ Instr.Nop ]
     | n ->
         let g = reg () in
         let cond = Expr.Cmp (Expr.Eq, Expr.r g, Expr.c 0) in
-        let sub () = block (depth - 1) (1 + Rng.below rng 2) in
-        if n = 8 && loops then
-          [ Instr.load g (Expr.at "data"); Instr.while_ cond (sub ()) ]
-        else
+        let sub () = block (depth - 1) (1 + below 2) in
+        if n = 8 && loops then (
+          cover "while";
+          [ Instr.load g (Expr.at "data"); Instr.while_ cond (sub ()) ])
+        else (
+          cover "if";
           [ Instr.load g (Expr.at "data");
-            Instr.if_ cond (sub ()) (sub ()) ]
+            Instr.if_ cond (sub ()) (sub ()) ])
   in
-  block 2 (3 + Rng.below rng 3)
+  block 2 (3 + below 3)

@@ -107,13 +107,31 @@ let test_stats () =
 
 (* --- random programs vs the dynamic checkers ----------------------- *)
 
-let gen_prog ~loops seed =
+let two_threads t1 t2 =
   let open Memmodel in
-  let rng = Dsl_gen.Rng.create seed in
   Prog.make ~name:"lint-qcheck" ~observables:[]
     ~shared_bases:[ "data"; "el2_m" ]
-    [ Prog.thread 1 (Dsl_gen.gen_code rng ~loops 1);
-      Prog.thread 2 (Dsl_gen.gen_code rng ~loops 2) ]
+    [ Prog.thread 1 t1; Prog.thread 2 t2 ]
+
+let gen_prog ~loops seed =
+  let rng = Random.State.make [| seed |] in
+  let t1 = Dsl_gen.gen_code rng ~loops 1 in
+  two_threads t1 (Dsl_gen.gen_code rng ~loops 2)
+
+(* The random programs of seeds 0-99, with and without loops, reach
+   every instruction kind and both load orders (see Cover), each at
+   about half of what they draw. *)
+let test_dsl_census () =
+  Hashtbl.reset Dsl_gen.census;
+  for seed = 0 to 99 do
+    ignore (gen_prog ~loops:true seed);
+    ignore (gen_prog ~loops:false seed)
+  done;
+  Cover.check Dsl_gen.census
+    [ ("load plain", 100); ("load acquire", 100); ("store", 250);
+      ("store el2", 180); ("store release", 230); ("dmb", 75);
+      ("dmb ld", 75); ("dmb st", 75); ("pull/push", 250); ("nop", 230);
+      ("if", 200); ("while", 65) ]
 
 (* The analyzer's random-program oracle: on [gen_prog seed], a static
    Pass must hold dynamically (Check_drf / Check_barrier), a static Fail
@@ -123,8 +141,7 @@ let gen_prog ~loops seed =
    random program has, so loop-free programs are checked a second time
    with every shared base exempt: then each SC trace is replayed in full.
    (With loops, uninstrumented trace enumeration is exponential.) *)
-let oracle_seed ~loops seed =
-  let prog = gen_prog ~loops seed in
+let oracle ~loops ~label prog =
   let check exempt =
     let a = Driver.analyze_prog ~exempt ~name:"lint-qcheck" prog in
     match
@@ -134,7 +151,7 @@ let oracle_seed ~loops seed =
     with
     | [] -> true
     | bad ->
-        Format.eprintf "seed %d (loops=%b, exempt [%s]):@.%a@." seed loops
+        Format.eprintf "%s (loops=%b, exempt [%s]):@.%a@." label loops
           (String.concat ";" exempt) Driver.pp a;
         List.iter
           (fun c ->
@@ -144,6 +161,9 @@ let oracle_seed ~loops seed =
   in
   check [ "el2_m" ] && (loops || check [ "data"; "el2_m" ])
 
+let oracle_seed ~loops seed =
+  oracle ~loops ~label:(Printf.sprintf "seed %d" seed) (gen_prog ~loops seed)
+
 let oracle_property ~loops name =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| 14 |])
@@ -151,12 +171,34 @@ let oracle_property ~loops name =
        QCheck.(int_bound 100_000)
        (oracle_seed ~loops))
 
-(* Pinned: a loop-carried barrier misuse in nested loops. The pull in
-   one outer iteration is followed by a plain load of [data] in the
-   next, before any DMB(LD); Check_barrier saw it only once it unrolled
-   loops twice. *)
+(* Pinned: a loop-carried barrier misuse in nested loops, first drawn as
+   a random program. The pull in one outer iteration is followed by a
+   plain load of [data] in the next, before any DMB(LD); Check_barrier
+   saw it only once it unrolled loops twice. *)
 let test_loop_carried_barrier () =
-  Alcotest.(check bool) "oracle agrees" true (oracle_seed ~loops:true 1831)
+  let open Memmodel in
+  let r = Reg.v and data = Expr.at "data" in
+  let zero g = Expr.Cmp (Expr.Eq, Expr.r g, Expr.c 0) in
+  let t1_r1 = r "t1_r1" and t2_r1 = r "t2_r1" and t2_r2 = r "t2_r2" in
+  let prog =
+    two_threads
+      [ Instr.store (Expr.at "el2_m") (Expr.c 1);
+        Instr.Nop;
+        Instr.store data (Expr.c 2);
+        Instr.load t1_r1 data;
+        Instr.if_ (zero t1_r1)
+          [ Instr.store_rel data (Expr.c 1) ]
+          [ Instr.load_acq (r "t1_r2") data; Instr.store data (Expr.c 2) ] ]
+      [ Instr.load t2_r1 data;
+        Instr.while_ (zero t2_r1)
+          [ Instr.load t2_r2 data;
+            Instr.while_ (zero t2_r2)
+              [ Instr.pull [ "data" ]; Instr.Nop; Instr.push [ "data" ] ] ];
+        Instr.dmb_ld;
+        Instr.store_rel data (Expr.c 1) ]
+  in
+  Alcotest.(check bool) "oracle agrees" true
+    (oracle ~loops:true ~label:"nested loops" prog)
 
 (* --- goldens ------------------------------------------------------- *)
 
@@ -247,8 +289,9 @@ let () =
       ( "engines",
         [ Alcotest.test_case "loop-carried W003" `Quick test_loop_carried;
           Alcotest.test_case "solver stats" `Quick test_stats;
-          Alcotest.test_case "loop-carried W002 (seed 1831)" `Quick
+          Alcotest.test_case "loop-carried W002 (nested loops)" `Quick
             test_loop_carried_barrier;
+          Alcotest.test_case "dsl_gen census floors" `Quick test_dsl_census;
           oracle_property ~loops:false
             "loop-free programs: verdicts agree with dynamic checkers";
           oracle_property ~loops:true

@@ -694,12 +694,11 @@ let qcheck_sym_permutation =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       (* derive a permutation of the 4 threads from the seed via a
-         Fisher-Yates pass on a tiny deterministic LCG *)
+         Fisher-Yates pass *)
+      let rng = Random.State.make [| seed |] in
       let a = [| 0; 1; 2; 3 |] in
-      let s = ref ((seed * 2) + 1) in
       for i = 3 downto 1 do
-        s := ((!s * 1103515245) + 12345) land 0x3fffffff;
-        let j = !s mod (i + 1) in
+        let j = Random.State.int rng (i + 1) in
         let tmp = a.(i) in
         a.(i) <- a.(j);
         a.(j) <- tmp
@@ -849,7 +848,7 @@ let qcheck_cont_keys =
   QCheck.Test.make ~count:200 ~name:"continuation keys equal iff code equal"
     QCheck.(triple (int_bound 40) (int_bound 40) bool)
     (fun (s1, s2, loops) ->
-      let code s = Dsl_gen.gen_code (Dsl_gen.Rng.create s) ~loops 1 in
+      let code s = Dsl_gen.gen_code (Random.State.make [| s |]) ~loops 1 in
       let a = code s1 and b = code s2 in
       let rec suffixes = function
         | [] -> [ [] ]
@@ -1062,7 +1061,7 @@ let qcheck_cont_facts =
     ~name:"continuation footprints = walk; entries cached and key-equal"
     QCheck.(pair (int_bound 1_000_000) bool)
     (fun (seed, loops) ->
-      cont_facts_hold (Dsl_gen.gen_code (Dsl_gen.Rng.create seed) ~loops 1))
+      cont_facts_hold (Dsl_gen.gen_code (Random.State.make [| seed |]) ~loops 1))
 
 let test_cont_facts_corpus () =
   List.iter
@@ -1226,7 +1225,7 @@ let solo_steps =
 (* Random two-thread programs for the candidate property: loops on,
    small bounds so every solo tree stays small. *)
 let candidate_prog seed =
-  let rng = Dsl_gen.Rng.create seed in
+  let rng = Random.State.make [| seed |] in
   Prog.make
     ~name:(Printf.sprintf "dsl-%d" seed)
     ~observables:[]

@@ -5,22 +5,10 @@
 
 open Machine
 
-module Rng = struct
-  type t = { mutable s : int }
-
-  let create seed = { s = (seed * 2 + 1) land 0x3fffffff }
-
-  let next t =
-    t.s <- (t.s * 1103515245 + 12345) land 0x3fffffff;
-    t.s
-
-  let below t n = next t mod n
-end
-
 (* ---- page tables vs an assoc-list reference model ---- *)
 
 let pt_model_run geometry seed steps =
-  let rng = Rng.create seed in
+  let rng = Random.State.make [| seed |] in
   let mem = Phys_mem.create 96 in
   let pool = Page_pool.create ~name:"mb" ~mem ~first_pfn:1 ~n_pages:64 in
   let root = Page_pool.alloc pool in
@@ -28,11 +16,11 @@ let pt_model_run geometry seed steps =
   let model = Hashtbl.create 16 in
   let ok = ref true in
   for _ = 1 to steps do
-    let vp = Rng.below rng 1500 in
+    let vp = Random.State.int rng 1500 in
     let va = Page_table.page_va vp in
-    (match Rng.below rng 3 with
+    (match Random.State.int rng 3 with
     | 0 -> (
-        let pfn = 64 + Rng.below rng 32 in
+        let pfn = 64 + Random.State.int rng 32 in
         match
           Page_table.plan_map mem geometry ~pool ~root ~va ~target_pfn:pfn
             ~perms:Pte.rw
@@ -66,7 +54,7 @@ let pt_model_run geometry seed steps =
         in
         if expected <> got then ok := false);
     (* global agreement of the full mapping list, occasionally *)
-    if Rng.below rng 10 = 0 then begin
+    if Random.State.int rng 10 = 0 then begin
       let actual =
         List.sort compare
           (List.map (fun (vp, pfn, _) -> (vp, pfn))
@@ -98,7 +86,7 @@ let qcheck_tlb_coherent_with_walks =
     ~count:30
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let rng = Rng.create seed in
+      let rng = Random.State.make [| seed |] in
       let mem = Phys_mem.create 96 in
       let pool = Page_pool.create ~name:"tb" ~mem ~first_pfn:1 ~n_pages:64 in
       let g = Page_table.three_level in
@@ -116,13 +104,13 @@ let qcheck_tlb_coherent_with_walks =
       in
       let ok = ref true in
       for _ = 1 to 80 do
-        let vp = Rng.below rng 12 in
+        let vp = Random.State.int rng 12 in
         let va = Page_table.page_va vp in
-        (match Rng.below rng 3 with
+        (match Random.State.int rng 3 with
         | 0 -> (
             match
               Page_table.plan_map mem g ~pool ~root ~va
-                ~target_pfn:(64 + Rng.below rng 16)
+                ~target_pfn:(64 + Random.State.int rng 16)
                 ~perms:Pte.rw
             with
             | Ok ws -> Page_table.apply_writes mem ws
