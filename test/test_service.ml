@@ -259,6 +259,17 @@ let test_deadline_engine_level () =
 (* Lanes and backpressure                                              *)
 (* ------------------------------------------------------------------ *)
 
+let tmppath prefix =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.int 100000))
+
+let rm_rf d =
+  (try
+     Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
+   with _ -> ());
+  try Unix.rmdir d with _ -> ()
+
+
 let test_lane_priority () =
   (* one worker, three bulk refine jobs queued behind a filler, then an
      interactive arrival: the interactive job must be served before the
@@ -307,15 +318,45 @@ let test_bulk_wakeup () =
           ignore (done_payload "bulk-only" (Scheduler.await sched ticket)))
         [ Paper_examples.mp_plain; Paper_examples.sb ])
 
+(* A store whose entry for [spec] is a FIFO: a worker looking [spec] up
+   on disk blocks reading it until [release] writes three lines, which it
+   reads as a corrupt entry, a miss. So a one-worker scheduler stays busy
+   with [spec] for exactly as long as the test needs. *)
+let with_held_store spec f =
+  let dir = tmppath "vrmd-held" in
+  let store = Store.create ~dir ~engine_version:Engine.version () in
+  Store.add store (Scheduler.cache_key spec) Json.Null;
+  let entry = Filename.concat dir (Sys.readdir dir).(0) in
+  Sys.remove entry;
+  Unix.mkfifo entry 0o600;
+  (* read-write: the FIFO then always has a writer, so the worker's open
+     never waits, and what [release] writes stays buffered until read *)
+  let fd = Unix.openfile entry [ Unix.O_RDWR ] 0 in
+  let released = ref false in
+  let release () =
+    if not !released then begin
+      released := true;
+      ignore (Unix.write_substring fd "held\n\n\n" 0 7)
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      Unix.close fd;
+      rm_rf dir)
+    (fun () -> f store release)
+
 let test_shedding () =
   (* bulk lane bounded at 1: with the worker busy and one bulk job
      queued, the next distinct bulk submission is shed with a
-     retry-after hint; coalesced resubmissions are never shed *)
-  with_sched ~workers:1 ~bulk_depth:1 (fun sched ->
-      let filler =
-        Scheduler.submit sched
-          (Scheduler.Refine_spec Sekvm.Kernel_progs.mcs_handoff)
-      in
+     retry-after hint; coalesced resubmissions are never shed. The
+     worker is held in the filler's cache lookup until the resubmission
+     is in, so the queued job is still queued when it comes. *)
+  let filler_spec = Scheduler.Refine_spec Sekvm.Kernel_progs.mcs_handoff in
+  with_held_store filler_spec @@ fun cache release ->
+  with_sched ~workers:1 ~bulk_depth:1 ~cache (fun sched ->
+      Fun.protect ~finally:release @@ fun () ->
+      let filler = Scheduler.submit sched filler_spec in
       let queued_spec = Scheduler.Litmus_spec Paper_examples.example1 in
       let queued =
         Scheduler.submit sched ~lane:Protocol.Bulk queued_spec
@@ -335,6 +376,7 @@ let test_shedding () =
       let again =
         Scheduler.submit sched ~lane:Protocol.Bulk queued_spec
       in
+      release ();
       (match Scheduler.await sched again with
       | Scheduler.Done _, _ -> ()
       | _ -> Alcotest.fail "coalesced resubmission was shed");
@@ -359,16 +401,6 @@ let test_shedding () =
 (* ------------------------------------------------------------------ *)
 (* Hot-tier parity and durability                                      *)
 (* ------------------------------------------------------------------ *)
-
-let tmppath prefix =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.int 100000))
-
-let rm_rf d =
-  (try
-     Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
-   with _ -> ());
-  try Unix.rmdir d with _ -> ()
 
 (* Two live executions of the same job agree on everything except the
    clock: scrub the wall-time (and other scheduling-dependent) stat
