@@ -1,5 +1,5 @@
 .PHONY: all build test litmus examples smoke lint fuzz sym-wide cands-wide \
-	bmc check bench bench-smoke service-smoke bench-serve bench-serve-smoke \
+	bmc check bench service-smoke bench-serve bench-serve-smoke \
 	loc clean
 
 all: build
@@ -34,8 +34,10 @@ lint:
 # Wide security-invariant fuzzing: the test_fuzz hypercall storm over
 # seeds 0-9,999 (about 10 s on a 2-vCPU VM; it prints its wall time,
 # storms/s and the census of what the storms drew against its floors),
-# outside the test suite. Exits non-zero and names the seeds if any
-# storm breaks an invariant, or names the labels below their floor.
+# outside the test suite. Each storm's trace also goes through the
+# Write-Once and Sequential-TLB-Invalidation checkers. Exits non-zero
+# and names the seeds if any storm breaks an invariant or a trace
+# check, or names the labels below their floor.
 fuzz:
 	VRM_FUZZ_SEEDS=10000 dune exec test/test_fuzz.exe
 
@@ -62,18 +64,12 @@ bmc:
 
 # The tier-1 gate: what CI runs. (CI additionally runs fuzz, sym-wide
 # and cands-wide, the benchmark's output checks and self-tests
-# (perfbench-checks), bench-smoke, service-smoke and bench-serve-smoke
+# (perfbench-checks), service-smoke and bench-serve-smoke
 # (service-bench) in their own jobs.)
 check: build test examples litmus smoke lint bmc
 
 bench:
 	dune exec bench/main.exe
-
-# Engine bench in check-only mode: runs the exploration-engine section,
-# writes BENCH_engine.json and validates it round-trips through the
-# strict JSON parser. Asserts digests and counts, never timings.
-bench-smoke:
-	dune exec bench/main.exe -- --json
 
 # Service smoke: start vrmd, push a corpus subset through the socket
 # on both lanes, verify parity against direct runs, prune the cache
@@ -94,7 +90,7 @@ bench-serve: build
 bench-serve-smoke: build
 	dune exec --no-build bin/vrm_cli.exe -- bench-serve \
 	  --requests 200 --clients 4 --json BENCH_service.json
-	sh scripts/bench_digest_check.sh --service BENCH_service.json
+	sh scripts/bench_digest_check.sh BENCH_service.json
 
 # Non-blank .ml/.mli line counts per library directory, for the
 # executables, benchmarks, tests and scripts, and in total: the one way

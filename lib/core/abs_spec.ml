@@ -269,24 +269,27 @@ let spec_unshare (st : t) ~vmid ~vp : (t, [ `Denied ]) result =
 
 (** [teardown_vm]: DMA windows of the VM's devices are revoked and the
     devices released; every page returns (scrubbed) to KServ; sharing
-    ends; the mapping function empties; the VM is torn down for good. *)
+    ends; the mapping function empties; the VM is torn down for good.
+    A vmid that was never registered names no VM: nothing changes. *)
 let spec_teardown (st : t) ~vmid : t =
-  let st =
-    { st with
-      smmu =
-        List.filter (fun (_, (owner, _)) -> owner <> O_vm vmid) st.smmu }
-  in
-  let st =
-    List.fold_left
-      (fun st (_, pfn) ->
-        { st with
-          page_owner = set_nth st.page_owner pfn O_kserv;
-          page_shared = set_nth st.page_shared pfn false;
-          kserv_map = List.filter (fun (p, _) -> p <> pfn) st.kserv_map })
-      st (vm_map_of st vmid)
-  in
-  let st = update_vm_map st vmid (fun _ -> []) in
-  update_phase st vmid P_torn_down
+  if vm_phase_of st vmid = None then st
+  else
+    let st =
+      { st with
+        smmu =
+          List.filter (fun (_, (owner, _)) -> owner <> O_vm vmid) st.smmu }
+    in
+    let st =
+      List.fold_left
+        (fun st (_, pfn) ->
+          { st with
+            page_owner = set_nth st.page_owner pfn O_kserv;
+            page_shared = set_nth st.page_shared pfn false;
+            kserv_map = List.filter (fun (p, _) -> p <> pfn) st.kserv_map })
+        st (vm_map_of st vmid)
+    in
+    let st = update_vm_map st vmid (fun _ -> []) in
+    update_phase st vmid P_torn_down
 
 (* ------------------------------------------------------------------ *)
 (* Abstract security statements                                        *)

@@ -189,6 +189,14 @@ let find_vm t vmid =
   | Some vm -> vm
   | None -> panic "unknown vmid %d" vmid
 
+(* Run [f] on VM [vmid] under its lock, for a hypercall KServ makes
+   about a VM. KServ is untrusted, so a vmid KCore never registered is a
+   bad argument like any other: denied, never a KCore panic. *)
+let with_vm t ~cpu vmid f =
+  match List.assoc_opt vmid t.vms with
+  | None -> Error `Denied
+  | Some vm -> Ticket_lock.with_lock vm.vm_lock ~cpu (fun () -> f vm)
+
 (* A torn-down VM's stage-2 tree is back in [s2_pool], and its root may
    already be part of another tree: nothing may walk or write it again. *)
 let torn_down vm = vm.vstate = Torn_down
@@ -266,8 +274,7 @@ let donatable t pfn =
 let set_vm_image t ~cpu ~vmid ~pfns ~expected_hash :
     (unit, [ `Bad_hash | `Denied ]) result =
   t.hypercalls <- t.hypercalls + 1;
-  let vm = find_vm t vmid in
-  Ticket_lock.with_lock vm.vm_lock ~cpu @@ fun () ->
+  with_vm t ~cpu vmid @@ fun vm ->
   if torn_down vm then Error `Denied
   else if vm.vstate <> Registered then
     panic "set_vm_image: VM %d wrong state" vmid
@@ -415,8 +422,7 @@ let access_write t ~cpu ~vmid ~addr v : (unit, access_fault) result =
 let map_page_to_vm t ~cpu ~vmid ~ipa ~pfn : (unit, [ `Denied ]) result =
   t.hypercalls <- t.hypercalls + 1;
   t.s2_faults <- t.s2_faults + 1;
-  let vm = find_vm t vmid in
-  Ticket_lock.with_lock vm.vm_lock ~cpu @@ fun () ->
+  with_vm t ~cpu vmid @@ fun vm ->
   (* validate before mutating anything: a denied donation leaves the
      system exactly as it was *)
   if torn_down vm || (not (donatable t pfn)) || Npt.is_mapped vm.npt ~ipa then
@@ -458,8 +464,7 @@ let kserv_fault t ~cpu ~addr : (unit, [ `Denied ]) result =
 (** A VM grants KServ access to one of its pages (virtio rings/buffers). *)
 let vm_share_page t ~cpu ~vmid ~ipa : (unit, [ `Denied ]) result =
   t.hypercalls <- t.hypercalls + 1;
-  let vm = find_vm t vmid in
-  Ticket_lock.with_lock vm.vm_lock ~cpu @@ fun () ->
+  with_vm t ~cpu vmid @@ fun vm ->
   match vm_translate vm ~ipa with
   | None -> Error `Denied
   | Some (pfn, _) ->
@@ -477,8 +482,7 @@ let vm_share_page t ~cpu ~vmid ~ipa : (unit, [ `Denied ]) result =
 
 let vm_unshare_page t ~cpu ~vmid ~ipa : (unit, [ `Denied ]) result =
   t.hypercalls <- t.hypercalls + 1;
-  let vm = find_vm t vmid in
-  Ticket_lock.with_lock vm.vm_lock ~cpu @@ fun () ->
+  with_vm t ~cpu vmid @@ fun vm ->
   match vm_translate vm ~ipa with
   | None -> Error `Denied
   | Some (pfn, _) ->
@@ -502,8 +506,7 @@ let vm_unshare_page t ~cpu ~vmid ~ipa : (unit, [ `Denied ]) result =
     permissions. Subsequent guest stores take a permission fault. *)
 let vm_protect_page t ~cpu ~vmid ~ipa : (unit, [ `Denied ]) result =
   t.hypercalls <- t.hypercalls + 1;
-  let vm = find_vm t vmid in
-  Ticket_lock.with_lock vm.vm_lock ~cpu @@ fun () ->
+  with_vm t ~cpu vmid @@ fun vm ->
   match vm_translate vm ~ipa with
   | None -> Error `Denied
   | Some (pfn, perms) ->
@@ -623,12 +626,14 @@ let reclaim t ~cpu vm =
     page is unmapped from the VM's stage 2, scrubbed, and returned to
     KServ, and the stage-2 tree's pages return to [s2_pool].
     Confidentiality across the VM's death depends on the scrub. Tearing
-    down a torn-down VM does nothing. *)
+    down a torn-down VM, or one KCore never registered, does nothing. *)
 let teardown_vm t ~cpu ~vmid =
   t.hypercalls <- t.hypercalls + 1;
-  let vm = find_vm t vmid in
-  Ticket_lock.with_lock vm.vm_lock ~cpu @@ fun () ->
-  if not (torn_down vm) then reclaim t ~cpu vm
+  match List.assoc_opt vmid t.vms with
+  | None -> ()
+  | Some vm ->
+      Ticket_lock.with_lock vm.vm_lock ~cpu @@ fun () ->
+      if not (torn_down vm) then reclaim t ~cpu vm
 
 (* ------------------------------------------------------------------ *)
 (* Executable security invariants                                      *)
@@ -791,15 +796,13 @@ let vgic_send_sgi t ~cpu ~vmid ~to_vcpu ~irq : (unit, [ `Denied ]) result =
   t.hypercalls <- t.hypercalls + 1;
   t.vipis <- t.vipis + 1;
   t.mmio_kernel <- t.mmio_kernel + 1;
-  let vm = find_vm t vmid in
-  if
-    torn_down vm
-    || not (List.exists (fun v -> v.Vcpu_ctxt.vcpuid = to_vcpu) vm.vcpus)
-  then Error `Denied
-  else begin
-    Vgic.inject vm.vgic ~vcpuid:to_vcpu ~irq;
-    Ok ()
-  end
+  match List.assoc_opt vmid t.vms with
+  | Some vm
+    when (not (torn_down vm))
+         && List.exists (fun v -> v.Vcpu_ctxt.vcpuid = to_vcpu) vm.vcpus ->
+      Vgic.inject vm.vgic ~vcpuid:to_vcpu ~irq;
+      Ok ()
+  | _ -> Error `Denied
 
 (** Take the next pending interrupt of a vCPU (the guest's IAR read). *)
 let vgic_ack t ~vmid ~vcpuid : int option =

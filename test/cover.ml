@@ -7,7 +7,8 @@ type t = (string, int) Hashtbl.t
 
 let create () : t = Hashtbl.create 64
 let count (t : t) label = Option.value ~default:0 (Hashtbl.find_opt t label)
-let hit (t : t) label = Hashtbl.replace t label (count t label + 1)
+let add (t : t) label n = Hashtbl.replace t label (count t label + n)
+let hit t label = add t label 1
 
 (* The labels whose count is below their floor, with that count. *)
 let missed t floors =

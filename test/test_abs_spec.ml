@@ -257,6 +257,51 @@ let test_dead_vm_stutters () =
        (Abs_spec.spec_smmu_attach a1 ~device:1 ~owner:Abs_spec.O_kserv))
     (Abs_spec.abstract kcore)
 
+let test_unknown_vmid_denied () =
+  (* KServ is untrusted: every hypercall naming a vmid KCore never
+     registered is denied on both sides and changes nothing, and
+     tearing it down does nothing *)
+  let kcore, kserv = fresh () in
+  let vmid = 7 and pfn = Kserv.alloc_page kserv in
+  let a0 = Abs_spec.abstract kcore in
+  let agree name ~impl ~spec =
+    Alcotest.(check (pair bool bool)) (name ^ " denied on both sides")
+      (true, true) (impl, spec);
+    Alcotest.check abs_t (name ^ " stutters") a0 (Abs_spec.abstract kcore);
+    Alcotest.(check int) (name ^ " invariants clean") 0
+      (List.length (Kcore.check_invariants kcore))
+  in
+  agree "map_page_to_vm"
+    ~impl:
+      (Kcore.map_page_to_vm kcore ~cpu:0 ~vmid
+         ~ipa:(Machine.Page_table.page_va 3) ~pfn
+      = Error `Denied)
+    ~spec:(Result.is_error (Abs_spec.spec_map_page_to_vm a0 ~vmid ~vp:3 ~pfn));
+  agree "set_vm_image"
+    ~impl:
+      (Kcore.set_vm_image kcore ~cpu:0 ~vmid ~pfns:[ pfn ] ~expected_hash:0
+      = Error `Denied)
+    ~spec:(Result.is_error (Abs_spec.spec_set_vm_image a0 ~vmid ~pfns:[ pfn ]));
+  agree "vm_share_page"
+    ~impl:(Kcore.vm_share_page kcore ~cpu:0 ~vmid ~ipa:0 = Error `Denied)
+    ~spec:(Result.is_error (Abs_spec.spec_share a0 ~vmid ~vp:0));
+  agree "vm_unshare_page"
+    ~impl:(Kcore.vm_unshare_page kcore ~cpu:0 ~vmid ~ipa:0 = Error `Denied)
+    ~spec:(Result.is_error (Abs_spec.spec_unshare a0 ~vmid ~vp:0));
+  (* no spec transition of their own: the spec's answer is a stutter *)
+  agree "vm_protect_page"
+    ~impl:(Kcore.vm_protect_page kcore ~cpu:0 ~vmid ~ipa:0 = Error `Denied)
+    ~spec:true;
+  agree "vgic_send_sgi"
+    ~impl:
+      (Kcore.vgic_send_sgi kcore ~cpu:0 ~vmid ~to_vcpu:0 ~irq:1
+      = Error `Denied)
+    ~spec:true;
+  Kcore.teardown_vm kcore ~cpu:0 ~vmid;
+  Alcotest.check abs_t "spec teardown is a no-op" a0
+    (Abs_spec.spec_teardown a0 ~vmid);
+  agree "teardown_vm" ~impl:true ~spec:true
+
 (* ---- randomized refinement ---- *)
 
 (* What the refinement storms reach (see Cover): the branch taken, the
@@ -540,7 +585,9 @@ let () =
           Alcotest.test_case "teardown revokes DMA" `Quick
             test_teardown_revokes_dma_commutes;
           Alcotest.test_case "torn-down VM stutters" `Quick
-            test_dead_vm_stutters ] );
+            test_dead_vm_stutters;
+          Alcotest.test_case "unknown vmid denied" `Quick
+            test_unknown_vmid_denied ] );
       ( "randomized",
         [ QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 1 |])

@@ -1,8 +1,9 @@
 (* The SAT-based BMC backend cross-validated against the explicit-state
    engines: solver unit tests (pigeonhole UNSAT, assumption cores, random
    3-CNF vs brute force), golden digest parity over the whole litmus
-   suite under both memory models, random-program equivalence, and the
-   bmc payload codec. *)
+   suite under both memory models, the writer family that outgrows the
+   explicit enumerator, random-program equivalence, and the bmc payload
+   codec. *)
 
 open Memmodel
 
@@ -266,6 +267,36 @@ let test_bound_limited () =
   Alcotest.(check bool) "within bound is complete" true
     (Bmc.check ~mode:Bmc.Sc short).Bmc.complete
 
+(* ---- the writer family: interleavings explode, models do not ---- *)
+
+(* [Bench_families.bmc_family n]: n writers store 1 to x, one reader
+   loads x twice. The explicit SC enumerator without symmetry reduction
+   visits 6 * 2^n - 3 states, while the behavior set stays the same 3
+   outcomes. BMC must decide the family completely at N=14, where the
+   bench's explicit enumerator runs past its 0.5 s budget; its behavior
+   set must equal the explicit one, computed with symmetry reduction
+   (87 canonical states at N=14). *)
+let test_writers_family () =
+  let visited n =
+    let _, (s : Engine.stats) =
+      Sc.run_stats ~sym:false (Bench_families.bmc_family n)
+    in
+    s.Engine.visited
+  in
+  let v4 = visited 4 and v8 = visited 8 in
+  Alcotest.(check int) "explicit N=4 visited" 93 v4;
+  Alcotest.(check int) "explicit N=8 visited" 1_533 v8;
+  Alcotest.(check bool) "visited at least doubles per writer" true
+    (v8 >= v4 * 16);
+  let prog = Bench_families.bmc_family 14 in
+  let r = Bmc.check ~mode:Bmc.Sc prog in
+  Alcotest.(check bool) "bmc N=14 complete" true r.Bmc.complete;
+  Alcotest.(check int) "bmc N=14 outcomes" 3
+    (Behavior.cardinal r.Bmc.behaviors);
+  Alcotest.(check string) "bmc N=14 = explicit SC"
+    (Fingerprint.behaviors (Sc.run prog))
+    (Fingerprint.behaviors r.Bmc.behaviors)
+
 (* ---- codec round-trip ---- *)
 
 let test_codec_roundtrip () =
@@ -310,7 +341,9 @@ let () =
         [ Alcotest.test_case "litmus-suite digest parity" `Quick
             test_suite_parity;
           Alcotest.test_case "litmus-suite verdicts" `Quick
-            test_suite_verdicts ] );
+            test_suite_verdicts;
+          Alcotest.test_case "writer family decided at N=14" `Quick
+            test_writers_family ] );
       ( "qcheck",
         [ QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 1 |])

@@ -1,7 +1,8 @@
 (* Whole-system fuzzing: random sequences of hypercalls, guest operations
    and KServ attacks against a live SeKVM instance, with the security
-   invariants re-checked after every step. Also the deterministic
-   multi-VM stress scenario. *)
+   invariants re-checked after every step and the trace-based wDRF
+   checkers run on each storm's trace. Also the deterministic multi-VM
+   stress scenario. *)
 
 open Sekvm
 open Machine
@@ -10,7 +11,8 @@ let cfg = Kcore.default_boot_config
 
 (* What the storms reach, counted as they draw it (see Cover): the branch
    taken, the device and owner kind an attach names, the SMMU
-   hypercalls' verdicts, and teardowns that revoke a VM's device. *)
+   hypercalls' verdicts, teardowns that revoke a VM's device, and the
+   EL2 writes and unmaps the trace checkers judge. *)
 let census = Cover.create ()
 let cover = Cover.hit census
 
@@ -22,8 +24,9 @@ let pick rng l = List.nth l (Random.State.int rng (List.length l))
 
 (* Floors per 200 storms, about half of what storms 0-199 reach: every
    branch, devices 0-3, both owner kinds, both verdicts of attach (for
-   each owner kind), map and unmap, and teardowns that revoke a device.
-   A sweep of n storms must reach floor * n / 200. *)
+   each owner kind), map and unmap, teardowns that revoke a device, and
+   the traces' EL2 writes and unmaps. A sweep of n storms must reach
+   floor * n / 200. *)
 let floors =
   [ ("branch boot", 500); ("branch teardown", 300);
     ("branch snapshot", 300); ("branch attack", 1000);
@@ -35,7 +38,8 @@ let floors =
     ("attach vm Ok", 100); ("attach vm Denied", 40);
     ("map Ok", 100); ("map Denied", 150);
     ("unmap Ok", 8); ("unmap Denied", 130);
-    ("teardown revokes a device", 50) ]
+    ("teardown revokes a device", 50);
+    ("trace el2 writes", 100_000); ("trace unmaps", 2_000) ]
 
 let scaled_floors n = List.map (fun (l, f) -> (l, f * n / 200)) floors
 
@@ -160,6 +164,21 @@ let step rng (st : fuzz_state) : unit =
           try ignore (Kserv.run_guest st.kserv ~cpu ~vmid ~vcpuid ops)
           with Kserv.Out_of_memory -> ()))
 
+(* The trace-based wDRF checkers on the whole storm: every write to
+   KCore's EL2 table hits an empty entry (Write-Once-Kernel-Mapping), and
+   every unmap or remap is followed by a DSB and a TLBI that covers it
+   (Sequential-TLB-Invalidation). *)
+let trace_holds seed (k : Kcore.t) =
+  let wo = Vrm.Check_write_once.check k.Kcore.trace in
+  let tlbi = Vrm.Check_tlbi.check k.Kcore.trace in
+  Cover.add census "trace el2 writes" wo.Vrm.Check_write_once.el2_writes;
+  Cover.add census "trace unmaps" tlbi.Vrm.Check_tlbi.unmaps_checked;
+  if not wo.Vrm.Check_write_once.holds then
+    Format.eprintf "seed %d: %a@." seed Vrm.Check_write_once.pp_verdict wo;
+  if not tlbi.Vrm.Check_tlbi.holds then
+    Format.eprintf "seed %d: %a@." seed Vrm.Check_tlbi.pp_verdict tlbi;
+  wo.Vrm.Check_write_once.holds && tlbi.Vrm.Check_tlbi.holds
+
 let run_fuzz_from st seed n_steps =
   let rng = Random.State.make [| seed |] in
   let ok = ref true in
@@ -182,7 +201,7 @@ let run_fuzz_from st seed n_steps =
       Format.eprintf "seed %d step %d: unexpected panic %s@." seed st.steps
         msg;
       ok := false);
-  !ok
+  !ok && trace_holds seed st.kcore
 
 let run_fuzz seed n_steps = run_fuzz_from (boot_fuzz ()) seed n_steps
 
