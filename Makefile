@@ -1,6 +1,5 @@
 .PHONY: all build test litmus examples smoke lint fuzz sym-wide cands-wide \
-	bmc check bench service-smoke bench-serve bench-serve-smoke \
-	loc clean
+	bmc check bench service-smoke loc clean
 
 all: build
 
@@ -64,8 +63,7 @@ bmc:
 
 # The tier-1 gate: what CI runs. (CI additionally runs fuzz, sym-wide
 # and cands-wide, the benchmark's output checks and self-tests
-# (perfbench-checks), service-smoke and bench-serve-smoke
-# (service-bench) in their own jobs.)
+# (perfbench-checks) and service-smoke in their own jobs.)
 check: build test examples litmus smoke lint bmc
 
 bench:
@@ -76,21 +74,6 @@ bench:
 # with cache-gc, exercise graceful shutdown.
 service-smoke: build
 	sh scripts/service_smoke.sh
-
-# Full serving benchmark: in-process vrmd, 8 client threads, 2000
-# requests 3:1 bulk-heavy, cold variants on the bulk lane. Writes
-# BENCH_service.json (per-lane p50/p90/p99, throughput, hot hit
-# ratio, sheds) and exits non-zero if digest parity breaks, an
-# interactive submission is shed, the hot tier is < 5x faster than
-# disk at p50, or the interactive tail is unbounded.
-bench-serve: build
-	dune exec --no-build bin/vrm_cli.exe -- bench-serve --json BENCH_service.json
-
-# CI-scale variant of the above plus the schema/invariant validator.
-bench-serve-smoke: build
-	dune exec --no-build bin/vrm_cli.exe -- bench-serve \
-	  --requests 200 --clients 4 --json BENCH_service.json
-	sh scripts/bench_digest_check.sh BENCH_service.json
 
 # Non-blank .ml/.mli line counts per library directory, for the
 # executables, benchmarks, tests and scripts, and in total: the one way

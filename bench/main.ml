@@ -1,13 +1,9 @@
 (* The evaluation harness: regenerates every table and figure of the
    paper's evaluation (§2 examples, Table 1, Tables 2+3, Table 4 + Fig. 8,
-   Fig. 9, and the §5 certification summary), checks each against the
-   paper's reported shape, and times the artifact generators with
-   Bechamel (one Test.make per table/figure).
+   Fig. 9, and the §5 certification summary) and checks each against the
+   paper's reported shape.
 
    Run with: dune exec bench/main.exe *)
-
-open Bechamel
-open Toolkit
 
 let section title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
@@ -496,113 +492,6 @@ let print_bmc () =
         false)
 
 (* ------------------------------------------------------------------ *)
-(* vrmd: the verification service, cold vs warm cache                  *)
-(* ------------------------------------------------------------------ *)
-
-let service_corpus () =
-  List.map
-    (fun (t : Memmodel.Litmus.t) -> Service.Scheduler.Litmus_spec t)
-    (Memmodel.Paper_examples.all @ Memmodel.Litmus_suite.all)
-  @ List.map
-      (fun e -> Service.Scheduler.Refine_spec e)
-      (Sekvm.Kernel_progs.corpus @ Sekvm.Kernel_progs.buggy_corpus)
-
-let print_service () =
-  section "vrmd service: whole-corpus verification, cold vs warm cache";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "vrmd-bench-%d" (Unix.getpid ()))
-  in
-  let specs = service_corpus () in
-  let round label =
-    (* A fresh store on the same directory: the second round starts with
-       an empty memory table and is served entirely from disk. *)
-    let cache =
-      Cache.Store.create ~dir ~engine_version:Memmodel.Engine.version ()
-    in
-    let sched = Service.Scheduler.create ~workers:4 ~cache () in
-    let t0 = Unix.gettimeofday () in
-    let tickets = List.map (Service.Scheduler.submit sched) specs in
-    let outcomes = List.map (Service.Scheduler.await sched) tickets in
-    let wall = Unix.gettimeofday () -. t0 in
-    let c = Service.Scheduler.counters sched in
-    Service.Scheduler.shutdown sched;
-    Format.printf
-      "  %-5s %3d jobs in %6.2fs: %d explored states, %d cache hits, %d       misses@."
-      label c.Service.Scheduler.submitted wall
-      c.Service.Scheduler.engine.Memmodel.Engine.visited
-      c.Service.Scheduler.cache_stats.Cache.Store.hits
-      c.Service.Scheduler.cache_stats.Cache.Store.misses;
-    (outcomes, c)
-  in
-  let cold, cc = round "cold" in
-  let warm, wc = round "warm" in
-  (* Third round: same scheduler, corpus submitted twice. The first
-     pass promotes every disk entry into the sharded hot tier; the
-     second pass must be served entirely from memory (no disk open, no
-     checksum). A fresh store per round (above) can never show this —
-     its hot tier starts empty — so this is the only round where
-     hot_hits can be non-zero. *)
-  let hot, hc =
-    let cache =
-      Cache.Store.create ~dir ~engine_version:Memmodel.Engine.version ()
-    in
-    let sched = Service.Scheduler.create ~workers:4 ~cache () in
-    let pass () =
-      let tickets = List.map (Service.Scheduler.submit sched) specs in
-      List.map (Service.Scheduler.await sched) tickets
-    in
-    ignore (pass ());
-    let t0 = Unix.gettimeofday () in
-    let outcomes = pass () in
-    let wall = Unix.gettimeofday () -. t0 in
-    let c = Service.Scheduler.counters sched in
-    Service.Scheduler.shutdown sched;
-    let h = c.Service.Scheduler.hot_stats in
-    Format.printf
-      "  %-5s %3d jobs in %6.2fs: %d hot hits, %d disk hits, %d evictions \
-       (%d/%d resident)@."
-      "hot"
-      (List.length specs)
-      wall h.Cache.Hot.hot_hits h.Cache.Hot.disk_hits h.Cache.Hot.evictions
-      h.Cache.Hot.size h.Cache.Hot.capacity;
-    (outcomes, c)
-  in
-  (* remove the temp store before any expectation can bail out *)
-  (try
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat dir f))
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with _ -> ());
-  let done_payloads outs =
-    List.map
-      (function
-        | Service.Scheduler.Done p, _ -> Cache.Json.to_string p
-        | _ -> "(not done)")
-      outs
-  in
-  expect "every corpus job completes on both rounds"
-    (List.for_all
-       (function Service.Scheduler.Done _, _ -> true | _ -> false)
-       (cold @ warm));
-  expect "warm round serves the whole corpus from cache (0 states explored)"
-    (wc.Service.Scheduler.engine.Memmodel.Engine.visited = 0
-    && wc.Service.Scheduler.cache_stats.Cache.Store.hits = List.length specs
-    && wc.Service.Scheduler.cache_stats.Cache.Store.misses = 0);
-  expect "cold round explored states (the cache was actually empty)"
-    (cc.Service.Scheduler.engine.Memmodel.Engine.visited > 0);
-  expect "warm payloads are bit-identical to cold payloads"
-    (done_payloads cold = done_payloads warm);
-  let h = hc.Service.Scheduler.hot_stats in
-  expect "hot round pass 2 is served from memory (hot hits = corpus size)"
-    (h.Cache.Hot.hot_hits = List.length specs
-    && h.Cache.Hot.disk_hits = List.length specs
-    && hc.Service.Scheduler.engine.Memmodel.Engine.visited = 0);
-  expect "hot-tier payloads are bit-identical to the disk-tier payloads"
-    (done_payloads hot = done_payloads warm)
-
-(* ------------------------------------------------------------------ *)
 (* Static wDRF lint vs exhaustive refinement check                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -722,76 +611,6 @@ let print_certification () =
     versions
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel: time the artifact generators                              *)
-(* ------------------------------------------------------------------ *)
-
-let bench_tests =
-  [ Test.make ~name:"examples-sc-vs-rm (example1 litmus)"
-      (Staged.stage (fun () ->
-           Memmodel.Litmus.run Memmodel.Paper_examples.example1));
-    Test.make ~name:"wdrf-certificate (gen_vmid program audit)"
-      (Staged.stage (fun () ->
-           Vrm.Certificate.audit_program Sekvm.Kernel_progs.vmid_alloc));
-    Test.make ~name:"table3-microbench"
-      (Staged.stage (fun () -> Perf.Micro.table3 ()));
-    Test.make ~name:"fig8-apps"
-      (Staged.stage (fun () -> Perf.App_sim.figure8 ()));
-    Test.make ~name:"fig9-multivm"
-      (Staged.stage (fun () -> Perf.Multi_vm.figure9 ()));
-    Test.make ~name:"table1-loc"
-      (Staged.stage (fun () -> ignore (count_loc "lib/core")));
-    Test.make ~name:"ablation-tlb-sweep"
-      (Staged.stage (fun () -> Perf.Micro.tlb_sweep ()));
-    Test.make ~name:"ablation-kserv-hugepages"
-      (Staged.stage (fun () -> Perf.Micro.table3 ~kserv_hugepages:true ()));
-    Test.make ~name:"axiomatic-model (mp litmus)"
-      (Staged.stage (fun () ->
-           Memmodel.Axiomatic.run
-             Memmodel.Paper_examples.mp_plain.Memmodel.Litmus.prog));
-    Test.make ~name:"barrier-synthesis (example 3 repair)"
-      (Staged.stage (fun () ->
-           Vrm.Synthesis.repair
-             ~config:
-               { Memmodel.Promising.default_config with max_promises = 1;
-                 loop_fuel = 4 }
-             Memmodel.Paper_examples.example3_buggy.Memmodel.Litmus.prog));
-    Test.make ~name:"substrate: stage-2 map+unmap"
-      (let kcore = Sekvm.Kcore.boot Sekvm.Kcore.default_boot_config in
-       let vmid = Sekvm.Kcore.register_vm kcore ~cpu:0 in
-       let npt = (Sekvm.Kcore.find_vm kcore vmid).Sekvm.Kcore.npt in
-       let i = ref 0 in
-       Staged.stage (fun () ->
-           incr i;
-           let ipa = Machine.Page_table.page_va (16 + (!i mod 200)) in
-           (match
-              Sekvm.Npt.set_s2pt npt ~cpu:0 ~ipa ~pfn:500 ~perms:Machine.Pte.rw
-            with
-           | Ok () -> ()
-           | Error `Already_mapped -> ());
-           match Sekvm.Npt.clear_s2pt npt ~cpu:0 ~ipa with
-           | Ok () -> ()
-           | Error `Not_mapped -> ())) ]
-
-let run_bechamel () =
-  section "Bechamel: artifact generator timings";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let stats = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Format.printf "  %-45s %12.1f ns/run@." name est
-          | Some _ | None -> Format.printf "  %-45s (no estimate)@." name)
-        stats)
-    bench_tests
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   print_examples ();
@@ -803,11 +622,9 @@ let () =
   print_ablations ();
   print_stress ();
   print_bmc ();
-  print_service ();
   print_lint ();
   print_absint ();
   print_certification ();
-  run_bechamel ();
   section "Summary";
   Format.printf "all shape checks passed: %b@." !all_ok;
   if not !all_ok then exit 1

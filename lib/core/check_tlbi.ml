@@ -75,6 +75,15 @@ let check (trace : Trace.t) : verdict =
     unmaps_checked = !checked;
     violations = List.rev !violations }
 
+let pp_violation fmt x =
+  (* the table as one string: [Trace.pp_table_id]'s box could break it *)
+  Format.fprintf fmt "cpu %d, table %s, frame %d index %d: %s" x.v_cpu
+    (Trace.show_table_id x.v_table) x.v_write.Page_table.w_pfn
+    x.v_write.Page_table.w_idx
+    (match x.v_reason with
+    | `No_barrier -> "missing barrier"
+    | `No_tlbi -> "missing TLBI")
+
 let pp_verdict fmt v =
   if v.holds then
     Format.fprintf fmt
@@ -83,12 +92,9 @@ let pp_verdict fmt v =
       v.unmaps_checked
   else
     Format.fprintf fmt
-      "Sequential-TLB-Invalidation: VIOLATED (%d unguarded unmaps: %s)"
+      "Sequential-TLB-Invalidation: VIOLATED (%d unguarded unmaps: %a)"
       (List.length v.violations)
-      (String.concat ", "
-         (List.map
-            (fun x ->
-              match x.v_reason with
-              | `No_barrier -> "missing barrier"
-              | `No_tlbi -> "missing TLBI")
-            v.violations))
+      (Format.pp_print_list
+         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
+         pp_violation)
+      v.violations

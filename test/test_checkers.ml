@@ -180,7 +180,11 @@ let test_tlbi_missing_barrier () =
   Alcotest.(check bool) "reason is the barrier" true
     (List.exists
        (fun x -> x.Vrm.Check_tlbi.v_reason = `No_barrier)
-       v.Vrm.Check_tlbi.violations)
+       v.Vrm.Check_tlbi.violations);
+  Alcotest.(check string) "the report names the write"
+    "Sequential-TLB-Invalidation: VIOLATED (1 unguarded unmaps: cpu 0, table \
+     (Trace.T_stage2 1), frame 43 index 140: missing barrier)"
+    (Format.asprintf "%a" Vrm.Check_tlbi.pp_verdict v)
 
 let test_tlbi_missing_tlbi () =
   let kcore, _ = booted () in

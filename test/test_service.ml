@@ -7,15 +7,18 @@
    - warm cache: resubmitting the corpus costs zero exploration and is
      served from the in-memory hot tier;
    - coalescing: identical in-flight submissions share one execution;
-   - lanes: interactive submissions overtake an earlier bulk backlog,
-     and a full lane sheds with [Overloaded] + retry-after;
+   - lanes: interactive submissions overtake an earlier bulk backlog
+     and are served by the reserved worker while bulk jobs hold the
+     other one; a full lane sheds with [Overloaded] + retry-after, and a
+     full bulk lane leaves the interactive lane admissible;
    - deadlines: a job that ages out while queued (bulk lane included,
      and after a journal replay) is [Deadline_expired] without ever
      starting exploration; the engine's valve cuts short a running one;
    - durability: pending journal entries replay across a simulated
      kill-and-restart with bit-identical result payloads;
-   - the daemon end-to-end: serve over a real Unix socket, submit,
-     status, graceful shutdown; oversized frames are survivable errors;
+   - the daemon end-to-end: serve over a real Unix socket, submit (two
+     connections at once too), status, graceful shutdown; oversized
+     frames are survivable errors;
    - the client survives a mid-restart daemon via bounded retry. *)
 
 open Memmodel
@@ -318,31 +321,42 @@ let test_bulk_wakeup () =
           ignore (done_payload "bulk-only" (Scheduler.await sched ticket)))
         [ Paper_examples.mp_plain; Paper_examples.sb ])
 
-(* A store whose entry for [spec] is a FIFO: a worker looking [spec] up
-   on disk blocks reading it until [release] writes three lines, which it
-   reads as a corrupt entry, a miss. So a one-worker scheduler stays busy
-   with [spec] for exactly as long as the test needs. *)
-let with_held_store spec f =
+(* A store whose entries for [specs] are FIFOs: a worker looking one of
+   them up on disk blocks reading it until [release] writes three lines
+   to each, which it reads as a corrupt entry, a miss. So workers stay
+   busy with [specs] for exactly as long as the test needs. *)
+let with_held_store specs f =
   let dir = tmppath "vrmd-held" in
   let store = Store.create ~dir ~engine_version:Engine.version () in
-  Store.add store (Scheduler.cache_key spec) Json.Null;
-  let entry = Filename.concat dir (Sys.readdir dir).(0) in
-  Sys.remove entry;
-  Unix.mkfifo entry 0o600;
-  (* read-write: the FIFO then always has a writer, so the worker's open
-     never waits, and what [release] writes stays buffered until read *)
-  let fd = Unix.openfile entry [ Unix.O_RDWR ] 0 in
+  let hold spec =
+    let key = Scheduler.cache_key spec in
+    Store.add store key Json.Null;
+    let entry =
+      Filename.concat dir
+        (List.find (String.starts_with ~prefix:key)
+           (Array.to_list (Sys.readdir dir)))
+    in
+    Sys.remove entry;
+    Unix.mkfifo entry 0o600;
+    (* read-write: the FIFO then always has a writer, so the worker's
+       open never waits, and what [release] writes stays buffered until
+       read *)
+    Unix.openfile entry [ Unix.O_RDWR ] 0
+  in
+  let fds = List.map hold specs in
   let released = ref false in
   let release () =
     if not !released then begin
       released := true;
-      ignore (Unix.write_substring fd "held\n\n\n" 0 7)
+      List.iter
+        (fun fd -> ignore (Unix.write_substring fd "held\n\n\n" 0 7))
+        fds
     end
   in
   Fun.protect
     ~finally:(fun () ->
       release ();
-      Unix.close fd;
+      List.iter Unix.close fds;
       rm_rf dir)
     (fun () -> f store release)
 
@@ -353,7 +367,7 @@ let test_shedding () =
      worker is held in the filler's cache lookup until the resubmission
      is in, so the queued job is still queued when it comes. *)
   let filler_spec = Scheduler.Refine_spec Sekvm.Kernel_progs.mcs_handoff in
-  with_held_store filler_spec @@ fun cache release ->
+  with_held_store [ filler_spec ] @@ fun cache release ->
   with_sched ~workers:1 ~bulk_depth:1 ~cache (fun sched ->
       Fun.protect ~finally:release @@ fun () ->
       let filler = Scheduler.submit sched filler_spec in
@@ -376,10 +390,17 @@ let test_shedding () =
       let again =
         Scheduler.submit sched ~lane:Protocol.Bulk queued_spec
       in
+      (* a full bulk lane does not close the interactive one *)
+      let inter =
+        Scheduler.submit sched (Scheduler.Litmus_spec Paper_examples.sb)
+      in
       release ();
       (match Scheduler.await sched again with
       | Scheduler.Done _, _ -> ()
       | _ -> Alcotest.fail "coalesced resubmission was shed");
+      ignore
+        (done_payload "interactive beside a full bulk lane"
+           (Scheduler.await sched inter));
       ignore (Scheduler.await sched filler);
       ignore (Scheduler.await sched queued);
       let c = Scheduler.counters sched in
@@ -397,6 +418,55 @@ let test_shedding () =
       with
       | Scheduler.Done _, _ -> ()
       | _ -> Alcotest.fail "post-shed resubmission failed")
+
+let test_reserved_worker () =
+  (* two workers: worker 0 is reserved for the interactive lane, so with
+     both workers' worth of bulk jobs held in their cache lookups, an
+     interactive submission still completes. The holds are released on a
+     timer, so a pool whose every worker takes bulk work fails here
+     instead of hanging. *)
+  let held =
+    [ Scheduler.Litmus_spec Paper_examples.example2_fixed;
+      Scheduler.Litmus_spec Paper_examples.example3_fixed ]
+  in
+  let inter_spec = Scheduler.Litmus_spec Paper_examples.example1 in
+  with_held_store held @@ fun cache release ->
+  with_sched ~workers:2 ~cache (fun sched ->
+      (* put the interactive job in the hot tier first: a held lookup
+         holds the store's lock, so a disk lookup would wait too *)
+      ignore (done_payload "warm-up" (Scheduler.run sched inter_spec));
+      let bulk =
+        List.map (fun s -> Scheduler.submit sched ~lane:Protocol.Bulk s) held
+      in
+      (* give the pool time to take what it may of the bulk backlog *)
+      Thread.delay 0.2;
+      let released = Atomic.make false and stop = Atomic.make false in
+      let timer =
+        Thread.create
+          (fun () ->
+            let deadline = Unix.gettimeofday () +. 3. in
+            while
+              (not (Atomic.get stop)) && Unix.gettimeofday () < deadline
+            do
+              Thread.delay 0.01
+            done;
+            Atomic.set released true;
+            release ())
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          Thread.join timer)
+        (fun () ->
+          let inter = Scheduler.submit sched inter_spec in
+          ignore (done_payload "interactive" (Scheduler.await sched inter));
+          Alcotest.(check bool)
+            "interactive done before the bulk holds released" false
+            (Atomic.get released));
+      List.iter
+        (fun tk -> ignore (done_payload "bulk" (Scheduler.await sched tk)))
+        bulk)
 
 (* ------------------------------------------------------------------ *)
 (* Hot-tier parity and durability                                      *)
@@ -644,6 +714,39 @@ let test_server_end_to_end () =
   | Ok counters ->
       Alcotest.(check int) "status: submitted" 2
         (Json.to_int (Json.member "submitted" counters)));
+  (* two connections submit at once; each reply matches a direct run *)
+  let arrived = Atomic.make 0 in
+  let submit_together (t : Litmus.t) =
+    let reply = ref (Error "no reply") in
+    let th =
+      Thread.create
+        (fun () ->
+          Atomic.incr arrived;
+          while Atomic.get arrived < 2 do
+            Thread.yield ()
+          done;
+          reply := Client.submit ~socket (Protocol.Litmus t.prog.name))
+        ()
+    in
+    (t, th, reply)
+  in
+  List.iter
+    (fun ((t : Litmus.t), th, reply) ->
+      Thread.join th;
+      match !reply with
+      | Error e -> Alcotest.failf "concurrent submit of %s: %s" t.prog.name e
+      | Ok payload ->
+          let remote = Codec.litmus_of_json (Json.member "data" payload) in
+          let local = Codec.litmus_summary (Litmus.run t) in
+          List.iter
+            (fun (model, l, r) ->
+              Alcotest.(check string)
+                (Printf.sprintf "concurrent parity: %s %s digest" t.prog.name
+                   model)
+                (Fingerprint.behaviors l) (Fingerprint.behaviors r))
+            [ ("sc", local.Codec.l_sc, remote.Codec.l_sc);
+              ("rm", local.Codec.l_rm, remote.Codec.l_rm) ])
+    (List.map submit_together [ Paper_examples.sb; Paper_examples.lb_data ]);
   (* graceful shutdown: server thread exits, socket file disappears *)
   (match Client.shutdown ~socket with
   | Error e -> Alcotest.failf "shutdown failed: %s" e
@@ -676,7 +779,9 @@ let () =
           Alcotest.test_case "bulk wakeup reaches an unreserved worker"
             `Quick test_bulk_wakeup;
           Alcotest.test_case "full lane sheds with retry-after" `Quick
-            test_shedding ] );
+            test_shedding;
+          Alcotest.test_case "reserved worker serves interactive" `Quick
+            test_reserved_worker ] );
       ( "durability",
         [ Alcotest.test_case "hot on/off payloads bit-identical" `Quick
             test_hot_onoff_parity;
