@@ -117,20 +117,20 @@ let touch t key =
   | None -> ()
   | Some file -> ( try Unix.utimes file 0. 0. with _ -> ())
 
+(* The read and the touch run outside the lock, so one slow read blocks
+   no other lookup, [add] or [counters]: [add] renames a whole entry into
+   place and [gc] only unlinks, so a read sees a whole entry or none. *)
 let find t key =
+  let r = read_disk t key in
+  if Result.is_ok r then touch t key;
   locked t (fun () ->
-      match read_disk t key with
-      | Ok v ->
-          t.hits <- t.hits + 1;
-          touch t key;
-          Some v
+      match r with
+      | Ok _ -> t.hits <- t.hits + 1
       | Error `Corrupt ->
           t.corrupt <- t.corrupt + 1;
-          t.misses <- t.misses + 1;
-          None
-      | Error `Absent ->
-          t.misses <- t.misses + 1;
-          None)
+          t.misses <- t.misses + 1
+      | Error `Absent -> t.misses <- t.misses + 1);
+  Result.to_option r
 
 let add t key v =
   locked t (fun () ->

@@ -18,7 +18,9 @@
     recomputes, the cache never crashes and never serves a corrupt
     payload.
 
-    All operations are thread- and domain-safe (one internal mutex). *)
+    All operations are thread- and domain-safe. The counters, [add] and
+    [gc] take one internal mutex; [find] reads and touches the entry
+    file outside it, so one slow read blocks no other operation. *)
 
 type t
 

@@ -56,40 +56,80 @@ let walk mem g ~root va =
   in
   go root (g.levels - 1)
 
-(* The one walk-allocate-set planner: descend from the root, allocating
-   a table for every empty entry above [level] and planning its parent
-   entry's write on the way down, then plan [pte] into the entry at
-   [level], which must be empty. Each slot is read once, before any write
-   to it is planned, and fresh tables come scrubbed from the pool, so
-   memory alone answers every read. *)
-let plan_set mem g ~pool ~root ~va ~level pte =
-  let rec go pfn l writes =
-    let idx = index g ~level:l va in
-    let old = Phys_mem.read mem ~pfn ~idx in
-    if l = level then
-      if Pte.is_valid old then Error `Already_mapped
-      else Ok (List.rev ({ w_pfn = pfn; w_idx = idx; w_old = old; w_new = pte } :: writes))
-    else if not (Pte.is_valid old) then
-      let fresh = Page_pool.alloc pool in
-      let w_new = Pte.encode (Pte.Table fresh) in
-      go fresh (l - 1) ({ w_pfn = pfn; w_idx = idx; w_old = old; w_new } :: writes)
-    else if Pte.is_table old then go (Pte.frame old) (l - 1) writes
-    else Error `Already_mapped
+(* The one walk-allocate-set planner. It plans [pages] consecutive
+   entries at [level], entry [k] mapping [target_pfn + k * block_pages
+   ~level] with [perms]; each must be empty. The writes, and the tables
+   taken from the pool, are those of one call per entry with each call's
+   writes applied before the next, in the same order. [fill] plans
+   entries into one table at [level]; [enter] descends to the next such
+   table: from the root for the first entry, and otherwise from the level
+   where the carry into the entry's index stopped, whose table [tables]
+   still holds. So a run of leaf pages descends once per leaf table. On
+   the way down a table is allocated for every empty entry and its parent
+   entry's write planned. Each slot is read once, before any write to it
+   is planned, and fresh tables come scrubbed from the pool, so memory
+   alone answers every read, in a tree that reaches no table page twice. *)
+let plan_set mem g ~pool ~root ~va ~level ~pages ~target_pfn ~perms =
+  let top = g.levels - 1 in
+  let tables = Array.make g.levels root in
+  let rec descend va l writes =
+    if l = level then Ok writes
+    else
+      let pfn = tables.(l) and idx = index g ~level:l va in
+      let old = Phys_mem.read mem ~pfn ~idx in
+      if not (Pte.is_valid old) then begin
+        let fresh = Page_pool.alloc pool in
+        tables.(l - 1) <- fresh;
+        descend va (l - 1)
+          ({ w_pfn = pfn; w_idx = idx; w_old = old;
+             w_new = Pte.encode (Pte.Table fresh) } :: writes)
+      end
+      else if Pte.is_table old then begin
+        tables.(l - 1) <- Pte.frame old;
+        descend va (l - 1) writes
+      end
+      else Error `Already_mapped
   in
-  go root (g.levels - 1) []
+  let rec carry va l =
+    if l >= top then top
+    else if index g ~level:l va <> 0 then l
+    else carry va (l + 1)
+  in
+  let step = block_pages ~level in
+  (* plan entries [k ..] into the table at [level], from its slot [idx] *)
+  let rec fill k pfn idx writes =
+    if k = pages then Ok (List.rev writes)
+    else if idx = Phys_mem.entries_per_page then enter k writes
+    else
+      let old = Phys_mem.read mem ~pfn ~idx in
+      if Pte.is_valid old then Error `Already_mapped
+      else
+        let w_new = Pte.encode (Pte.Page (target_pfn + (k * step), perms)) in
+        fill (k + 1) pfn (idx + 1)
+          ({ w_pfn = pfn; w_idx = idx; w_old = old; w_new } :: writes)
+  (* descend to entry [k]'s table *)
+  and enter k writes =
+    let va = va + page_va (k * step) in
+    let from = if k = 0 then top else carry va (level + 1) in
+    match descend va from writes with
+    | Ok writes -> fill k tables.(level) (index g ~level va) writes
+    | Error _ as e -> e
+  in
+  enter 0 []
 
-(** Plan the writes needed to map [va -> target_pfn] under [root],
+(** Plan the writes needed to map [pages] (default 1) consecutive pages
+    from [va] to consecutive frames from [target_pfn] under [root],
     allocating intermediate tables from [pool]. Returns the write list in
     program order (each new table's parent entry as the walk descends,
-    the leaf last); an existing valid leaf is never overwritten.
+    each leaf after the tables it needs); an existing valid leaf is never
+    overwritten.
 
     The writes are returned without being applied so that callers
     ({!Sekvm.Npt}) can interleave them with barrier/TLBI bookkeeping and so
     the transactional checker can exercise their reorderings. *)
-let plan_map mem g ~pool ~root ~va ~target_pfn ~perms :
+let plan_map ?(pages = 1) mem g ~pool ~root ~va ~target_pfn ~perms :
     (pt_write list, [ `Already_mapped ]) result =
-  plan_set mem g ~pool ~root ~va ~level:0
-    (Pte.encode (Pte.Page (target_pfn, perms)))
+  plan_set mem g ~pool ~root ~va ~level:0 ~pages ~target_pfn ~perms
 
 (** Plan a block (huge-page) mapping of [va -> target_pfn] at [level]
     (level 1 = 2 MB with 4 KB granules). [va] and [target_pfn] must be
@@ -102,8 +142,7 @@ let plan_map_block mem g ~pool ~root ~va ~target_pfn ~perms ~level :
   if va_page va land (bp - 1) <> 0 || target_pfn land (bp - 1) <> 0 then
     Error `Misaligned
   else
-    plan_set mem g ~pool ~root ~va ~level
-      (Pte.encode (Pte.Page (target_pfn, perms)))
+    plan_set mem g ~pool ~root ~va ~level ~pages:1 ~target_pfn ~perms
 
 (** Plan the (single) write that unmaps [va]: clears the leaf entry, or
     the whole block entry when [va] is covered by a block mapping. *)

@@ -35,13 +35,24 @@ val walk : Phys_mem.t -> geometry -> root:int -> int -> walk_result
     mapping, translated with the VA's residual page index. *)
 
 val plan_map :
-  Phys_mem.t -> geometry -> pool:Page_pool.t -> root:int -> va:int ->
-  target_pfn:int -> perms:Pte.perms ->
+  ?pages:int -> Phys_mem.t -> geometry -> pool:Page_pool.t -> root:int ->
+  va:int -> target_pfn:int -> perms:Pte.perms ->
   (pt_write list, [ `Already_mapped ]) result
 (** Plan the walk–allocate–set writes mapping [va -> target_pfn], in
     program order, without applying them — so callers can interleave
     barrier/TLBI bookkeeping and the transactional checker can exercise
-    their reorderings. Never overwrites a valid entry. *)
+    their reorderings. Never overwrites a valid entry.
+
+    [pages] (default 1) plans a run: page [va + k] maps frame
+    [target_pfn + k] for [k < pages]. The run's writes are exactly, and in
+    the same order, those of one [plan_map] per page with each page's
+    writes applied before the next is planned, and the pool hands out the
+    same tables in the same order; but the walk descends once per leaf
+    table, not once per page. This holds for a tree that reaches no table
+    page twice. If any page's leaf entry is valid, or a block covers it,
+    the result is [Error `Already_mapped] and nothing is returned for the
+    pages before it; the pool has then handed out the tables those pages
+    allocated, as the per-page calls up to the refused page would have. *)
 
 val plan_map_block :
   Phys_mem.t -> geometry -> pool:Page_pool.t -> root:int -> va:int ->

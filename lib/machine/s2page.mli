@@ -4,17 +4,12 @@
 
 type owner = Kcore | Kserv | Vm of int
 
-type info = {
-  mutable owner : owner;
-  mutable shared : bool;
-  mutable map_count : int;
-}
-
 type t
 
 val create : n_pages:int -> default_owner:owner -> t
+(** Every accessor below raises [Invalid_argument] on a frame outside
+    [0, n_pages). *)
 val n_pages : t -> int
-val get : t -> int -> info
 val owner : t -> int -> owner
 val set_owner : t -> int -> owner -> unit
 val is_shared : t -> int -> bool

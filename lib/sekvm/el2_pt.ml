@@ -6,9 +6,10 @@
     contiguous {e remap region} above the linear map so the crypto library
     can hash scattered physical pages through contiguous virtual
     addresses. The single primitive that writes this table, [set_el2_pt],
-    refuses to overwrite a valid entry — the Write-Once-Kernel-Mapping
-    condition is enforced by construction and every write is recorded for
-    the trace checker. *)
+    maps a run of consecutive pages (the whole linear map at boot, one
+    page per [remap_pfn]) and refuses to overwrite a valid entry — the
+    Write-Once-Kernel-Mapping condition is enforced by construction and
+    every write is recorded for the trace checker. *)
 
 open Machine
 
@@ -34,12 +35,14 @@ let record_writes t ~cpu writes =
         (Trace.E_pt_write { cpu; table = Trace.T_el2; write = w; locked = true }))
     writes
 
-(** The only EL2 page-table write primitive. [force] exists solely so the
-    test-suite can manufacture a Write-Once violation for the checker to
-    catch; KCore never passes it. *)
-let set_el2_pt ?(force = false) t ~cpu ~va ~pfn ~perms =
+(** The only EL2 page-table write primitive: map [pages] (default 1)
+    consecutive pages from [va] to consecutive frames from [pfn], all or
+    none. [force] exists solely so the test-suite can manufacture a
+    Write-Once violation for the checker to catch: a refused call then
+    overwrites [va]'s own entry. KCore never passes it. *)
+let set_el2_pt ?(force = false) ?(pages = 1) t ~cpu ~va ~pfn ~perms =
   match
-    Page_table.plan_map t.mem t.geometry ~pool:t.pool ~root:t.root ~va
+    Page_table.plan_map ~pages t.mem t.geometry ~pool:t.pool ~root:t.root ~va
       ~target_pfn:pfn ~perms
   with
   | Ok writes ->
@@ -70,7 +73,8 @@ let set_el2_pt ?(force = false) t ~cpu ~va ~pfn ~perms =
       else Error `Already_mapped
 
 (** Build the boot-time linear map: virtual page [p] -> physical frame [p]
-    for every frame of physical memory. *)
+    for every frame of physical memory, as one [set_el2_pt] run, which
+    writes and records exactly what one call per page would. *)
 let create ~mem ~geometry ~pool ~trace ~cpu =
   let root = Page_pool.alloc pool in
   let linear_pages = Phys_mem.n_pages mem in
@@ -78,14 +82,9 @@ let create ~mem ~geometry ~pool ~trace ~cpu =
     { mem; geometry; pool; root; trace; linear_pages;
       next_remap_vp = linear_pages }
   in
-  for p = 0 to linear_pages - 1 do
-    match
-      set_el2_pt t ~cpu ~va:(Page_table.page_va p) ~pfn:p ~perms:Pte.rw
-    with
-    | Ok () -> ()
-    | Error `Already_mapped -> raise (Write_once_violation { va_page = p })
-  done;
-  t
+  match set_el2_pt t ~cpu ~pages:linear_pages ~va:0 ~pfn:0 ~perms:Pte.rw with
+  | Ok () -> t
+  | Error `Already_mapped -> raise (Write_once_violation { va_page = 0 })
 
 (** [remap_pfn] (paper §5.1): map [pfn] at the next free virtual page of
     the remap region, read-only, and return that virtual address. Never

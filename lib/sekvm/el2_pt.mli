@@ -21,16 +21,20 @@ exception Write_once_violation of { va_page : int }
 val create :
   mem:Phys_mem.t -> geometry:Page_table.geometry -> pool:Page_pool.t ->
   trace:Trace.t -> cpu:int -> t
-(** Boot: build the 1:1 linear map over all of physical memory. *)
+(** Boot: build the 1:1 linear map over all of physical memory, one
+    [set_el2_pt] run. *)
 
 val remap_region_start : t -> int
 
 val set_el2_pt :
-  ?force:bool -> t -> cpu:int -> va:int -> pfn:int -> perms:Pte.perms ->
-  (unit, [ `Already_mapped ]) result
-(** The only EL2 page-table write primitive; refuses to overwrite valid
-    entries. [force] exists solely so tests can seed a Write-Once
-    violation for the checker to catch. *)
+  ?force:bool -> ?pages:int -> t -> cpu:int -> va:int -> pfn:int ->
+  perms:Pte.perms -> (unit, [ `Already_mapped ]) result
+(** The only EL2 page-table write primitive: maps [pages] (default 1)
+    consecutive pages from [va] to consecutive frames from [pfn] through
+    {!Page_table.plan_map}, recording every write. It refuses the whole
+    run, writing nothing, if any of its entries is already valid. [force]
+    exists solely so tests can seed a Write-Once violation for the
+    checker to catch: a refused call then overwrites [va]'s own entry. *)
 
 val remap_pfn : t -> cpu:int -> pfn:int -> int
 (** Map [pfn] read-only at the next free remap-region page; returns the

@@ -192,6 +192,56 @@ let test_store_gc () =
       Alcotest.(check bool) "unused entry evicted" false
         (Sys.file_exists (entry_file dir (mk_key 4))))
 
+(* One key's disk read is held open on a FIFO (read-write, so the
+   reader's open never waits and what the release writes stays
+   buffered): a lookup of another key and [Store.counters] must still
+   return at once. A 3 s timer releases the hold with three lines, a
+   corrupt entry, so a store that reads under its lock fails this case
+   instead of hanging it. *)
+let test_store_read_outside_lock () =
+  let dir = tmpdir "vrm-cache-held" in
+  Fun.protect
+    ~finally:(fun () -> rmdir dir)
+    (fun () ->
+      let s = Store.create ~dir ~engine_version:Engine.version () in
+      let held = mk_key 0 and other = mk_key 1 in
+      Store.add s other payload_a;
+      Unix.mkfifo (entry_file dir held) 0o600;
+      let fd = Unix.openfile (entry_file dir held) [ Unix.O_RDWR ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      let released = Atomic.make false and stop = Atomic.make false in
+      let release () =
+        if not (Atomic.exchange released true) then
+          ignore (Unix.write_substring fd "held\n\n\n" 0 7)
+      in
+      let timer =
+        Thread.create
+          (fun () ->
+            let deadline = Unix.gettimeofday () +. 3. in
+            while (not (Atomic.get stop)) && Unix.gettimeofday () < deadline do
+              Thread.delay 0.01
+            done;
+            release ())
+          ()
+      in
+      let reader = Thread.create (fun () -> Store.find s held) () in
+      (* give the reader time to block in the held read *)
+      Thread.delay 0.2;
+      let found = Store.find s other in
+      let c = Store.counters s in
+      let early = not (Atomic.get released) in
+      Atomic.set stop true;
+      release ();
+      Thread.join timer;
+      Thread.join reader;
+      Alcotest.(check bool) "lookup and counters returned while a read was held"
+        true early;
+      Alcotest.(check bool) "the other key hit" true (found <> None);
+      Alcotest.(check int) "its hit counted" 1 c.Store.hits;
+      let c = Store.counters s in
+      Alcotest.(check int) "the released read is a corrupt miss" 1
+        c.Store.corrupt)
+
 (* ------------------------------------------------------------------ *)
 (* Hot tier                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -451,7 +501,9 @@ let () =
           Alcotest.test_case "every corruption mode is a miss, then heals"
             `Quick test_store_corruption;
           Alcotest.test_case "engine-version skew is a miss" `Quick
-            test_store_version_skew ] );
+            test_store_version_skew;
+          Alcotest.test_case "a held read blocks no other lookup" `Quick
+            test_store_read_outside_lock ] );
       ( "hot",
         [ Alcotest.test_case "warm hits never touch disk; write-through"
             `Quick test_hot_tier;

@@ -59,6 +59,64 @@ let test_el2_write_once () =
   Alcotest.(check bool) "checker holds" true
     (Vrm.Check_write_once.check kcore.Kcore.trace).Vrm.Check_write_once.holds
 
+let show_event = function
+  | Trace.E_pt_write { cpu; table; write; locked } ->
+      Printf.sprintf "write %d %s %s %b" cpu (Trace.show_table_id table)
+        (Page_table.show_pt_write write) locked
+  | Trace.E_dsb cpu -> Printf.sprintf "dsb %d" cpu
+  | Trace.E_tlbi { cpu; scope } ->
+      Printf.sprintf "tlbi %d %s" cpu (Trace.show_tlbi_scope scope)
+  | Trace.E_lock_acquire { cpu; lock } -> Printf.sprintf "acquire %d %s" cpu lock
+  | Trace.E_lock_release { cpu; lock } -> Printf.sprintf "release %d %s" cpu lock
+  | Trace.E_mem_read { cpu; pfn; owner } ->
+      Printf.sprintf "read %d %d %s" cpu pfn (S2page.show_owner owner)
+  | Trace.E_oracle_read { cpu; pfn } -> Printf.sprintf "oracle %d %d" cpu pfn
+  | Trace.E_section_begin { cpu; what } -> Printf.sprintf "begin %d %s" cpu what
+  | Trace.E_section_end { cpu; what } -> Printf.sprintf "end %d %s" cpu what
+
+let md5_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(* What a boot leaves behind, pinned: its trace, every frame's words and
+   ownership record, and the order each pool will hand out its frames
+   (drained last, since draining allocates). A faster boot must build
+   the same system. *)
+let test_boot_pinned () =
+  let kcore = Kcore.boot cfg in
+  let events = Trace.events kcore.Kcore.trace in
+  Alcotest.(check int) "trace events" 1028 (List.length events);
+  Alcotest.(check string) "trace digest" "a37939a40b22cf0242da655df8c932c4"
+    (md5_lines (List.map show_event events));
+  let frames f = List.concat (List.init cfg.Kcore.n_pages f) in
+  Alcotest.(check string) "memory digest" "7715a70b2355fae67113987f1b6b42cf"
+    (md5_lines
+       (frames (fun pfn ->
+            List.filter_map
+              (fun idx ->
+                match Phys_mem.read kcore.Kcore.mem ~pfn ~idx with
+                | 0 -> None
+                | w -> Some (Printf.sprintf "%d %d %d" pfn idx w))
+              (List.init Phys_mem.entries_per_page Fun.id))));
+  let db = kcore.Kcore.s2page in
+  Alcotest.(check string) "ownership digest" "b747358b288837d35c23ace3c014d1c5"
+    (md5_lines
+       (frames (fun pfn ->
+            [ Printf.sprintf "%s %b %d"
+                (S2page.show_owner (S2page.owner db pfn))
+                (S2page.is_shared db pfn) (S2page.map_count db pfn) ])));
+  let drain pool =
+    let rec go acc =
+      match Page_pool.alloc pool with
+      | pfn -> go (pfn :: acc)
+      | exception Page_pool.Pool_exhausted _ -> List.rev acc
+    in
+    go []
+  in
+  let range a b = List.init (b - a + 1) (( + ) a) in
+  Alcotest.(check (list int)) "el2 pool" (range 21 39) (drain kcore.Kcore.el2_pool);
+  Alcotest.(check (list int)) "s2 pool" (range 41 231) (drain kcore.Kcore.s2_pool);
+  Alcotest.(check (list int)) "smmu pool" (range 232 279)
+    (drain kcore.Kcore.smmu_pool)
+
 let test_gen_vmid () =
   let kcore, _ = fresh () in
   let a = Kcore.gen_vmid kcore ~cpu:0 in
@@ -664,6 +722,7 @@ let () =
     [ ( "boot",
         [ Alcotest.test_case "layout" `Quick test_boot_layout;
           Alcotest.test_case "el2 write-once" `Quick test_el2_write_once;
+          Alcotest.test_case "boot pinned" `Quick test_boot_pinned;
           Alcotest.test_case "gen_vmid" `Quick test_gen_vmid;
           Alcotest.test_case "register errors" `Quick
             test_register_vcpu_errors ] );

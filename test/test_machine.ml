@@ -411,6 +411,209 @@ let test_s2page () =
     (Invalid_argument "S2page: map_count underflow") (fun () ->
       S2page.decr_map db 3)
 
+(* A run of pages planned at once against one [plan_map] per page, each
+   page's writes applied before the next is planned: the same writes in
+   the same order, and the pools then hand out the same frames. Each
+   case starts from a tree with some pages and level-1 blocks already
+   mapped near the run, so some runs are refused with [Already_mapped]
+   (then only the pools are compared). Runs start near a 2 MB or 1 GB
+   boundary or anywhere low, and are long enough to cross leaf tables. *)
+let run_census = Hashtbl.create 8
+let count_run label =
+  Hashtbl.replace run_census label
+    (1 + Option.value (Hashtbl.find_opt run_census label) ~default:0)
+
+let qcheck_plan_run =
+  let gen =
+    let open QCheck.Gen in
+    let* g = oneofl [ Page_table.four_level; Page_table.three_level ] in
+    let* base = oneofl [ 0; 512; 512 * 512 ] in
+    let* start = map (fun o -> max 0 (base + o)) (int_range (-700) 700) in
+    let* pages = frequency [ (1, int_range 1 4); (3, int_range 1 1300) ] in
+    let premapped =
+      pair bool (map (fun o -> max 0 (start + o)) (int_range (-600) (pages + 600)))
+    in
+    let* pre = list_size (int_range 0 3) premapped in
+    let* target = int_bound 5000 in
+    return (g, start, pages, pre, target)
+  in
+  let print (g, start, pages, pre, target) =
+    Printf.sprintf "%d levels, vp %d, %d pages to pfn %d, premapped %s"
+      g.Page_table.levels start pages target
+      (String.concat " "
+         (List.map (fun (block, vp) -> Printf.sprintf "%s%d" (if block then "b" else "") vp) pre))
+  in
+  QCheck.Test.make ~name:"a planned run = one plan_map per page" ~count:600
+    (QCheck.make ~print gen)
+    (fun (g, start, pages, pre, target) ->
+      let setup () =
+        let mem = Phys_mem.create 80 in
+        let pool = Page_pool.create ~name:"pt" ~mem ~first_pfn:1 ~n_pages:64 in
+        let root = Page_pool.alloc pool in
+        List.iter
+          (fun (block, vp) ->
+            let planned =
+              if block then
+                let bp = Page_table.block_pages ~level:1 in
+                let vp = vp / bp * bp in
+                Result.map_error
+                  (fun (`Already_mapped | `Misaligned) -> ())
+                  (Page_table.plan_map_block mem g ~pool ~root
+                     ~va:(Page_table.page_va vp) ~target_pfn:vp ~perms:Pte.ro
+                     ~level:1)
+              else
+                Result.map_error
+                  (fun `Already_mapped -> ())
+                  (Page_table.plan_map mem g ~pool ~root
+                     ~va:(Page_table.page_va vp) ~target_pfn:vp ~perms:Pte.ro)
+            in
+            Result.iter (Page_table.apply_writes mem) planned)
+          pre;
+        (mem, pool, root)
+      in
+      let drain pool =
+        let rec go acc =
+          match Page_pool.alloc pool with
+          | pfn -> go (pfn :: acc)
+          | exception Page_pool.Pool_exhausted _ -> List.rev acc
+        in
+        go []
+      in
+      let va = Page_table.page_va start in
+      let mem, pool, root = setup () in
+      let available = Page_pool.available pool in
+      let run =
+        Page_table.plan_map ~pages mem g ~pool ~root ~va ~target_pfn:target
+          ~perms:Pte.rw
+      in
+      let mem', pool', root' = setup () in
+      let rec per_page k acc =
+        if k = pages then Ok (List.concat (List.rev acc))
+        else
+          match
+            Page_table.plan_map mem' g ~pool:pool' ~root:root'
+              ~va:(va + Page_table.page_va k) ~target_pfn:(target + k)
+              ~perms:Pte.rw
+          with
+          | Ok ws ->
+              Page_table.apply_writes mem' ws;
+              per_page (k + 1) (ws :: acc)
+          | Error `Already_mapped -> Error `Already_mapped
+      in
+      let expected = per_page 0 [] in
+      let last = start + pages - 1 in
+      count_run (if Result.is_ok expected then "planned" else "refused");
+      if Result.is_error run && Page_pool.available pool < available then
+        count_run "refused after allocating";
+      if start / 512 <> last / 512 then count_run "crosses a leaf table";
+      if start / (512 * 512) <> last / (512 * 512) then
+        count_run "crosses a level-1 table";
+      (match (run, expected) with
+      | Ok ws, Ok ws' -> List.equal Page_table.equal_pt_write ws ws'
+      | Error `Already_mapped, Error `Already_mapped -> true
+      | _ -> false)
+      && drain pool = drain pool')
+
+(* The property on its fixed seed, then a floor on what its cases drew. *)
+let test_plan_run () =
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 1 |]) qcheck_plan_run;
+  List.iter
+    (fun label ->
+      let n = Option.value (Hashtbl.find_opt run_census label) ~default:0 in
+      if n < 20 then Alcotest.failf "%s: %d cases, floor 20" label n)
+    [ "planned"; "refused"; "refused after allocating"; "crosses a leaf table";
+      "crosses a level-1 table" ]
+
+(* The ownership database against a naive model: a map from frame to
+   (owner, shared, map count), absent meaning (Kserv, false, 0). Random
+   sequences of the four mutators, on frames a little outside the
+   database too, must raise the same [Invalid_argument] message (out of
+   range, underflow) or leave the same state: every query, one
+   [diff_map_counts] against a random tally and every [pages_owned_by]. *)
+type s2op =
+  | Set_owner of int * S2page.owner
+  | Set_shared of int * bool
+  | Incr of int
+  | Decr of int
+
+let qcheck_s2page_model =
+  let n = 12 in
+  let owners = [ S2page.Kcore; S2page.Kserv; S2page.Vm 1; S2page.Vm 2 ] in
+  let gen =
+    let open QCheck.Gen in
+    let pfn = int_range (-2) (n + 1) in
+    let op =
+      frequency
+        [ (2, map2 (fun p o -> Set_owner (p, o)) pfn (oneofl owners));
+          (2, map2 (fun p b -> Set_shared (p, b)) pfn bool);
+          (3, map (fun p -> Incr p) pfn);
+          (3, map (fun p -> Decr p) pfn) ]
+    in
+    pair (list_size (int_range 0 60) op) (array_repeat n (int_bound 3))
+  in
+  QCheck.Test.make ~name:"s2page agrees with a naive model" ~count:300
+    (QCheck.make gen)
+    (fun (ops, tally) ->
+      let db = S2page.create ~n_pages:n ~default_owner:S2page.Kserv in
+      let model = Hashtbl.create 16 in
+      let get p =
+        if p < 0 || p >= n then
+          invalid_arg (Printf.sprintf "S2page: pfn %d out of range" p);
+        Option.value (Hashtbl.find_opt model p)
+          ~default:(S2page.Kserv, false, 0)
+      in
+      let outcome f = try Ok (f ()) with Invalid_argument m -> Error m in
+      let model_step = function
+        | Set_owner (p, o) ->
+            let _, s, c = get p in
+            Hashtbl.replace model p (o, s, c)
+        | Set_shared (p, b) ->
+            let o, _, c = get p in
+            Hashtbl.replace model p (o, b, c)
+        | Incr p ->
+            let o, s, c = get p in
+            Hashtbl.replace model p (o, s, c + 1)
+        | Decr p ->
+            let o, s, c = get p in
+            if c <= 0 then invalid_arg "S2page: map_count underflow";
+            Hashtbl.replace model p (o, s, c - 1)
+      in
+      let db_step = function
+        | Set_owner (p, o) -> S2page.set_owner db p o
+        | Set_shared (p, b) -> S2page.set_shared db p b
+        | Incr p -> S2page.incr_map db p
+        | Decr p -> S2page.decr_map db p
+      in
+      List.for_all
+        (fun op -> outcome (fun () -> db_step op) = outcome (fun () -> model_step op))
+        ops
+      && List.for_all
+           (fun p ->
+             outcome (fun () ->
+                 (S2page.owner db p, S2page.is_shared db p, S2page.map_count db p))
+             = outcome (fun () -> get p))
+           (List.init (n + 4) (fun i -> i - 2))
+      &&
+      let diffs = ref [] in
+      S2page.diff_map_counts db tally (fun p c -> diffs := (p, c) :: !diffs);
+      List.rev !diffs
+      = List.filter_map
+          (fun p ->
+            let _, _, c = get p in
+            if c <> tally.(p) then Some (p, c) else None)
+          (List.init n Fun.id)
+      && List.for_all
+           (fun o ->
+             S2page.pages_owned_by db o
+             = List.filter
+                 (fun p ->
+                   let o', _, _ = get p in
+                   S2page.equal_owner o o')
+                 (List.init n Fun.id))
+           (S2page.Vm 3 :: owners)
+      && outcome (fun () -> S2page.diff_map_counts db [| 0 |] (fun _ _ -> ()))
+         = Error "S2page.diff_map_counts: wrong length")
+
 let () =
   Alcotest.run "machine"
     [ ( "pte",
@@ -429,7 +632,10 @@ let () =
             ~rand:(Random.State.make [| 1 |])
             qcheck_iter_nonzero;
           Alcotest.test_case "page pool" `Quick test_page_pool;
-          Alcotest.test_case "s2page" `Quick test_s2page ] );
+          Alcotest.test_case "s2page" `Quick test_s2page;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1 |])
+            qcheck_s2page_model ] );
       ( "page-table-4level",
         [ Alcotest.test_case "map/walk" `Quick
             (test_map_walk Page_table.four_level);
@@ -451,4 +657,7 @@ let () =
           Alcotest.test_case "geometry/index" `Quick test_index_geometry;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 1 |])
-            qcheck_map_then_walk ] ) ]
+            qcheck_map_then_walk ] );
+      ( "page-table-runs",
+        [ Alcotest.test_case "a planned run = one plan_map per page" `Quick
+            test_plan_run ] ) ]

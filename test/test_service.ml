@@ -432,8 +432,9 @@ let test_reserved_worker () =
   let inter_spec = Scheduler.Litmus_spec Paper_examples.example1 in
   with_held_store held @@ fun cache release ->
   with_sched ~workers:2 ~cache (fun sched ->
-      (* put the interactive job in the hot tier first: a held lookup
-         holds the store's lock, so a disk lookup would wait too *)
+      (* put the interactive job in the hot tier first, so this case
+         times the lanes alone (test_cache's held-read case covers a
+         disk lookup beside a held one) *)
       ignore (done_payload "warm-up" (Scheduler.run sched inter_spec));
       let bulk =
         List.map (fun s -> Scheduler.submit sched ~lane:Protocol.Bulk s) held
