@@ -31,7 +31,7 @@ lint:
 	dune exec bin/vrm_cli.exe -- lint --corpus
 
 # Wide security-invariant fuzzing: the test_fuzz hypercall storm over
-# seeds 0-9,999 (about 8 s on a 2-vCPU VM; it prints its wall time,
+# seeds 0-9,999 (about 6 s on a 2-vCPU VM; it prints its wall time,
 # storms/s and the census of what the storms drew against its floors),
 # outside the test suite. Each storm's trace also goes through the
 # Write-Once and Sequential-TLB-Invalidation checkers. Exits non-zero

@@ -1,6 +1,6 @@
-(** Physical memory: an array of 4 KB pages, each an array of word-sized
-    entries — the single backing store for data pages, every page table,
-    and KCore's own memory. *)
+(** Physical memory: an array of 4 KB pages of 512 word-sized entries —
+    the single backing store for data pages, every page table, and
+    KCore's own memory. *)
 
 type t
 
@@ -31,5 +31,6 @@ val digest_page : t -> int -> int
 val iter_nonzero : t -> int -> (int -> int -> unit) -> unit
 (** [iter_nonzero t pfn f] calls [f idx w] for every non-zero word [w] of
     frame [pfn], in index order; a page that was never written (or was
-    scrubbed since) costs nothing. The one scan primitive the page-table
-    walkers build on. *)
+    scrubbed since) costs nothing, and a 32-word block of it that was
+    never written costs one comparison. The one scan primitive the
+    page-table walkers build on. *)

@@ -18,7 +18,10 @@ val map_count : t -> int -> int
 val incr_map : t -> int -> unit
 
 val decr_map : t -> int -> unit
-(** Raises [Invalid_argument] on underflow. *)
+(** Raises [Invalid_argument] on underflow, leaving the count as it was. *)
+
+val total_map_count : t -> int
+(** The sum of every frame's map count. *)
 
 val diff_map_counts : t -> int array -> (int -> int -> unit) -> unit
 (** [diff_map_counts t counts f] calls [f pfn recorded] for every frame

@@ -65,12 +65,12 @@ let rec eval_v (lookup : Reg.t -> int * int) (e : vexp) : int * int =
       if Stdlib.( = ) vb 0 then raise (Eval_panic "division by zero")
       else
         let va, wa = eval_v lookup a in
-        (Stdlib.( / ) va vb, Stdlib.max wa wb)
+        (Stdlib.( / ) va vb, Int.max wa wb)
 
 and bin lookup op a b =
   let va, wa = eval_v lookup a in
   let vb, wb = eval_v lookup b in
-  (op va vb, Stdlib.max wa wb)
+  (op va vb, Int.max wa wb)
 
 let eval_cmp op a b =
   match op with
@@ -88,15 +88,15 @@ let rec eval_b (lookup : Reg.t -> int * int) (b : bexp) : bool * int =
   | Cmp (op, a, b) ->
       let va, wa = eval_v lookup a in
       let vb, wb = eval_v lookup b in
-      (eval_cmp op va vb, Stdlib.max wa wb)
+      (eval_cmp op va vb, Int.max wa wb)
   | And (a, b) ->
       let va, wa = eval_b lookup a in
       let vb, wb = eval_b lookup b in
-      (Stdlib.( && ) va vb, Stdlib.max wa wb)
+      (Stdlib.( && ) va vb, Int.max wa wb)
   | Or (a, b) ->
       let va, wa = eval_b lookup a in
       let vb, wb = eval_b lookup b in
-      (Stdlib.( || ) va vb, Stdlib.max wa wb)
+      (Stdlib.( || ) va vb, Int.max wa wb)
   | Not a ->
       let va, wa = eval_b lookup a in
       (Stdlib.not va, wa)

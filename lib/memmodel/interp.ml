@@ -50,7 +50,7 @@ let decode env code ~fuel =
             let loc, va = Expr.eval_addr env a in
             let e, ve = Expr.eval_v env expected in
             let d, vd = Expr.eval_v env desired in
-            Rmw { dst; loc; op = Cas (e, d); ord; va; vd = max ve vd }
+            Rmw { dst; loc; op = Cas (e, d); ord; va; vd = Int.max ve vd }
         | Instr.Barrier b -> Fence b
         | Instr.Pull bases -> Pull bases
         | Instr.Push bases -> Push bases

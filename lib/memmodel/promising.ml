@@ -314,7 +314,7 @@ let rec readable_from promises loc b i lo has_init = function
     virtual initial message. *)
 let readable mem (t : tstate) loc b ~floor =
   let i = loc.Loc.index in
-  let lo = max (coh_get t.coh b i) (floor_bound mem b i floor) in
+  let lo = Int.max (coh_get t.coh b i) (floor_bound mem b i floor) in
   readable_from t.promises loc b i lo false mem
 
 (** One line of a witness schedule: which CPU did what. *)
@@ -448,9 +448,9 @@ let rmw_step ~fp lay ~mem ~next_ts ~others i t rest ~loc ~va ~vd ~ord ~dst
   else
     let acq = ord = Instr.Acquire || ord = Instr.Acq_rel in
     let rel = ord = Instr.Release || ord = Instr.Acq_rel in
-    let view = max latest.ts (max va vd) in
-    let vrnew = if acq then max t.vrnew latest.ts else t.vrnew
-    and vwnew = if acq then max t.vwnew latest.ts else t.vwnew
+    let view = Int.max latest.ts (Int.max va vd) in
+    let vrnew = if acq then Int.max t.vrnew latest.ts else t.vrnew
+    and vwnew = if acq then Int.max t.vwnew latest.ts else t.vwnew
     and regs = set_reg t.regs (reg_id lay dst) latest.mval view in
     match Interp.rmw op latest.mval with
     | Some v ->
@@ -461,10 +461,10 @@ let rmw_step ~fp lay ~mem ~next_ts ~others i t rest ~loc ~va ~vd ~ord ~dst
             code = rest;
             regs;
             coh = coh_set t.coh b idx ts;
-            vrmax = max t.vrmax view;
-            vwmax = max t.vwmax ts;
-            vall = max t.vall ts;
-            vrel = (if rel then max t.vrel ts else t.vrel);
+            vrmax = Int.max t.vrmax view;
+            vwmax = Int.max t.vwmax ts;
+            vall = Int.max t.vall ts;
+            vrel = (if rel then Int.max t.vrel ts else t.vrel);
             vrnew;
             vwnew }
         in
@@ -481,9 +481,9 @@ let rmw_step ~fp lay ~mem ~next_ts ~others i t rest ~loc ~va ~vd ~ord ~dst
           { t with
             code = rest;
             regs;
-            coh = coh_set t.coh b idx (max (coh_get t.coh b idx) latest.ts);
-            vrmax = max t.vrmax view;
-            vall = max t.vall view;
+            coh = coh_set t.coh b idx (Int.max (coh_get t.coh b idx) latest.ts);
+            vrmax = Int.max t.vrmax view;
+            vall = Int.max t.vall view;
             vrnew;
             vwnew }
         in
@@ -520,16 +520,16 @@ let quiet ~fp ~silent_ok i t' =
 let rec read_steps ~fp i (t : tstate) rest dst loc b idx coh ~acq ~va = function
   | [] -> []
   | m :: ms ->
-      let view = max m.ts va in
+      let view = Int.max m.ts va in
       let t' =
         { t with
           code = rest;
           regs = set_reg t.regs dst m.mval view;
-          coh = coh_set t.coh b idx (max coh m.ts);
-          vrmax = max t.vrmax view;
-          vall = max t.vall view;
-          vrnew = (if acq then max t.vrnew m.ts else t.vrnew);
-          vwnew = (if acq then max t.vwnew m.ts else t.vwnew) }
+          coh = coh_set t.coh b idx (Int.max coh m.ts);
+          vrmax = Int.max t.vrmax view;
+          vall = Int.max t.vall view;
+          vrnew = (if acq then Int.max t.vrnew m.ts else t.vrnew);
+          vwnew = (if acq then Int.max t.vwnew m.ts else t.vwnew) }
       in
       (* the read message's timestamp discriminates the choice —
          intrinsic to the transition, stable across independent
@@ -548,9 +548,9 @@ let wrote (t : tstate) rest b idx ~release ts promises =
   { t with
     code = rest;
     coh = coh_set t.coh b idx ts;
-    vwmax = max t.vwmax ts;
-    vall = max t.vall ts;
-    vrel = (if release then max t.vrel ts else t.vrel);
+    vwmax = Int.max t.vwmax ts;
+    vall = Int.max t.vall ts;
+    vrel = (if release then Int.max t.vrel ts else t.vrel);
     promises }
 
 (* [l] without [x] *)
@@ -612,7 +612,8 @@ let apply ~fp ~silent_ok ~obs lay ~mem ~next_ts ~others (i : int)
   let rest = Cont.tail t.code in
   match req with
   | Interp.Local { guard; code; fuel } ->
-      quiet ~fp ~silent_ok i { t with code; fuel; vctrl = max t.vctrl guard }
+      quiet ~fp ~silent_ok i
+        { t with code; fuel; vctrl = Int.max t.vctrl guard }
   | Interp.Pull _ | Interp.Push _ | Interp.Tlbi _ ->
       quiet ~fp ~silent_ok i { t with code = rest }
   | Interp.Assign { dst; value; view } ->
@@ -627,19 +628,20 @@ let apply ~fp ~silent_ok ~obs lay ~mem ~next_ts ~others (i : int)
       quiet ~fp ~silent_ok i
         (match b with
         | Instr.Dmb_full ->
-            let v = max t.vall (max t.vrnew t.vwnew) in
+            let v = Int.max t.vall (Int.max t.vrnew t.vwnew) in
             { t with code = rest; vrnew = v; vwnew = v }
         | Instr.Dmb_ld ->
             { t with
               code = rest;
-              vrnew = max t.vrnew t.vrmax;
-              vwnew = max t.vwnew t.vrmax }
-        | Instr.Dmb_st -> { t with code = rest; vwnew = max t.vwnew t.vwmax }
-        | Instr.Isb -> { t with code = rest; vrnew = max t.vrnew t.vctrl })
+              vrnew = Int.max t.vrnew t.vrmax;
+              vwnew = Int.max t.vwnew t.vrmax }
+        | Instr.Dmb_st ->
+            { t with code = rest; vwnew = Int.max t.vwnew t.vwmax }
+        | Instr.Isb -> { t with code = rest; vrnew = Int.max t.vrnew t.vctrl })
   | Interp.Read { dst; loc; ord; va } ->
       let b = base_id lay (Loc.base loc) and idx = loc.Loc.index in
       let acq = ord = Instr.Acquire || ord = Instr.Acq_rel in
-      let floor = max (max t.vrnew va) (if acq then t.vrel else 0) in
+      let floor = Int.max (Int.max t.vrnew va) (if acq then t.vrel else 0) in
       read_steps ~fp i t rest (reg_id lay dst) loc b idx (coh_get t.coh b idx)
         ~acq ~va
         (readable mem t loc b ~floor)
@@ -665,7 +667,8 @@ let apply ~fp ~silent_ok ~obs lay ~mem ~next_ts ~others (i : int)
       | [] -> []
       | promises ->
           let lower =
-            max (coh_get t.coh b idx) (max va (max vd (max t.vctrl t.vwnew)))
+            Int.max (coh_get t.coh b idx)
+              (Int.max va (Int.max vd (Int.max t.vctrl t.vwnew)))
           in
           fulfil_steps ~fp mem i t rest loc b idx v ~lower ~release promises)
   | Interp.Rmw { dst; loc; op; ord; va; vd } ->

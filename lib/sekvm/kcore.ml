@@ -54,7 +54,9 @@ type t = {
   mutable vms : (int * vm) list;
   kserv_npt : Npt.t;
   mutable smmu_owners : (int * S2page.owner) list;  (** device -> owner *)
-  inv_counts : int array;  (** {!check_invariants}' tally, zeroed per call *)
+  inv_counts : int array;  (** {!check_invariants}' per-frame tally *)
+  inv_touched : int array;  (** the frames [inv_counts] holds, as a stack *)
+  mutable inv_n_touched : int;
   (* operation counters for the evaluation *)
   mutable hypercalls : int;
   mutable s2_faults : int;
@@ -172,6 +174,8 @@ let boot (cfg : boot_config) : t =
             ~invalidate:(fun scope -> invalidate_tlbs (Lazy.force t) scope);
         smmu_owners = [];
         inv_counts = Array.make cfg.n_pages 0;
+        inv_touched = Array.make cfg.n_pages 0;
+        inv_n_touched = 0;
         hypercalls = 0;
         s2_faults = 0;
         vipis = 0;
@@ -648,19 +652,28 @@ type invariant_violation = { inv : string; detail : string }
    its table pages and 2-5 and 7's tally on its leaves as the walk finds
    them. Reports collect in one buffer per invariant group, so the list
    keeps the group order (1 over every tree, 2-4 per stage-2 table, 5 per
-   device, 6, 7 by frame). The tally lives in [inv_counts], zeroed first,
-   so nothing survives from one call to the next. *)
+   device, 6, 7 by frame).
+
+   7's tally is sparse. [inv_counts] holds it, and [inv_touched] stacks
+   each frame the first time the walk counts it; a call starts by
+   clearing the slots the previous call stacked (that call may have
+   raised part-way), so nothing survives from one call to the next. If
+   every touched frame's tally equals its recorded count and those
+   counts sum to the database's total, no other frame can hold a count
+   (none is negative) and the full ascending diff is skipped. The total
+   is a sum over the very counts under check, not KCore bookkeeping
+   about tables. *)
 let check_invariants t : invariant_violation list =
   let tables = ref [] and leaves = ref [] and rest = ref [] in
   let report buf inv fmt =
     Format.kasprintf (fun detail -> buf := { inv; detail } :: !buf) fmt
   in
   let owner pfn = S2page.owner t.s2page pfn in
-  let counted = t.inv_counts in
-  (* a plain loop: cheaper than Array.fill's C call on an int array *)
-  for pfn = 0 to Array.length counted - 1 do
-    Array.unsafe_set counted pfn 0
+  let counted = t.inv_counts and touched = t.inv_touched in
+  for i = 0 to t.inv_n_touched - 1 do
+    counted.(touched.(i)) <- 0
   done;
+  t.inv_n_touched <- 0;
   (* 1. every page-table page (EL2, stage-2, SMMU) is KCore-owned *)
   let table pfn =
     match owner pfn with
@@ -677,7 +690,12 @@ let check_invariants t : invariant_violation list =
         for k = 0 to Page_table.block_pages ~level - 1 do
           let pfn = out + k in
           check (vp + k) pfn (owner pfn);
-          counted.(pfn) <- counted.(pfn) + 1
+          let c = counted.(pfn) in
+          if c = 0 then begin
+            touched.(t.inv_n_touched) <- pfn;
+            t.inv_n_touched <- t.inv_n_touched + 1
+          end;
+          counted.(pfn) <- c + 1
         done)
       ()
   in
@@ -746,10 +764,18 @@ let check_invariants t : invariant_violation list =
     report rest "smmu-enabled" "SMMU has been disabled";
   (* 7. the ownership database's reference counts agree with the actual
      number of stage-2 + SMMU mappings of each frame *)
-  S2page.diff_map_counts t.s2page counted (fun pfn recorded ->
-      report rest "map-count-consistent"
-        "page %d: map_count %d but %d actual mappings" pfn recorded
-        counted.(pfn));
+  let agree = ref true and sum = ref 0 in
+  for i = 0 to t.inv_n_touched - 1 do
+    let pfn = touched.(i) in
+    let recorded = S2page.map_count t.s2page pfn in
+    sum := !sum + recorded;
+    if recorded <> counted.(pfn) then agree := false
+  done;
+  if not (!agree && !sum = S2page.total_map_count t.s2page) then
+    S2page.diff_map_counts t.s2page counted (fun pfn recorded ->
+        report rest "map-count-consistent"
+          "page %d: map_count %d but %d actual mappings" pfn recorded
+          counted.(pfn));
   List.rev !tables @ List.rev !leaves @ List.rev !rest
 
 (* ------------------------------------------------------------------ *)

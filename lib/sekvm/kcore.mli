@@ -50,8 +50,13 @@ type t = {
   kserv_npt : Npt.t;
   mutable smmu_owners : (int * S2page.owner) list;
   inv_counts : int array;
-      (** {!check_invariants}' per-frame mapping tally, zeroed at the start
-          of every call, so it carries nothing from one call to the next *)
+      (** {!check_invariants}' per-frame mapping tally. Only the frames in
+          [inv_touched] can be non-zero, and each call clears them first,
+          so the tally carries nothing from one call to the next. *)
+  inv_touched : int array;
+      (** the first [inv_n_touched] entries: each frame the last call
+          counted, once *)
+  mutable inv_n_touched : int;
   mutable hypercalls : int;
   mutable s2_faults : int;
   mutable vipis : int;

@@ -331,6 +331,101 @@ let test_dma_regressions () =
   Alcotest.(check (list string)) "paths that donate a DMA-reachable page" []
     (List.map fst (List.filter leaks paths))
 
+(* The map-count tally the checker used before it went sparse: count
+   [Page_table.mappings] over every tree the checker walks in full
+   (KServ's stage 2, each live VM's, each owned SMMU context) and compare
+   all frames with the database, in ascending order. *)
+let reference_map_counts (k : Kcore.t) =
+  let db = k.Kcore.s2page in
+  let counts = Array.make (S2page.n_pages db) 0 in
+  let tree g root =
+    List.iter
+      (fun (_, pfn, _) -> counts.(pfn) <- counts.(pfn) + 1)
+      (Page_table.mappings k.Kcore.mem g ~root)
+  in
+  tree k.Kcore.geometry k.Kcore.kserv_npt.Npt.root;
+  List.iter
+    (fun (_, (vm : Kcore.vm)) ->
+      match vm.Kcore.vstate with
+      | Kcore.Torn_down -> ()
+      | Kcore.Registered | Kcore.Verified ->
+          tree vm.Kcore.npt.Npt.geometry vm.Kcore.npt.Npt.root)
+    k.Kcore.vms;
+  let smmu = k.Kcore.smmu_ops.Smmu_ops.smmu in
+  List.iter
+    (fun (device, root) ->
+      if List.mem_assoc device k.Kcore.smmu_owners then
+        tree smmu.Smmu.geometry root)
+    smmu.Smmu.contexts;
+  List.filter_map
+    (fun pfn ->
+      let recorded = S2page.map_count db pfn in
+      if recorded = counts.(pfn) then None
+      else
+        Some
+          { Kcore.inv = "map-count-consistent";
+            detail =
+              Printf.sprintf "page %d: map_count %d but %d actual mappings"
+                pfn recorded counts.(pfn) })
+    (List.init (Array.length counts) Fun.id)
+
+(* Storms 0-29 with one or two map counts corrupted at random steps: an
+   increment of any frame, or an increment or a decrement of a mapped
+   one. The checker must report exactly what the reference does; the
+   corruptions are then undone, so each storm runs on as it would. Some
+   checks must see a decrement and an increment together, which leave
+   the database's total as it was. *)
+let test_sparse_tally () =
+  let rng = Random.State.make [| 7 |] in
+  let checks = ref 0 and same_total = ref 0 in
+  for seed = 0 to 29 do
+    let st = boot_fuzz () and storm_rng = Random.State.make [| seed |] in
+    let db = st.kcore.Kcore.s2page in
+    for _ = 1 to 60 do
+      step storm_rng st;
+      if Random.State.int rng 3 = 0 then begin
+        let mapped =
+          List.filter
+            (fun p -> S2page.map_count db p > 0)
+            (List.init (S2page.n_pages db) Fun.id)
+        in
+        let total = S2page.total_map_count db in
+        let undo =
+          List.init
+            (1 + Random.State.int rng 2)
+            (fun _ ->
+              match Random.State.int rng 3 with
+              | 0 when mapped <> [] ->
+                  let pfn = pick rng mapped in
+                  if S2page.map_count db pfn > 0 then begin
+                    S2page.decr_map db pfn;
+                    fun () -> S2page.incr_map db pfn
+                  end
+                  else Fun.id
+              | 1 when mapped <> [] ->
+                  let pfn = pick rng mapped in
+                  S2page.incr_map db pfn;
+                  fun () -> S2page.decr_map db pfn
+              | _ ->
+                  let pfn = Random.State.int rng (S2page.n_pages db) in
+                  S2page.incr_map db pfn;
+                  fun () -> S2page.decr_map db pfn)
+        in
+        let expected = reference_map_counts st.kcore in
+        if expected <> [] && S2page.total_map_count db = total then
+          incr same_total;
+        incr checks;
+        if Kcore.check_invariants st.kcore <> expected then
+          Alcotest.failf "seed %d step %d: checker and reference differ" seed
+            st.steps;
+        List.iter (fun f -> f ()) (List.rev undo)
+      end
+    done
+  done;
+  if !same_total < 50 then
+    Alcotest.failf "%d of %d checks kept the total, floor 50" !same_total
+      !checks
+
 (* Storms 0-199 reach every label of the census at its floor. *)
 let test_census () =
   Hashtbl.reset census;
@@ -412,7 +507,9 @@ let () =
           Alcotest.test_case "long run" `Quick test_long_fuzz;
           Alcotest.test_case "storm trajectories" `Quick
             test_storm_trajectories;
-          Alcotest.test_case "census floors" `Quick test_census ] );
+          Alcotest.test_case "census floors" `Quick test_census;
+          Alcotest.test_case "sparse tally = full tally" `Quick
+            test_sparse_tally ] );
       ( "stress",
         [ Alcotest.test_case "4 VMs x 3 rounds" `Quick test_stress_scenario;
           Alcotest.test_case "8 VMs" `Quick test_stress_more_vms;

@@ -572,6 +572,57 @@ let test_inv_map_count () =
        Printf.sprintf "page %d: map_count 0 but 1 actual mappings" image) ]
     kcore
 
+(* The tally is sparse: it stacks the frames the walk reaches and checks
+   their counts and the database's total. A count on a frame no table
+   maps disagrees only with the total. *)
+let test_inv_map_count_unmapped () =
+  let kcore, kserv, _, _ = with_vm () in
+  let page = Kserv.alloc_page kserv in
+  S2page.incr_map kcore.Kcore.s2page page;
+  check_violations "one violation"
+    [ ("map-count-consistent",
+       Printf.sprintf "page %d: map_count 1 but 0 actual mappings" page) ]
+    kcore
+
+(* One count moved from a mapped frame to an unmapped one: the total
+   still agrees, and both frames are reported by ascending frame. *)
+let test_inv_map_count_moved () =
+  let kcore, kserv, _, image = with_vm () in
+  let page = Kserv.alloc_page kserv in
+  S2page.decr_map kcore.Kcore.s2page image;
+  S2page.incr_map kcore.Kcore.s2page page;
+  let report pfn =
+    if pfn = image then
+      Printf.sprintf "page %d: map_count 0 but 1 actual mappings" pfn
+    else Printf.sprintf "page %d: map_count 1 but 0 actual mappings" pfn
+  in
+  check_violations "two violations"
+    [ ("map-count-consistent", report (min image page));
+      ("map-count-consistent", report (max image page)) ]
+    kcore
+
+(* A leaf past the last frame makes the call raise after it has tallied
+   other frames; once the leaf is cleared, the next call starts clean. *)
+let test_inv_raise_then_clean () =
+  let kcore, _, vmid, _ = with_vm () in
+  let npt = (Kcore.find_vm kcore vmid).Kcore.npt in
+  let leaf =
+    match
+      Page_table.plan_unmap kcore.Kcore.mem npt.Npt.geometry
+        ~root:npt.Npt.root ~va:0
+    with
+    | Some w -> w
+    | None -> Alcotest.fail "guest page 0 unmapped"
+  in
+  let n = Phys_mem.n_pages kcore.Kcore.mem in
+  let pfn = leaf.Page_table.w_pfn and idx = leaf.Page_table.w_idx + 1 in
+  Phys_mem.write kcore.Kcore.mem ~pfn ~idx (Pte.encode (Pte.Page (n, Pte.rw)));
+  Alcotest.check_raises "past the last frame"
+    (Invalid_argument (Printf.sprintf "S2page: pfn %d out of range" n))
+    (fun () -> ignore (Kcore.check_invariants kcore));
+  Phys_mem.write kcore.Kcore.mem ~pfn ~idx 0;
+  check_violations "clean after the leaf is cleared" [] kcore
+
 let test_inv_report_order () =
   (* several corruptions at once: invariants report in checker order (1,
      2-4 per table, 5, 6, 7), VMs and devices in the kernel's list order
@@ -759,6 +810,12 @@ let () =
             test_inv_smmu_context_owned;
           Alcotest.test_case "smmu enabled" `Quick test_inv_smmu_enabled;
           Alcotest.test_case "map counts" `Quick test_inv_map_count;
+          Alcotest.test_case "map count on an unmapped frame" `Quick
+            test_inv_map_count_unmapped;
+          Alcotest.test_case "map count moved, total unchanged" `Quick
+            test_inv_map_count_moved;
+          Alcotest.test_case "clean after a call that raised" `Quick
+            test_inv_raise_then_clean;
           Alcotest.test_case "report order" `Quick test_inv_report_order;
           Alcotest.test_case "report order across trees" `Quick
             test_inv_report_across_trees ] ) ]

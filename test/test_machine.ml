@@ -42,9 +42,11 @@ let test_phys_mem () =
 
 (* ---- Phys_mem against a naive model ----
 
-   The implementation shares one zero page among all never-written frames
-   and allocates a frame's array on its first non-zero store; the model is
-   a plain [int array array]. Every operation must return the same result
+   The implementation keeps a frame as a spine of 16 blocks of 32 words,
+   shares one zero block among all never-written blocks (and one zero
+   spine among all never-written frames), and allocates a frame's spine
+   and a block on the first non-zero store into them; the model is a
+   plain [int array array]. Every operation must return the same result
    (or raise the same exception) on both, and the memories must agree
    word for word afterwards. *)
 
@@ -135,9 +137,16 @@ let model_mismatch ops =
 
 let gen_mem_op =
   let open QCheck.Gen in
-  (* mostly valid frames and indices, sometimes one past either end *)
+  (* mostly valid frames and indices, sometimes one past either end;
+     the indices crowd into the first block, both sides of the edge
+     between blocks 0 and 1, and the last block, so writes (0 ones
+     included) land in blocks already written *)
   let pfn = frequency [ (12, int_bound (model_pages - 1)); (1, return (-1)); (1, return model_pages) ] in
-  let idx = frequency [ (6, int_bound 15); (2, int_bound 511); (1, oneofl [ -1; 512 ]) ] in
+  let idx =
+    frequency
+      [ (4, int_bound 15); (3, int_range 28 35); (3, int_range 480 511);
+        (2, int_bound 511); (1, oneofl [ -1; 512 ]) ]
+  in
   let value = frequency [ (3, return 0); (4, int_range (-5) 9); (1, int) ] in
   frequency
     [ (6, map3 (fun p i v -> Op_write (p, i, v)) pfn idx value);
@@ -175,13 +184,27 @@ let test_phys_mem_zero_page_cases () =
       Op_read (1, 512); Op_scrub 4; Op_fill (-1, 0); Op_copy (0, 4); Op_nonzero 4 ];
   agree "scrub and fill 0 after writes"
     [ Op_write (1, 0, 1); Op_scrub 1; Op_write (2, 0, 1); Op_fill (2, 0); Op_equal (1, 2);
-      Op_fill (3, 6); Op_nonzero 3; Op_write (3, 511, 0); Op_digest 3 ]
+      Op_fill (3, 6); Op_nonzero 3; Op_write (3, 511, 0); Op_digest 3 ];
+  agree "writes of 0 into a written block"
+    [ Op_write (1, 31, 5); Op_write (1, 31, 0); Op_write (1, 30, 0); Op_read (1, 31);
+      Op_nonzero 1; Op_equal (0, 1); Op_digest 1; Op_write (1, 32, 0); Op_equal (0, 1) ];
+  agree "words on both sides of a block edge"
+    [ Op_write (2, 31, 7); Op_write (2, 32, 8); Op_read (2, 31); Op_read (2, 32);
+      Op_read (2, 33); Op_nonzero 2; Op_write (2, 480, 1); Op_write (2, 479, 2);
+      Op_write (2, 511, 3); Op_nonzero 2; Op_digest 2 ];
+  agree "copy of a partly written frame"
+    [ Op_write (0, 3, 1); Op_write (0, 500, 2); Op_copy (0, 1); Op_equal (0, 1);
+      Op_write (1, 40, 4); Op_write (1, 3, 5); Op_read (0, 40); Op_read (0, 3);
+      Op_equal (0, 1); Op_nonzero 0; Op_nonzero 1; Op_write (1, 40, 0);
+      Op_write (1, 3, 1); Op_equal (0, 1); Op_copy (2, 1); Op_nonzero 1 ]
 
-(* iter_nonzero against a word-by-word scan. Every one of the eight
-   offsets within a scan block gets a non-zero word somewhere on frame 1;
-   frame 0 stays on the shared zero page, frame 2 is filled with a
-   non-zero word and then partly cleared, and frame 3 is written and then
-   scrubbed back to the zero page. *)
+(* iter_nonzero against a word-by-word scan. Every one of the 32
+   offsets within a block gets a non-zero word in some block of frame 1,
+   and frame 1 may also get words at both edges of the first, the second
+   and the last block (0, 31, 32, 63, 480, 511); frame 0 stays on the
+   shared zero page, frame 2 is filled with a non-zero word and then
+   partly cleared, and frame 3 is written and then scrubbed back to the
+   zero page. *)
 let qcheck_iter_nonzero =
   let naive mem pfn =
     List.filter (fun (_, w) -> w <> 0)
@@ -193,21 +216,28 @@ let qcheck_iter_nonzero =
     Phys_mem.iter_nonzero mem pfn (fun idx w -> acc := (idx, w) :: !acc);
     List.rev !acc
   in
-  let blocks = (Phys_mem.entries_per_page / 8) - 1 in
+  let block = 32 in
+  let blocks = (Phys_mem.entries_per_page / block) - 1 in
+  let edges = [ 0; 31; 32; 63; 480; 511 ] in
+  let nonzero v = if v = 0 then 1 else v in
   QCheck.Test.make ~name:"iter_nonzero agrees with a naive scan" ~count:300
     QCheck.(
-      triple
-        (list_of_size (Gen.return 8)
+      quad
+        (list_of_size (Gen.return block)
            (pair (int_bound blocks) (oneof [ int_range 1 1000; int ])))
+        (list_of_size (Gen.return (List.length edges)) (option small_nat))
         (small_list (pair (int_bound 511) int))
         (int_range (-3) 3))
-    (fun (per_offset, extra, fill) ->
+    (fun (per_offset, at_edges, extra, fill) ->
       let mem = Phys_mem.create 4 in
       List.iteri
         (fun off (blk, v) ->
-          Phys_mem.write mem ~pfn:1 ~idx:((blk * 8) + off)
-            (if v = 0 then 1 else v))
+          Phys_mem.write mem ~pfn:1 ~idx:((blk * block) + off) (nonzero v))
         per_offset;
+      List.iter2
+        (fun idx v ->
+          Option.iter (fun v -> Phys_mem.write mem ~pfn:1 ~idx (nonzero v)) v)
+        edges at_edges;
       Phys_mem.fill mem 2 fill;
       List.iter
         (fun (idx, v) ->
@@ -529,7 +559,9 @@ let test_plan_run () =
    sequences of the four mutators, on frames a little outside the
    database too, must raise the same [Invalid_argument] message (out of
    range, underflow) or leave the same state: every query, one
-   [diff_map_counts] against a random tally and every [pages_owned_by]. *)
+   [diff_map_counts] against a random tally and every [pages_owned_by].
+   After every op the running [total_map_count] equals the model's sum
+   of map counts, and an op that raises leaves it as it was. *)
 type s2op =
   | Set_owner of int * S2page.owner
   | Set_shared of int * bool
@@ -584,8 +616,16 @@ let qcheck_s2page_model =
         | Incr p -> S2page.incr_map db p
         | Decr p -> S2page.decr_map db p
       in
+      let model_total () =
+        Hashtbl.fold (fun _ (_, _, c) acc -> acc + c) model 0
+      in
       List.for_all
-        (fun op -> outcome (fun () -> db_step op) = outcome (fun () -> model_step op))
+        (fun op ->
+          let before = S2page.total_map_count db in
+          let got = outcome (fun () -> db_step op) in
+          got = outcome (fun () -> model_step op)
+          && S2page.total_map_count db = model_total ()
+          && (Result.is_ok got || S2page.total_map_count db = before))
         ops
       && List.for_all
            (fun p ->
